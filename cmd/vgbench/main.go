@@ -551,12 +551,12 @@ func fleetThroughput(homes, days int, seed int64) error {
 }
 
 // wireLoad is the wire-plane load experiment: a scaled-down vgload
-// run (real LiveProxy, real sockets, TCP + UDP, stall flood against a
-// deliberately small global budget) sized to finish in seconds so it
-// can ride the bench gate. The structural outcomes — budget enforced,
-// backpressure observed, every held burst resolved — are recorded as
-// exact-match pct_* metrics; setup rate and latency ride the banded
-// fields.
+// run (a real StartLiveProxy plane, real sockets, TCP + UDP, stall
+// flood against a deliberately small global budget) sized to finish
+// in seconds so it can ride the bench gate. The structural outcomes —
+// budget enforced, backpressure observed, every held burst resolved —
+// are recorded as exact-match pct_* metrics; setup rate and latency
+// ride the banded fields.
 func wireLoad(tcp, udp int, seed int64) error {
 	out, err := wireload.Run(wireload.Config{
 		TCPSessions:     tcp,

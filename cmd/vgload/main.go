@@ -1,7 +1,7 @@
 // Command vgload is the wire-plane load generator: it drives N
 // thousand concurrent emulated speaker sessions — TCP through a real
-// LiveProxy or LiveGuard, plus the Google Home Mini UDP profile —
-// with mixed hold/release/drop verdicts, a configurable
+// StartLiveProxy or StartLiveGuard plane, plus the Google Home Mini
+// UDP profile — with mixed hold/release/drop verdicts, a configurable
 // decision-latency distribution, hold deadlines, and fault profiles,
 // and reports session setup rate, p99 added latency against a
 // no-proxy baseline, and the hold-memory ceiling under the global

@@ -176,7 +176,7 @@ func run(cfg config) error {
 
 	stats := proxy.Stats()
 	fmt.Printf("\nheld %d bursts: released %d, dropped %d\n",
-		stats.HeldBursts, stats.ReleasedBursts, stats.DroppedBursts)
+		stats.CommandsHeld, stats.CommandsReleased, stats.CommandsDropped)
 	fmt.Printf("cloud executed %d command(s); %d session(s) aborted on sequence gaps\n",
 		cloud.CompletedCommands(), cloud.SequenceAborts())
 	snap := metrics.Default.Snapshot()

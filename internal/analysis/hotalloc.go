@@ -7,13 +7,14 @@ import (
 )
 
 // hotFuncs designates the allocation-free hot paths: the per-sample
-// radio field, the wall-loss memo, the zero-copy proxy pumps, and the
-// per-packet spike classifiers. PR 3 pinned these at 0 allocs/op in
-// BenchmarkRadioSample / BenchmarkProxyThroughput; this rule keeps
-// the cheap-to-introduce allocation sources (formatting, string
-// concatenation, string<->[]byte conversions) out of them
-// mechanically. Functions are matched by name within the package, so
-// methods are listed by bare method name.
+// radio field, the wall-loss memo, the zero-copy proxy pumps, the
+// live plane's per-chunk tap, and the per-packet spike classifiers.
+// BenchmarkRadioSample / BenchmarkProxyThroughput pin the radio and
+// proxy paths at 0 allocs/op; this rule keeps the cheap-to-introduce
+// allocation sources (formatting, string concatenation,
+// string<->[]byte conversions) out of them mechanically. Functions
+// are matched by name within the package, so methods are listed by
+// bare method name.
 var hotFuncs = map[string]map[string]bool{
 	"voiceguard/internal/radio": {
 		"PathRSSI": true, "Mean": true, "shadowAt": true,
@@ -27,7 +28,10 @@ var hotFuncs = map[string]map[string]bool{
 	},
 	"voiceguard/internal/proxy": {
 		"clientToServer": true, "serverToClient": true, "forward": true,
-		"startSession": true, "StartsBurst": true,
+		"startSession": true,
+	},
+	"voiceguard": {
+		"tap": true,
 	},
 	"voiceguard/internal/metrics": {
 		"with": true, "With": true, "Inc": true, "Add": true, "Set": true,

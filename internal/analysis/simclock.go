@@ -7,9 +7,13 @@ import (
 // simClockPackages are the deterministic simulation packages: whole
 // multi-day experiments execute in microseconds and must replay
 // bit-identically for a seed, so time flows only through a
-// simtime.Clock. The wire-plane packages (proxy, emul, the live
-// guard) run on real sockets and are deliberately outside this set.
+// simtime.Clock. The guard core is one of them although the wire
+// plane runs it too: it reads whatever scheduler it is handed, so the
+// live plane's wall clock stays in the root package. The transport
+// packages (proxy, emul) run on real sockets and are deliberately
+// outside this set.
 var simClockPackages = map[string]bool{
+	"voiceguard/internal/guard":     true,
 	"voiceguard/internal/scenario":  true,
 	"voiceguard/internal/radio":     true,
 	"voiceguard/internal/recognize": true,

@@ -35,6 +35,7 @@ func degradedFixture(t *testing.T, seed int64) *fixture {
 	f.echo.AnomalyRate = 0
 	rec := recognize.NewEcho(trafficgen.EchoIP)
 	f.guard = New(f.clock, rec, pathDeadMethod{}, "echo")
+	f.events = collect(f.guard)
 	boot, err := f.echo.Boot(epoch)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +51,7 @@ func oneDegradedEvent(t *testing.T, f *fixture) Event {
 	inv := f.echo.Invocation(f.clock.Now().Add(time.Minute), 1)
 	f.feed(inv.All())
 	f.settle()
-	cmds := commandEvents(f.guard.Events())
+	cmds := commandEvents(*f.events)
 	if len(cmds) != 1 {
 		t.Fatalf("command events = %d, want 1", len(cmds))
 	}
@@ -89,7 +90,7 @@ func TestEvidenceVerdictIgnoresDegradedPolicy(t *testing.T) {
 	inv := f.echo.Invocation(f.clock.Now().Add(time.Minute), 1)
 	f.feed(inv.All())
 	f.settle()
-	cmds := commandEvents(f.guard.Events())
+	cmds := commandEvents(*f.events)
 	if len(cmds) != 1 {
 		t.Fatalf("command events = %d, want 1", len(cmds))
 	}

@@ -2,9 +2,13 @@
 // Traffic Processing Module (the recognize package's streaming
 // recognizer plus the hold bookkeeping of the Traffic Handler) and the
 // Decision Module (the decision package). It consumes the speaker's
-// packet stream on the simulated clock, holds recognized voice-command
-// traffic, queries the Decision Module, and releases or drops the held
-// packets when the verdict arrives.
+// packet stream, holds recognized voice-command traffic, queries the
+// Decision Module, and releases or drops the held packets when the
+// verdict arrives.
+//
+// The same Guard runs both planes. In the simulation it reads a
+// *simtime.Sim and has no HoldSink; on the wire it reads a wall-clock
+// scheduler and holds the bytes of a real proxy session.
 //
 // Every spike becomes an episode with a unique command ID the moment
 // it starts being held; the episode's recognition, hold, and decision
@@ -140,6 +144,37 @@ func (e Event) VerificationTime() time.Duration {
 	return e.DecisionAt.Sub(e.SpikeStart)
 }
 
+// Scheduler is the guard's clock: *simtime.Sim in the simulation, a
+// wall clock on the wire.
+type Scheduler interface {
+	Now() time.Time
+	// ScheduleTimer runs fn at time at.
+	ScheduleTimer(at time.Time, fn func()) simtime.Timer
+	// RescheduleTimer moves t (live, cancelled, or already fired) to
+	// time at, keeping its callback, and returns the handle to keep.
+	RescheduleTimer(t simtime.Timer, at time.Time) simtime.Timer
+}
+
+// HoldSink is the transport whose traffic the guard holds: a proxy
+// session on the wire, nil in the simulation (where holding is pure
+// bookkeeping). The guard releases held bytes only once every episode
+// they belong to has a release verdict, in stream order, and drops the
+// whole hold on any drop verdict — so a command can never ride out on
+// an earlier command's or a response spike's release.
+type HoldSink interface {
+	// HoldCommand holds traffic from here on for command id: it starts
+	// a hold, or extends the active one. It returns the stream offset
+	// at which the command's held bytes begin, and whether a new hold
+	// began (the previous one, if any, was resolved by the transport).
+	HoldCommand(id trace.CommandID) (mark int, started bool)
+	// ReleaseTo forwards the held bytes before mark and keeps holding.
+	ReleaseTo(mark int) error
+	// Release ends the hold, forwarding every held byte.
+	Release() error
+	// Drop ends the hold, discarding every held byte.
+	Drop() int
+}
+
 // episode is one spike's traffic-handling state, from the first held
 // packet to its release or drop.
 type episode struct {
@@ -148,17 +183,27 @@ type episode struct {
 	heldPackets int
 	command     bool // recognized as a voice command
 	dispatched  bool // handed to the decision pipeline
+	inHold      bool // its bytes sit in the sink's current hold
+	mark        int  // sink stream offset where its held bytes begin
 }
 
 // Guard is one speaker's VoiceGuard instance.
 type Guard struct {
-	clock      *simtime.Sim
+	clock      Scheduler
 	recognizer *recognize.Recognizer
 	method     decision.Method
 
 	// Tracer receives the guard's lifecycle spans (nil in New means
 	// trace.Default).
 	Tracer *trace.Tracer
+
+	// Stage is the trace stage of the guard's own events (spike start,
+	// queueing, hold spans); New sets trace.StageGuard.
+	Stage string
+
+	// Sink, when set, is the transport the guard holds, releases, and
+	// drops traffic on (see HoldSink).
+	Sink HoldSink
 
 	// DispatchDelay models per-speaker overhead between recognizing a
 	// command and the RSSI query being issued (the Google Home Mini's
@@ -170,7 +215,8 @@ type Guard struct {
 	// the query path dead (zero value: fail-closed).
 	Degraded DegradedPolicy
 
-	speaker string
+	speaker     string
+	speakerAttr trace.Attr // boxed once: every spike's spans carry it
 
 	// labels and the lv* handles are the guard's dimensional metric
 	// identity: SetLabels resolves the labeled children once, so the
@@ -184,21 +230,24 @@ type Guard struct {
 	cur       *episode   // spike currently accumulating packets
 	inflight  *episode   // episode whose decision query is running
 	queue     []*episode // recognized commands awaiting the in-flight query
-	idleTimer *simtime.Event
+	held      []*episode // episodes in the sink's current hold, oldest first
+	idleTimer simtime.Timer
 	idleFire  func() // reusable idle-timer callback (see armIdleTimer)
 
-	events  []Event
 	onEvent func(Event)
 }
 
-// New returns a guard for one speaker.
-func New(clock *simtime.Sim, rec *recognize.Recognizer, method decision.Method, speaker string) *Guard {
+// New returns a guard for one speaker, running on clock: a
+// *simtime.Sim in the simulation, a wall-clock scheduler on the wire.
+func New(clock Scheduler, rec *recognize.Recognizer, method decision.Method, speaker string) *Guard {
 	g := &Guard{
-		clock:      clock,
-		recognizer: rec,
-		method:     method,
-		speaker:    speaker,
-		Tracer:     trace.Default,
+		clock:       clock,
+		recognizer:  rec,
+		method:      method,
+		speaker:     speaker,
+		speakerAttr: trace.String("speaker", speaker),
+		Tracer:      trace.Default,
+		Stage:       trace.StageGuard,
 	}
 	g.SetLabels(metrics.Labels{})
 	return g
@@ -226,31 +275,10 @@ func (g *Guard) SetLabels(l metrics.Labels) {
 // Labels returns the guard's metric label set.
 func (g *Guard) Labels() metrics.Labels { return g.labels }
 
-// OnEvent registers a callback invoked for every completed event.
+// OnEvent registers a callback invoked for every completed event. The
+// guard keeps no event history of its own: a speaker session may last
+// for days, so callers collect what they need here.
 func (g *Guard) OnEvent(fn func(Event)) { g.onEvent = fn }
-
-// Events returns a copy of all recorded events.
-func (g *Guard) Events() []Event {
-	return append([]Event(nil), g.events...)
-}
-
-// EventCount reports how many events the guard has recorded so far —
-// a cursor for EventsSince.
-func (g *Guard) EventCount() int { return len(g.events) }
-
-// EventsSince returns a copy of the events recorded at or after the
-// given cursor (a previous EventCount result). Callers polling for new
-// events after each command should use this instead of Events, which
-// copies the whole history and turns a day loop quadratic.
-func (g *Guard) EventsSince(cursor int) []Event {
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor >= len(g.events) {
-		return nil
-	}
-	return append([]Event(nil), g.events[cursor:]...)
-}
 
 // tracer returns the guard's tracer, defaulting safely.
 func (g *Guard) tracer() *trace.Tracer { return trace.Or(g.Tracer) }
@@ -283,12 +311,12 @@ func (g *Guard) Feed(p pcap.Packet) {
 		g.cur.heldPackets++
 		g.cur.command = true
 		g.disarmIdleTimer()
-		g.traceClassified(g.cur, p.Time, "command")
+		g.traceClassified(g.cur, p.Time, classifiedCommand)
 		g.dispatch(g.cur)
 	case recognize.ActionRelease:
 		if g.cur != nil {
 			g.cur.heldPackets++
-			g.traceClassified(g.cur, p.Time, "release")
+			g.traceClassified(g.cur, p.Time, classifiedRelease)
 		}
 		g.finishNonCommand()
 	}
@@ -298,26 +326,88 @@ func (g *Guard) Feed(p pcap.Packet) {
 // at spike start, and bound to the recognizer so its marker events
 // correlate.
 func (g *Guard) startEpisode(at time.Time, held int) {
+	if prev := g.cur; prev != nil && !prev.command {
+		// The recognizer abandoned an unclassified spike for this one
+		// (its idle timer was outrun); it would have ended as a
+		// non-command, so its bytes no longer need holding.
+		g.resolveHold(prev, true)
+	}
 	id := g.tracer().NextID()
 	g.cur = &episode{id: id, spikeStart: at, heldPackets: held}
 	g.recognizer.BindCommand(id)
-	g.tracer().Record(trace.Event(id, trace.StageGuard, "spike_start", at,
-		trace.String("speaker", g.speaker)))
+	g.holdEpisode(g.cur)
+	g.tracer().Record(trace.Event(id, g.Stage, "spike_start", at, g.speakerAttr))
 }
+
+// holdEpisode puts an episode's traffic on hold in the sink.
+func (g *Guard) holdEpisode(ep *episode) {
+	if g.Sink == nil {
+		return
+	}
+	mark, started := g.Sink.HoldCommand(ep.id)
+	if started {
+		// The transport resolved the previous hold itself (its hold
+		// deadline): those episodes' verdicts no longer move bytes.
+		g.detachHeld()
+	}
+	ep.inHold, ep.mark = true, mark
+	g.held = append(g.held, ep)
+}
+
+// resolveHold applies one episode's outcome to the sink: a drop
+// discards the whole hold; a release forwards held bytes only up to
+// the oldest episode still unresolved, ending the hold once none is.
+func (g *Guard) resolveHold(ep *episode, released bool) {
+	if !ep.inHold {
+		return
+	}
+	if !released {
+		g.detachHeld()
+		g.Sink.Drop()
+		return
+	}
+	ep.inHold = false
+	i := 0
+	for g.held[i] != ep {
+		i++
+	}
+	g.held = append(g.held[:i], g.held[i+1:]...)
+	// A failed write means the cloud side is gone; the transport
+	// tears the session down itself, so there is nothing to undo here.
+	switch {
+	case len(g.held) == 0:
+		_ = g.Sink.Release()
+	case i == 0:
+		_ = g.Sink.ReleaseTo(g.held[0].mark)
+	}
+}
+
+// detachHeld forgets the sink's current hold.
+func (g *Guard) detachHeld() {
+	for _, ep := range g.held {
+		ep.inHold = false
+	}
+	clear(g.held)
+	g.held = g.held[:0]
+}
+
+// The classify span's action attributes, boxed once: the flight
+// recorder retains thousands of spans.
+var (
+	classifiedCommand = trace.String("action", "command")
+	classifiedRelease = trace.String("action", "release")
+)
 
 // traceClassified closes the recognition phase of an episode: one span
 // from spike start to the classifying packet.
-func (g *Guard) traceClassified(ep *episode, at time.Time, action string) {
+func (g *Guard) traceClassified(ep *episode, at time.Time, action trace.Attr) {
 	g.tracer().Record(trace.Span{
 		Command: ep.id,
 		Stage:   trace.StageRecognize,
 		Name:    "classify",
 		Start:   ep.spikeStart,
 		End:     at,
-		Attrs: []trace.Attr{
-			trace.String("action", action),
-			trace.Int("packets", ep.heldPackets),
-		},
+		Attrs:   []trace.Attr{action, trace.Int("packets", ep.heldPackets)},
 	})
 }
 
@@ -329,7 +419,7 @@ func (g *Guard) traceClassified(ep *episode, at time.Time, action string) {
 func (g *Guard) armIdleTimer(last time.Time) {
 	at := last.Add(g.recognizer.IdleGap)
 	if g.idleTimer != nil {
-		g.idleTimer = g.clock.Reschedule(g.idleTimer, at)
+		g.idleTimer = g.clock.RescheduleTimer(g.idleTimer, at)
 		return
 	}
 	if g.idleFire == nil {
@@ -337,13 +427,13 @@ func (g *Guard) armIdleTimer(last time.Time) {
 			g.idleTimer = nil
 			if g.recognizer.EndSpike() == recognize.ActionRelease {
 				if g.cur != nil {
-					g.traceClassified(g.cur, g.clock.Now(), "release")
+					g.traceClassified(g.cur, g.clock.Now(), classifiedRelease)
 				}
 				g.finishNonCommand()
 			}
 		}
 	}
-	g.idleTimer = g.clock.Schedule(at, g.idleFire)
+	g.idleTimer = g.clock.ScheduleTimer(at, g.idleFire)
 }
 
 func (g *Guard) disarmIdleTimer() {
@@ -366,7 +456,7 @@ func (g *Guard) dispatch(ep *episode) {
 	if g.inflight != nil {
 		mQueriesQueued.Inc()
 		g.queue = append(g.queue, ep)
-		g.tracer().Record(trace.Event(ep.id, trace.StageGuard, "query_queued", g.clock.Now(),
+		g.tracer().Record(trace.Event(ep.id, g.Stage, "query_queued", g.clock.Now(),
 			trace.Int("queue_depth", len(g.queue)),
 			trace.Int64("behind", int64(g.inflight.id))))
 		return
@@ -392,14 +482,20 @@ func (g *Guard) startQuery(ep *episode) {
 				released = g.Degraded == DegradedFailOpen
 				mDegraded.Inc()
 				g.lvDegraded.Inc()
-				g.tracer().Record(trace.Event(ep.id, trace.StageGuard, "degraded_verdict", r.At,
+				g.tracer().Record(trace.Event(ep.id, g.Stage, "degraded_verdict", r.At,
 					trace.String("policy", g.Degraded.String()),
 					trace.Bool("released", released),
 					trace.String("reason", r.Reason)))
 			}
-			outcome := trace.OutcomeDrop
+			outcome := trace.String(trace.AttrOutcome, trace.OutcomeDrop)
 			if released {
-				outcome = trace.OutcomeRelease
+				outcome = trace.String(trace.AttrOutcome, trace.OutcomeRelease)
+			}
+			var attrs []trace.Attr
+			if r.Reason == "" { // the live plane's verdicts carry no reason
+				attrs = []trace.Attr{outcome}
+			} else {
+				attrs = []trace.Attr{outcome, trace.String("reason", r.Reason)}
 			}
 			g.tracer().Record(trace.Span{
 				Command: ep.id,
@@ -407,11 +503,9 @@ func (g *Guard) startQuery(ep *episode) {
 				Name:    g.method.Name(),
 				Start:   queryStart,
 				End:     r.At,
-				Attrs: []trace.Attr{
-					trace.String(trace.AttrOutcome, outcome),
-					trace.String("reason", r.Reason),
-				},
+				Attrs:   attrs,
 			})
+			g.resolveHold(ep, released)
 			g.record(Event{
 				Kind:        EventCommand,
 				CommandID:   ep.id,
@@ -431,7 +525,7 @@ func (g *Guard) startQuery(ep *episode) {
 		})
 	}
 	if g.DispatchDelay > 0 {
-		g.clock.After(g.DispatchDelay, start)
+		g.clock.ScheduleTimer(g.clock.Now().Add(g.DispatchDelay), start)
 		return
 	}
 	start()
@@ -445,6 +539,7 @@ func (g *Guard) finishNonCommand() {
 		return
 	}
 	g.cur = nil
+	g.resolveHold(ep, true)
 	g.record(Event{
 		Kind:        EventNonCommand,
 		CommandID:   ep.id,
@@ -456,20 +551,18 @@ func (g *Guard) finishNonCommand() {
 
 func (g *Guard) record(ev Event) {
 	end := g.clock.Now()
-	attrs := []trace.Attr{
-		trace.String("speaker", g.speaker),
-		trace.Int("held_packets", ev.HeldPackets),
-	}
+	held := trace.Int("held_packets", ev.HeldPackets)
+	var attrs []trace.Attr
 	switch ev.Kind {
 	case EventCommand:
 		if ev.Released {
 			mAllowed.Inc()
 			g.lvAllow.Inc()
-			attrs = append(attrs, trace.String(trace.AttrOutcome, trace.OutcomeRelease))
+			attrs = []trace.Attr{g.speakerAttr, held, trace.String(trace.AttrOutcome, trace.OutcomeRelease)}
 		} else {
 			mBlocked.Inc()
 			g.lvBlock.Inc()
-			attrs = append(attrs, trace.String(trace.AttrOutcome, trace.OutcomeDrop))
+			attrs = []trace.Attr{g.speakerAttr, held, trace.String(trace.AttrOutcome, trace.OutcomeDrop)}
 		}
 		// The hold histograms keep the command ID as the bucket's
 		// exemplar, linking a tail bucket to its flight-recorder spans.
@@ -478,18 +571,17 @@ func (g *Guard) record(ev Event) {
 		end = ev.DecisionAt
 	case EventNonCommand:
 		mNonCommands.Inc()
-		attrs = append(attrs, trace.String(trace.AttrOutcome, trace.OutcomeRelease),
-			trace.Bool("noncommand", true))
+		attrs = []trace.Attr{g.speakerAttr, held, trace.String(trace.AttrOutcome, trace.OutcomeRelease),
+			trace.Bool("noncommand", true)}
 	}
 	g.tracer().Record(trace.Span{
 		Command: ev.CommandID,
-		Stage:   trace.StageGuard,
+		Stage:   g.Stage,
 		Name:    "hold",
 		Start:   ev.SpikeStart,
 		End:     end,
 		Attrs:   attrs,
 	})
-	g.events = append(g.events, ev)
 	if g.onEvent != nil {
 		g.onEvent(ev)
 	}

@@ -22,10 +22,11 @@ var epoch = time.Date(2023, 3, 1, 9, 0, 0, 0, time.UTC)
 // fixture wires a full guard on the house testbed: Echo generator,
 // recognizer, RSSI method with one phone.
 type fixture struct {
-	clock *simtime.Sim
-	echo  *trafficgen.Echo
-	guard *Guard
-	pos   floorplan.Position
+	clock  *simtime.Sim
+	echo   *trafficgen.Echo
+	guard  *Guard
+	events *[]Event
+	pos    floorplan.Position
 }
 
 func newFixture(t *testing.T, seed int64) *fixture {
@@ -57,6 +58,7 @@ func newFixture(t *testing.T, seed int64) *fixture {
 	f.echo.AnomalyRate = 0
 	rec := recognize.NewEcho(trafficgen.EchoIP)
 	f.guard = New(f.clock, rec, method, "echo")
+	f.events = collect(f.guard)
 
 	boot, err := f.echo.Boot(epoch)
 	if err != nil {
@@ -79,6 +81,14 @@ func (f *fixture) feed(packets []pcap.Packet) {
 // complete.
 func (f *fixture) settle() { f.clock.Advance(15 * time.Second) }
 
+// collect records a guard's events through OnEvent; the guard keeps no
+// history of its own.
+func collect(g *Guard) *[]Event {
+	var events []Event
+	g.OnEvent(func(e Event) { events = append(events, e) })
+	return &events
+}
+
 func commandEvents(events []Event) []Event {
 	var out []Event
 	for _, e := range events {
@@ -95,7 +105,7 @@ func TestLegitimateCommandReleased(t *testing.T) {
 	f.feed(inv.All())
 	f.settle()
 
-	cmds := commandEvents(f.guard.Events())
+	cmds := commandEvents(*f.events)
 	if len(cmds) != 1 {
 		t.Fatalf("command events = %d, want 1", len(cmds))
 	}
@@ -115,7 +125,7 @@ func TestMaliciousCommandDropped(t *testing.T) {
 	f.feed(inv.All())
 	f.settle()
 
-	cmds := commandEvents(f.guard.Events())
+	cmds := commandEvents(*f.events)
 	if len(cmds) != 1 {
 		t.Fatalf("command events = %d, want 1", len(cmds))
 	}
@@ -131,7 +141,7 @@ func TestResponseSpikesReleasedWithoutQuery(t *testing.T) {
 	f.settle()
 
 	var nonCommands int
-	for _, e := range f.guard.Events() {
+	for _, e := range *f.events {
 		// Skip the boot-time connect spike (held and released before
 		// the invocation).
 		if e.SpikeStart.Before(inv.Start) {
@@ -161,7 +171,7 @@ func TestVerificationTimeWithinFig7Envelope(t *testing.T) {
 		f.settle()
 		at = f.clock.Now().Add(30 * time.Second)
 	}
-	cmds := commandEvents(f.guard.Events())
+	cmds := commandEvents(*f.events)
 	if len(cmds) != 30 {
 		t.Fatalf("command events = %d, want 30", len(cmds))
 	}
@@ -185,14 +195,14 @@ func TestDispatchDelayShiftsVerificationTime(t *testing.T) {
 	inv := base.echo.Invocation(base.clock.Now().Add(time.Minute), 0)
 	base.feed(inv.All())
 	base.settle()
-	baseTime := commandEvents(base.guard.Events())[0].VerificationTime()
+	baseTime := commandEvents(*base.events)[0].VerificationTime()
 
 	delayed := newFixture(t, 5)
 	delayed.guard.DispatchDelay = 500 * time.Millisecond
 	inv2 := delayed.echo.Invocation(delayed.clock.Now().Add(time.Minute), 0)
 	delayed.feed(inv2.All())
 	delayed.settle()
-	delayedTime := commandEvents(delayed.guard.Events())[0].VerificationTime()
+	delayedTime := commandEvents(*delayed.events)[0].VerificationTime()
 
 	diff := delayedTime - baseTime
 	if diff != 500*time.Millisecond {
@@ -209,7 +219,7 @@ func TestAnomalousCommandSlipsThrough(t *testing.T) {
 	f.feed(inv.All())
 	f.settle()
 
-	events := f.guard.Events()
+	events := *f.events
 	if len(commandEvents(events)) != 0 {
 		t.Fatal("anomalous command still triggered a query")
 	}
@@ -247,6 +257,7 @@ func TestGHMGuardImmediateQuery(t *testing.T) {
 	}
 	ghm := trafficgen.NewGHM(root.Split("traffic"))
 	g := New(clock, recognize.NewGHM(trafficgen.GHMIP), method, "ghm")
+	events := collect(g)
 	g.DispatchDelay = 350 * time.Millisecond
 
 	inv, err := ghm.Invocation(epoch.Add(time.Minute))
@@ -259,7 +270,7 @@ func TestGHMGuardImmediateQuery(t *testing.T) {
 	}
 	clock.Advance(15 * time.Second)
 
-	cmds := commandEvents(g.Events())
+	cmds := commandEvents(*events)
 	if len(cmds) != 1 {
 		t.Fatalf("command events = %d, want 1", len(cmds))
 	}
@@ -270,17 +281,13 @@ func TestGHMGuardImmediateQuery(t *testing.T) {
 
 func TestEventCallbackFires(t *testing.T) {
 	f := newFixture(t, 8)
-	before := len(f.guard.Events())
 	var got []Event
 	f.guard.OnEvent(func(e Event) { got = append(got, e) })
 	inv := f.echo.Invocation(f.clock.Now().Add(time.Minute), 1)
 	f.feed(inv.All())
 	f.settle()
-	if added := len(f.guard.Events()) - before; len(got) != added {
-		t.Fatalf("callback saw %d events, guard recorded %d new ones", len(got), added)
-	}
-	if len(got) == 0 {
-		t.Fatal("callback never fired")
+	if len(commandEvents(got)) != 1 {
+		t.Fatalf("callback saw %d command events in %d events, want 1", len(commandEvents(got)), len(got))
 	}
 }
 
@@ -302,7 +309,7 @@ func TestRouterRoutesBySpeakerIP(t *testing.T) {
 		router.Feed(p)
 	}
 	f.settle()
-	if len(commandEvents(f.guard.Events())) != 1 {
+	if len(commandEvents(*f.events)) != 1 {
 		t.Fatal("router did not deliver the invocation to the guard")
 	}
 

@@ -56,6 +56,7 @@ func TestDualSpeakerDeployment(t *testing.T) {
 
 	echoGuard := New(clock, recognize.NewEcho(trafficgen.EchoIP), newMethod(spotA), "echo")
 	ghmGuard := New(clock, recognize.NewGHM(trafficgen.GHMIP), newMethod(spotB), "ghm")
+	echoEvents, ghmEvents := collect(echoGuard), collect(ghmGuard)
 	ghmGuard.DispatchDelay = 350 * time.Millisecond
 
 	router := NewRouter()
@@ -87,7 +88,7 @@ func TestDualSpeakerDeployment(t *testing.T) {
 	feed(merged)
 	clock.Advance(15 * time.Second)
 
-	echoCmds := commandEvents(echoGuard.Events())
+	echoCmds := commandEvents(*echoEvents)
 	if len(echoCmds) != 1 {
 		t.Fatalf("echo guard: %d command events, want 1", len(echoCmds))
 	}
@@ -95,7 +96,7 @@ func TestDualSpeakerDeployment(t *testing.T) {
 		t.Fatalf("echo command blocked with owner nearby: %+v", echoCmds[0].Verdict)
 	}
 
-	ghmCmds := commandEvents(ghmGuard.Events())
+	ghmCmds := commandEvents(*ghmEvents)
 	if len(ghmCmds) != 1 {
 		t.Fatalf("ghm guard: %d command events, want 1", len(ghmCmds))
 	}
@@ -112,6 +113,7 @@ func TestDualSpeakerIsolation(t *testing.T) {
 
 	echoGuard := New(clock, recognize.NewEcho(trafficgen.EchoIP), &decision.StaticMethod{MethodName: "allow", Allow: true}, "echo")
 	ghmGuard := New(clock, recognize.NewGHM(trafficgen.GHMIP), &decision.StaticMethod{MethodName: "allow", Allow: true}, "ghm")
+	echoEvents, ghmEvents := collect(echoGuard), collect(ghmGuard)
 	router := NewRouter()
 	router.Add(trafficgen.EchoIP, echoGuard)
 	router.Add(trafficgen.GHMIP, ghmGuard)
@@ -127,10 +129,10 @@ func TestDualSpeakerIsolation(t *testing.T) {
 	}
 	clock.Advance(10 * time.Second)
 
-	if len(echoGuard.Events()) != 0 {
-		t.Fatalf("echo guard recorded %d events from GHM traffic", len(echoGuard.Events()))
+	if len(*echoEvents) != 0 {
+		t.Fatalf("echo guard recorded %d events from GHM traffic", len(*echoEvents))
 	}
-	if len(commandEvents(ghmGuard.Events())) != 1 {
+	if len(commandEvents(*ghmEvents)) != 1 {
 		t.Fatal("ghm guard missed its own invocation")
 	}
 }

@@ -53,6 +53,7 @@ func TestSecondCommandWhilePendingIsQueued(t *testing.T) {
 	clock := simtime.NewSim(epoch)
 	m := &slowMethod{clock: clock, delay: 5 * time.Second, allow: true}
 	g := New(clock, recognize.NewGHM(trafficgen.GHMIP), m, "ghm")
+	events := collect(g)
 
 	// First command spike at t=0; its verdict is due at t=5s.
 	clock.AdvanceTo(epoch)
@@ -65,7 +66,7 @@ func TestSecondCommandWhilePendingIsQueued(t *testing.T) {
 
 	clock.Advance(30 * time.Second)
 
-	cmds := commandEvents(g.Events())
+	cmds := commandEvents(*events)
 	if len(cmds) != 2 {
 		t.Fatalf("command events = %d, want 2 (second episode lost)", len(cmds))
 	}
@@ -99,6 +100,7 @@ func TestQueuedCommandsDrainInOrder(t *testing.T) {
 	clock := simtime.NewSim(epoch)
 	m := &slowMethod{clock: clock, delay: 10 * time.Second, allow: false}
 	g := New(clock, recognize.NewGHM(trafficgen.GHMIP), m, "ghm")
+	events := collect(g)
 
 	for i := 0; i < 3; i++ {
 		at := epoch.Add(time.Duration(i) * 2 * time.Second)
@@ -107,7 +109,7 @@ func TestQueuedCommandsDrainInOrder(t *testing.T) {
 	}
 	clock.Advance(2 * time.Minute)
 
-	cmds := commandEvents(g.Events())
+	cmds := commandEvents(*events)
 	if len(cmds) != 3 {
 		t.Fatalf("command events = %d, want 3", len(cmds))
 	}
@@ -153,6 +155,7 @@ func TestRouterDNSResponseFeedsTracker(t *testing.T) {
 	m := &slowMethod{clock: clock, delay: time.Second, allow: true}
 	rec := recognize.NewEcho(trafficgen.EchoIP)
 	g := New(clock, rec, m, "echo")
+	events := collect(g)
 
 	router := NewRouter()
 	router.Add(trafficgen.EchoIP, g)
@@ -194,7 +197,7 @@ func TestRouterDNSResponseFeedsTracker(t *testing.T) {
 	}
 	clock.Advance(30 * time.Second)
 
-	cmds := commandEvents(g.Events())
+	cmds := commandEvents(*events)
 	if len(cmds) != 1 {
 		t.Fatalf("command events = %d, want 1", len(cmds))
 	}

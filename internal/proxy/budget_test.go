@@ -227,21 +227,6 @@ func TestAcceptShardsServeConcurrentDials(t *testing.T) {
 	}
 }
 
-func TestStartsBurst(t *testing.T) {
-	s := &Session{}
-	gap := 50 * time.Millisecond
-	base := time.Now()
-	if !s.StartsBurst(base, gap) {
-		t.Fatal("first chunk should start a burst")
-	}
-	if s.StartsBurst(base.Add(10*time.Millisecond), gap) {
-		t.Fatal("chunk within the gap started a burst")
-	}
-	if !s.StartsBurst(base.Add(10*time.Millisecond+gap), gap) {
-		t.Fatal("chunk after the gap did not start a burst")
-	}
-}
-
 func TestUDPBudgetShedsWhenExhausted(t *testing.T) {
 	upstream := startUDPEcho(t)
 	f, err := NewUDP("127.0.0.1:0", upstream, nil)

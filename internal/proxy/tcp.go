@@ -384,12 +384,11 @@ type Session struct {
 	deadlineAction DeadlineAction
 	budget         *HoldBudget
 
-	// lastBurst is the per-session burst separator state (see
-	// StartsBurst). It is touched only by the session's own read pump,
-	// so it needs no lock — moving it here off a proxy-global map
-	// removed both a serialization point for every chunk of every
-	// session and an unbounded leak of closed-session entries.
-	lastBurst time.Time
+	// tapState is the Tap's per-connection state (see TapState). It
+	// is touched only by the session's own read pump, so it needs no
+	// lock, and it dies with the session instead of leaking in a
+	// proxy-global map.
+	tapState any
 
 	mu         sync.Mutex
 	holding    bool
@@ -406,27 +405,14 @@ type Session struct {
 	done      chan struct{}
 }
 
-// StartsBurst reports whether a chunk observed at now opens a new
-// traffic burst: the first chunk ever, or one arriving at least gap
-// after the previous chunk. It is the burst-state lookup on the
-// per-chunk hot path (vglint hotalloc) and is intentionally
-// unsynchronized: call it only from the session's read pump (i.e.
-// from a Tap), which is the single goroutine that observes chunks.
-func (s *Session) StartsBurst(now time.Time, gap time.Duration) bool {
-	last := s.lastBurst
-	s.lastBurst = now
-	return last.IsZero() || now.Sub(last) >= gap
-}
+// TapState returns the value the session's Tap stored with
+// SetTapState (nil at first). Both are intentionally unsynchronized:
+// call them only from the Tap, which runs on the session's read pump,
+// the single goroutine that observes chunks.
+func (s *Session) TapState() any { return s.tapState }
 
-// BindCommand attaches the lifecycle trace ID of the command whose
-// traffic this session is currently holding, so the transport-level
-// hold span correlates with the guard's spans. Call before or right
-// after Hold.
-func (s *Session) BindCommand(id trace.CommandID) {
-	s.mu.Lock()
-	s.cmd = id
-	s.mu.Unlock()
-}
+// SetTapState stores the Tap's per-connection state on the session.
+func (s *Session) SetTapState(v any) { s.tapState = v }
 
 // traceHoldLocked records the proxy-stage span for a finished hold.
 // Callers hold s.mu.
@@ -454,17 +440,26 @@ func (s *Session) Done() <-chan struct{} { return s.done }
 // the chunk being observed is the first held chunk. Hold during an
 // existing hold is a no-op (the deadline stays anchored at the first
 // Hold).
-func (s *Session) Hold() {
+func (s *Session) Hold() { s.HoldCommand(0) }
+
+// HoldCommand is Hold for the traffic of command id, which names the
+// hold's trace span if this call starts the hold. It returns the
+// stream offset of the next byte the hold will take (an argument for
+// ReleaseTo) and whether a new hold began.
+func (s *Session) HoldCommand(id trace.CommandID) (mark int, started bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.holding {
-		mHolds.Inc()
-		s.holdStart = time.Now()
-		if s.holdDeadline > 0 {
-			s.holdTimer = time.AfterFunc(s.holdDeadline, s.expireHold)
-		}
+	if s.holding {
+		return s.heldTotal, false
 	}
+	mHolds.Inc()
 	s.holding = true
+	s.holdStart = time.Now()
+	s.cmd = id
+	if s.holdDeadline > 0 {
+		s.holdTimer = time.AfterFunc(s.holdDeadline, s.expireHold)
+	}
+	return s.heldTotal, true
 }
 
 // expireHold fires when a hold outlives the deadline with no verdict:
@@ -520,30 +515,75 @@ func (s *Session) DroppedTotal() int {
 }
 
 // Release ends the hold, flushing all queued bytes to the cloud in
-// order. Fig. 4 case II: the held voice command reaches the server
-// and the interaction completes normally.
+// order; it returns the cloud-side write error, if any. Fig. 4 case
+// II: the held voice command reaches the server and the interaction
+// completes normally.
 func (s *Session) Release() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.releaseLocked()
 }
 
+// releaseLocked ends an active hold, flushing its queue. With no hold
+// active (a verdict arriving after the hold deadline resolved it) it
+// does nothing, so every hold is counted resolved exactly once.
 func (s *Session) releaseLocked() error {
+	if !s.holding {
+		return nil
+	}
 	mReleases.Inc()
 	lvRelease.Inc()
 	mHoldQueueBytes.Add(-int64(s.queued))
-	wasHolding, flushed := s.holding, s.queued
+	flushed := s.queued
 	for _, chunk := range s.queue {
 		if _, err := s.server.Write(chunk); err != nil {
 			s.recycleQueueLocked()
-			return fmt.Errorf("proxy: release: %w", err)
+			return err
 		}
 	}
 	s.recycleQueueLocked()
-	if wasHolding {
-		s.traceHoldLocked(trace.OutcomeRelease, flushed)
-	}
+	s.traceHoldLocked(trace.OutcomeRelease, flushed)
 	return nil
+}
+
+// ReleaseTo flushes the held bytes that precede stream offset mark (a
+// HoldCommand result) to the cloud, in order, and keeps holding the
+// rest — even when nothing is left queued, so bytes still to arrive
+// stay held. It is a no-op with no hold active.
+func (s *Session) ReleaseTo(mark int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := mark - (s.heldTotal - s.queued) // queued bytes before mark
+	if !s.holding || n <= 0 {
+		return nil
+	}
+	var err error
+	flushed, i := 0, 0
+	for ; i < len(s.queue) && flushed < n; i++ {
+		chunk := s.queue[i]
+		k := min(len(chunk), n-flushed)
+		if _, err = s.server.Write(chunk[:k]); err != nil {
+			break
+		}
+		flushed += k
+		if k < len(chunk) {
+			// Keep the chunk's unreleased tail at the front of its
+			// pooled buffer.
+			s.queue[i] = chunk[:copy(chunk, chunk[k:])]
+			break
+		}
+		putChunk(chunk)
+	}
+	rest := copy(s.queue, s.queue[i:])
+	clear(s.queue[rest:])
+	s.queue = s.queue[:rest]
+	s.queued -= flushed
+	mHoldQueueBytes.Add(-int64(flushed))
+	if s.budget != nil {
+		s.budget.credit(flushed)
+		s.budgetHeld -= flushed
+	}
+	return err
 }
 
 // recycleQueueLocked returns every queued chunk to the buffer pool
@@ -577,17 +617,19 @@ func (s *Session) Drop() int {
 	return s.dropLocked()
 }
 
+// dropLocked ends an active hold, discarding its queue; like
+// releaseLocked it does nothing with no hold active.
 func (s *Session) dropLocked() int {
+	if !s.holding {
+		return 0
+	}
 	mDrops.Inc()
 	lvDrop.Inc()
 	mHoldQueueBytes.Add(-int64(s.queued))
 	n := s.queued
 	s.dropped += n
-	wasHolding := s.holding
 	s.recycleQueueLocked()
-	if wasHolding {
-		s.traceHoldLocked(trace.OutcomeDrop, n)
-	}
+	s.traceHoldLocked(trace.OutcomeDrop, n)
 	return n
 }
 

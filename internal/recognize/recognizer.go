@@ -171,14 +171,12 @@ func (r *Recognizer) tryDecide() Action {
 	// Response markers can be spotted as soon as they appear.
 	if hasAdjacent(lengths, trafficgen.P77, trafficgen.P33, responseWindow) {
 		mPhase2Markers.Inc()
-		//vglint:allow hotalloc marker tracing fires once per spike, not per packet, and the slog concat it reaches sits behind a logger nil check
 		r.traceMarker("phase2_marker", r.lastVoice)
 		r.decided = true
 		return ActionRelease
 	}
 	if hasWithin(lengths, trafficgen.P138, commandWindow) || hasWithin(lengths, trafficgen.P75, commandWindow) {
 		mPhase1Markers.Inc()
-		//vglint:allow hotalloc marker tracing fires once per spike, not per packet, and the slog concat it reaches sits behind a logger nil check
 		r.traceMarker("phase1_marker", r.lastVoice)
 		r.decided = true
 		return ActionCommand
@@ -188,7 +186,6 @@ func (r *Recognizer) tryDecide() Action {
 	}
 	if matchesCommandFallback(lengths) {
 		mFallbackMatches.Inc()
-		//vglint:allow hotalloc marker tracing fires once per spike, not per packet, and the slog concat it reaches sits behind a logger nil check
 		r.traceMarker("fallback_match", r.lastVoice)
 		r.decided = true
 		return ActionCommand

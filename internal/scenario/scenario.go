@@ -224,6 +224,11 @@ type run struct {
 
 	agenda agenda // event-driven day schedule (events.go)
 
+	// cmdEvent is the first command event since the current issue
+	// began (haveCmd), collected through the guard's OnEvent.
+	cmdEvent guard.Event
+	haveCmd  bool
+
 	outcome *Outcome
 }
 
@@ -542,6 +547,7 @@ func (r *run) setupGuard() error {
 	}
 	r.guard.SetLabels(labels)
 	r.guard.Degraded = r.cfg.Degraded
+	r.guard.OnEvent(r.onGuardEvent)
 	return nil
 }
 
@@ -760,7 +766,7 @@ func (r *run) stairEvent(climber *owner, route floorplan.Route, wantClass decisi
 // outcome.
 func (r *run) issue(day int, malicious bool, ownerLoc int, src *rng.Source) {
 	start := r.clock.Now()
-	before := r.guard.EventCount()
+	r.haveCmd = false
 
 	var packets []pcap.Packet
 	if r.cfg.Speaker == GHM {
@@ -784,21 +790,25 @@ func (r *run) issue(day int, malicious bool, ownerLoc int, src *rng.Source) {
 		OwnerLoc:  ownerLoc,
 		Command:   command,
 	}
-	for _, e := range r.guard.EventsSince(before) {
-		if e.Kind != guard.EventCommand {
-			continue
-		}
+	if e := r.cmdEvent; r.haveCmd {
 		rec.Recognized = true
 		rec.Blocked = !e.Released
 		rec.Degraded = e.Degraded
 		rec.Verification = e.VerificationTime()
 		rec.Perceived = corpus.PerceivedDelay(command, rec.Verification)
-		break
 	}
 	r.outcome.Records = append(r.outcome.Records, rec)
 	// Positive class = malicious (paper convention); predicted
 	// positive = blocked.
 	r.outcome.Confusion.Add(malicious, rec.Blocked)
+}
+
+// onGuardEvent keeps the first command event of the command being
+// issued.
+func (r *run) onGuardEvent(e guard.Event) {
+	if e.Kind == guard.EventCommand && !r.haveCmd {
+		r.cmdEvent, r.haveCmd = e, true
+	}
 }
 
 // responseSpikes draws the per-invocation response spike count with

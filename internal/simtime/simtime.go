@@ -23,6 +23,12 @@ var _ Clock = Real{}
 // Now returns the wall-clock time.
 func (Real) Now() time.Time { return time.Now() }
 
+// Timer is a pending callback, as ScheduleTimer hands it out; Cancel
+// keeps it from firing.
+type Timer interface {
+	Cancel()
+}
+
 // Event is a scheduled callback inside a *Sim.
 type Event struct {
 	at  time.Time
@@ -115,6 +121,16 @@ func (s *Sim) Reschedule(ev *Event, at time.Time) *Event {
 		s.live++
 	}
 	return ev
+}
+
+// ScheduleTimer is Schedule for callers that hold the clock behind an
+// interface shared with a wall clock.
+func (s *Sim) ScheduleTimer(at time.Time, fn func()) Timer { return s.Schedule(at, fn) }
+
+// RescheduleTimer is Reschedule for the same callers; t must be a
+// timer this Sim handed out.
+func (s *Sim) RescheduleTimer(t Timer, at time.Time) Timer {
+	return s.Reschedule(t.(*Event), at)
 }
 
 // After registers fn to run d after the current simulated time.

@@ -155,8 +155,9 @@ func (t *Tracer) Recorder() *Recorder { return t.ring }
 func (t *Tracer) Snapshot() []Span { return t.ring.Snapshot() }
 
 // SetLogger attaches (or, with nil, detaches) a structured logger.
-// Every recorded span is logged at Debug with the command ID as a
-// standard attribute; anomalies are logged at Warn.
+// Every recorded span is logged at Debug, its name as the message and
+// its stage and command ID as standard attributes (no string is built
+// per span); anomalies are logged at Warn.
 func (t *Tracer) SetLogger(l *slog.Logger) {
 	t.updateConfig(func(c *sinkConfig) { c.logger = l })
 }
@@ -221,7 +222,7 @@ func (t *Tracer) Record(s Span) {
 			level = slog.LevelWarn
 		}
 		//vglint:allow tracectx slog bridge: the span carries its CommandID explicitly in logAttrs, nothing rides the ctx here
-		c.logger.LogAttrs(context.Background(), level, s.Stage+"."+s.Name, logAttrs(s)...)
+		c.logger.LogAttrs(context.Background(), level, s.Name, logAttrs(s)...)
 	}
 	if anomaly != "" && c.onAnomaly != nil {
 		c.onAnomaly(anomaly, t.ring.Snapshot())
@@ -243,10 +244,12 @@ func (t *Tracer) anomalyReason(c *sinkConfig, s Span) string {
 	return ""
 }
 
-// logAttrs renders a span as slog attributes, command ID first.
+// logAttrs renders a span as slog attributes, stage and command ID
+// first.
 func logAttrs(s Span) []slog.Attr {
-	attrs := make([]slog.Attr, 0, len(s.Attrs)+2)
+	attrs := make([]slog.Attr, 0, len(s.Attrs)+3)
 	attrs = append(attrs,
+		slog.String("stage", s.Stage),
 		slog.Uint64("command_id", uint64(s.Command)),
 		slog.Duration("dur", s.Duration()))
 	for _, a := range s.Attrs {

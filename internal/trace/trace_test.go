@@ -121,8 +121,8 @@ func TestLoggerGetsCommandID(t *testing.T) {
 	if !strings.Contains(out, `"command_id":42`) {
 		t.Fatalf("log line missing command_id: %s", out)
 	}
-	if !strings.Contains(out, `"msg":"decision.rssi"`) {
-		t.Fatalf("log line missing span message: %s", out)
+	if !strings.Contains(out, `"msg":"rssi"`) || !strings.Contains(out, `"stage":"decision"`) {
+		t.Fatalf("log line missing span name or stage: %s", out)
 	}
 }
 

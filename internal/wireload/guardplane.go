@@ -162,13 +162,7 @@ func (h *harness) runGuard() (Outcome, error) {
 	closeErr := g.Close()
 	smp.close()
 
-	st := g.Stats()
-	out.BurstsHeld = st.CommandsHeld
-	out.BurstsReleased = st.CommandsReleased
-	out.BurstsDropped = st.CommandsDropped
-	out.Reconnects = int(h.reconnects.Load())
-	out.TrackedLeftover = g.TrackedSessions()
-	h.fillMeasurements(&out, smp, budget, baseline, rec.samples)
+	h.fillMeasurements(&out, g, smp, budget, baseline, rec.samples)
 	return out, closeErr
 }
 

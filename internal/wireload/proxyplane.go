@@ -384,7 +384,7 @@ func (h *harness) runProxy() (Outcome, error) {
 	}
 
 	smp := startSampler(budget, func() int {
-		n := lp.ActiveSessions()
+		n := lp.TrackedSessions()
 		if fwd != nil {
 			n += fwd.ActivePeers()
 		}
@@ -510,19 +510,18 @@ func (h *harness) runProxy() (Outcome, error) {
 	}
 	smp.close()
 
-	st := lp.Stats()
-	out.BurstsHeld = st.HeldBursts
-	out.BurstsReleased = st.ReleasedBursts
-	out.BurstsDropped = st.DroppedBursts
-	out.Reconnects = int(h.reconnects.Load())
-	out.TrackedLeftover = lp.ActiveSessions()
-	h.fillMeasurements(&out, smp, budget, baseline, rec.samples)
+	h.fillMeasurements(&out, lp, smp, budget, baseline, rec.samples)
 	return out, closeErr
 }
 
-// fillMeasurements folds the sampler peaks, budget state, and latency
-// percentiles into the outcome (shared by both planes).
-func (h *harness) fillMeasurements(out *Outcome, smp *sampler, budget *proxy.HoldBudget, baseline, proxied []time.Duration) {
+// fillMeasurements folds the guard's final counters, the sampler
+// peaks, budget state, and latency percentiles into the outcome
+// (shared by both planes).
+func (h *harness) fillMeasurements(out *Outcome, g *voiceguard.LiveGuard, smp *sampler, budget *proxy.HoldBudget, baseline, proxied []time.Duration) {
+	st := g.Stats()
+	out.BurstsHeld, out.BurstsReleased, out.BurstsDropped = st.CommandsHeld, st.CommandsReleased, st.CommandsDropped
+	out.Reconnects = int(h.reconnects.Load())
+	out.TrackedLeftover = g.TrackedSessions()
 	smp.mu.Lock()
 	out.HoldBytesPeak = smp.holdPeak
 	out.BudgetUsedPeak = smp.budgetPeak

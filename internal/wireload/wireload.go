@@ -1,13 +1,13 @@
 // Package wireload is the wire-plane load harness: it drives
 // thousands of concurrent emulated speaker sessions — TCP through a
-// real LiveProxy (or LiveGuard) and the Google Home Mini UDP profile
-// through a real UDPForwarder — with mixed hold/release/drop
-// verdicts, a configurable decision-latency distribution, hold
-// deadlines, and internal/faults profiles, and measures what the
-// ROADMAP asks every wire-plane claim to carry: session setup rate,
-// per-burst p99 added latency against a no-proxy baseline, and the
-// hold-memory ceiling under a global HoldBudget with observable
-// backpressure.
+// real StartLiveProxy (or StartLiveGuard) plane and the Google Home
+// Mini UDP profile through a real UDPForwarder — with mixed
+// hold/release/drop verdicts, a configurable decision-latency
+// distribution, hold deadlines, and internal/faults profiles, and
+// measures what the ROADMAP asks every wire-plane claim to carry:
+// session setup rate, per-burst p99 added latency against a no-proxy
+// baseline, and the hold-memory ceiling under a global HoldBudget with
+// observable backpressure.
 //
 // The run has up to four phases:
 //
@@ -45,8 +45,8 @@ import (
 
 // Plane names the wire plane under load.
 const (
-	PlaneProxy = "proxy" // LiveProxy: every burst held and adjudicated
-	PlaneGuard = "guard" // LiveGuard: recognizer-gated holds over emulated TLS
+	PlaneProxy = "proxy" // StartLiveProxy: every burst is a command
+	PlaneGuard = "guard" // StartLiveGuard: the Echo recognizer over emulated TLS
 )
 
 // Config parameterises one load run.

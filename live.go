@@ -4,13 +4,20 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"voiceguard/internal/decision"
 	"voiceguard/internal/guard"
 	"voiceguard/internal/metrics"
+	"voiceguard/internal/pcap"
 	"voiceguard/internal/proxy"
+	"voiceguard/internal/recognize"
+	"voiceguard/internal/simtime"
 	"voiceguard/internal/trace"
+	"voiceguard/internal/trafficgen"
 )
 
 // Wire-plane metric names. MetricLiveHoldSeconds is exported so SLO
@@ -21,8 +28,8 @@ const (
 	metricLiveDropped     = "live_bursts_dropped_total"
 	metricLiveNonCommands = "live_noncommand_spikes_total"
 
-	// MetricLiveHoldSeconds is the wall-clock hold duration (hold
-	// started → verdict applied) on the wire plane.
+	// MetricLiveHoldSeconds is the wall-clock duration of each
+	// DecisionFunc call (query started → verdict) on the wire plane.
 	MetricLiveHoldSeconds = "live_hold_seconds"
 	// MetricLiveVerdicts is the labeled verdict family for the wire
 	// plane, keyed by {stage="live", verdict}.
@@ -33,11 +40,10 @@ const (
 	liveVerdictDrop    = "drop"
 )
 
-// Wire-plane metrics shared by LiveProxy and LiveGuard: burst/command
-// outcomes and the wall-clock hold duration (hold started → verdict
-// applied). These are what `vgproxy -metrics-addr` serves. Labeled
-// verdict children are resolved once at init so the per-burst path
-// stays allocation-free.
+// Wire-plane metrics: command outcomes, non-command spikes, and the
+// wall-clock decision duration. These are what `vgproxy
+// -metrics-addr` serves. Labeled verdict children are resolved once at
+// init so the per-command path stays allocation-free.
 var (
 	mLiveHeld        = metrics.NewCounter(metricLiveHeld)
 	mLiveReleased    = metrics.NewCounter(metricLiveReleased)
@@ -51,9 +57,9 @@ var (
 )
 
 // DecisionFunc decides whether the voice command currently held by
-// the live proxy is legitimate. It runs on its own goroutine while
-// the traffic stays held; returning true releases the held bytes to
-// the cloud, false drops them (terminating the TLS session).
+// the live plane is legitimate. It runs on its own goroutine while the
+// traffic stays held; returning true releases the command's held
+// bytes to the cloud, false drops them (terminating the TLS session).
 type DecisionFunc func(ctx context.Context) bool
 
 // speakerAddrKey carries the held session's speaker-side remote
@@ -137,36 +143,73 @@ func (o liveOptions) proxyOpts() []proxy.Option {
 	return popts
 }
 
-// LiveProxy runs the Traffic Handler on real sockets: a transparent
-// TCP proxy between the speaker and its cloud server that holds each
-// traffic burst while a DecisionFunc delivers a verdict.
-type LiveProxy struct {
-	tcp    *proxy.TCP
-	decide DecisionFunc
+// The wire plane sits inline on a single speaker-to-cloud path, so
+// the endpoints of the packets it builds for the recognizer are fixed
+// by construction.
+const (
+	speakerWireIP = "10.99.0.2"
+	cloudWireIP   = "10.99.0.1"
+)
 
-	mu       sync.Mutex
-	closing  bool
-	held     int
-	released int
-	dropped  int
+var cloudWireAddr = netip.MustParseAddr(cloudWireIP)
 
-	wg     sync.WaitGroup
+// LiveGuard is VoiceGuard's Traffic Processing Module on real sockets:
+// a transparent TCP proxy whose every connection runs its own
+// guard.Guard — the core the simulation runs — on the wall clock. The
+// guard holds the connection's bytes in its proxy session while the
+// DecisionFunc adjudicates each recognized command, and releases or
+// drops them by the guard's hold rule: bytes go out only once every
+// spike they belong to has a release verdict, and any drop verdict
+// discards the hold.
+type LiveGuard struct {
+	tcp     *proxy.TCP
+	decide  DecisionFunc
+	idle    time.Duration
+	records bool // parse TLS records for the Echo recognizer
+
 	ctx    context.Context
 	cancel context.CancelFunc
+	wg     sync.WaitGroup // in-flight DecisionFunc calls
+
+	held, released, dropped, nonCommands atomic.Int64
 }
 
-// LiveStats summarises a LiveProxy's activity.
-type LiveStats struct {
-	HeldBursts     int
-	ReleasedBursts int
-	DroppedBursts  int
+// LiveGuardStats counts the guard's traffic-handling outcomes.
+type LiveGuardStats struct {
+	CommandsHeld     int // commands handed to the DecisionFunc
+	CommandsReleased int // legitimate commands forwarded
+	CommandsDropped  int // malicious commands discarded
+	NonCommands      int // spikes released without a decision query
 }
 
-// StartLiveProxy listens on listenAddr and forwards to upstreamAddr.
-// The first chunk of every client burst triggers a hold; decide is
-// then consulted and the burst released or dropped. idleGap defines
-// when a new chunk starts a new burst.
-func StartLiveProxy(listenAddr, upstreamAddr string, decide DecisionFunc, idleGap time.Duration, opts ...LiveOption) (*LiveProxy, error) {
+// liveConn is one connection's guard, kept on its proxy.Session. mu
+// serializes everything that enters the guard — the session's chunks,
+// its timers, and its verdicts — so the guard runs single-threaded,
+// as it does on the simulated clock.
+type liveConn struct {
+	mu    sync.Mutex
+	guard *guard.Guard
+	buf   []byte // stream bytes not yet parsed into a whole record
+}
+
+// StartLiveGuard launches the wire-plane guard: listen on listenAddr,
+// forward to upstreamAddr, parse the speaker's stream into TLS records
+// for the Echo recognizer, and adjudicate recognized voice commands
+// with decide. idleGap separates traffic spikes (the paper uses one
+// second).
+func StartLiveGuard(listenAddr, upstreamAddr string, decide DecisionFunc, idleGap time.Duration, opts ...LiveOption) (*LiveGuard, error) {
+	return startLive(listenAddr, upstreamAddr, decide, idleGap, true, opts)
+}
+
+// StartLiveProxy launches the same plane with the Google Home Mini
+// recognizer, fed one packet per chunk: any burst of bytes after
+// idleGap of silence is a command, held while decide adjudicates it.
+// It needs no TLS framing, so it guards any byte stream.
+func StartLiveProxy(listenAddr, upstreamAddr string, decide DecisionFunc, idleGap time.Duration, opts ...LiveOption) (*LiveGuard, error) {
+	return startLive(listenAddr, upstreamAddr, decide, idleGap, false, opts)
+}
+
+func startLive(listenAddr, upstreamAddr string, decide DecisionFunc, idleGap time.Duration, records bool, opts []LiveOption) (*LiveGuard, error) {
 	if decide == nil {
 		return nil, fmt.Errorf("voiceguard: a DecisionFunc is required")
 	}
@@ -178,114 +221,240 @@ func StartLiveProxy(listenAddr, upstreamAddr string, decide DecisionFunc, idleGa
 		opt(&lo)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	lp := &LiveProxy{decide: decide, ctx: ctx, cancel: cancel}
-
-	popts := append(lo.proxyOpts(),
-		proxy.WithTap(func(s *proxy.Session, data []byte) {
-			// Burst-separator state lives on the Session itself: no
-			// cross-session mutex on the per-chunk hot path, and the
-			// state dies with the session instead of leaking in a
-			// proxy-global map.
-			now := time.Now()
-			if !s.StartsBurst(now, idleGap) || s.Holding() {
-				return
-			}
-			// The closed-check and the wg.Add share lp.mu with Close's
-			// closing flip, so Close cannot observe wg.Wait racing a
-			// concurrent Add (documented WaitGroup misuse): once closing
-			// is set, no new adjudication starts.
-			lp.mu.Lock()
-			if lp.closing {
-				lp.mu.Unlock()
-				return
-			}
-			id := trace.Default.NextID()
-			s.BindCommand(id)
-			s.Hold()
-			lp.held++
-			lp.wg.Add(1)
-			lp.mu.Unlock()
-			trace.Default.Record(trace.Event(id, trace.StageLive, "burst_hold", now,
-				trace.Int("first_chunk_bytes", len(data))))
-			mLiveHeld.Inc()
-			go lp.adjudicate(s, id)
-		}))
+	g := &LiveGuard{
+		decide:  decide,
+		idle:    idleGap,
+		records: records,
+		ctx:     ctx,
+		cancel:  cancel,
+	}
 	tcp, err := proxy.NewTCP(listenAddr,
 		func(ctx context.Context) (net.Conn, error) {
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", upstreamAddr)
 		},
-		popts...)
+		append(lo.proxyOpts(), proxy.WithTap(g.tap))...)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	lp.tcp = tcp
-	return lp, nil
+	g.tcp = tcp
+	return g, nil
 }
 
-// adjudicate runs the decision for one held burst.
-func (lp *LiveProxy) adjudicate(s *proxy.Session, id trace.CommandID) {
-	defer lp.wg.Done()
-	start := time.Now()
-	ctx := context.WithValue(trace.WithCommand(lp.ctx, id), speakerAddrKey{}, s.ClientAddr())
-	legit := lp.decide(ctx)
-	end := time.Now()
-	mLiveHoldSeconds.ObserveExemplar(end.Sub(start), uint64(id))
-	outcome := trace.OutcomeDrop
-	if legit {
-		outcome = trace.OutcomeRelease
+// tap feeds one speaker-to-cloud chunk to its connection's guard. It
+// runs on the session's read pump before the chunk is forwarded or
+// held, and takes only that connection's lock.
+func (g *LiveGuard) tap(s *proxy.Session, data []byte) {
+	c, _ := s.TapState().(*liveConn)
+	if c == nil {
+		c = g.newConn(s)
+		s.SetTapState(c)
 	}
-	trace.Default.Record(trace.Span{
-		Command: id,
-		Stage:   trace.StageDecision,
-		Name:    "live_decide",
-		Start:   start,
-		End:     end,
-		Attrs:   []trace.Attr{trace.String(trace.AttrOutcome, outcome)},
-	})
-	if legit {
-		_ = s.Release()
-		lp.mu.Lock()
-		lp.released++
-		lp.mu.Unlock()
-		mLiveReleased.Inc()
-		lvLiveRelease.Inc()
+	c.mu.Lock()
+	c.feed(time.Now(), data, g.records)
+	c.mu.Unlock()
+}
+
+// feed hands the guard one chunk that arrived at now: as one packet,
+// or as the whole TLS records it completes. Callers hold c.mu.
+func (c *liveConn) feed(now time.Time, data []byte, records bool) {
+	if !records {
+		c.guard.Feed(wirePacket(now, nil, len(data)))
 		return
 	}
-	s.Drop()
-	lp.mu.Lock()
-	lp.dropped++
-	lp.mu.Unlock()
-	mLiveDropped.Inc()
-	lvLiveDrop.Inc()
+	c.buf = append(c.buf, data...)
+	for {
+		record, rest, ok := splitOneRecord(c.buf)
+		if !ok {
+			return
+		}
+		c.buf = rest
+		c.guard.Feed(wirePacket(now, record, len(record)))
+	}
 }
 
-// Addr returns the proxy's listen address.
-func (lp *LiveProxy) Addr() string { return lp.tcp.Addr() }
-
-// ActiveSessions returns the number of live transport sessions — the
-// leak observable: after every speaker disconnects it must return to
-// zero, since all per-session state (burst separator included) now
-// lives on the Session.
-func (lp *LiveProxy) ActiveSessions() int { return len(lp.tcp.Sessions()) }
-
-// Stats returns the proxy's burst counters.
-func (lp *LiveProxy) Stats() LiveStats {
-	lp.mu.Lock()
-	defer lp.mu.Unlock()
-	return LiveStats{HeldBursts: lp.held, ReleasedBursts: lp.released, DroppedBursts: lp.dropped}
+// wirePacket is one unit of the speaker's stream as the recognizer
+// sees it.
+func wirePacket(at time.Time, payload []byte, n int) pcap.Packet {
+	return pcap.Packet{
+		Time:  at,
+		SrcIP: speakerWireIP,
+		DstIP: cloudWireIP, DstPort: trafficgen.TLSPort,
+		Proto:   pcap.TCP,
+		Len:     n,
+		Payload: payload,
+	}
 }
 
-// Close stops the proxy, cancels in-flight decisions, and waits for
-// all goroutines. Setting closing under lp.mu first guarantees no tap
-// can wg.Add concurrently with the wg.Wait below.
-func (lp *LiveProxy) Close() error {
-	lp.mu.Lock()
-	lp.closing = true
-	lp.mu.Unlock()
-	lp.cancel()
-	err := lp.tcp.Close()
-	lp.wg.Wait()
+// newConn builds a connection's guard: the recognizer pinned to the
+// wire-plane endpoints, a wall clock that calls back under the
+// connection's lock, the session as the hold sink, and the
+// DecisionFunc as the decision method.
+func (g *LiveGuard) newConn(s *proxy.Session) *liveConn {
+	c := &liveConn{}
+	rec, speaker := recognize.NewGHM(speakerWireIP), "ghm"
+	if g.records {
+		rec, speaker = recognize.NewEcho(speakerWireIP), "echo"
+		rec.Tracker.ForceAddress(cloudWireAddr)
+	}
+	rec.IdleGap = g.idle
+	c.guard = guard.New(wallClock{mu: &c.mu, done: s.Done()}, rec, liveDecide{g: g, s: s, c: c}, speaker)
+	c.guard.SetLabels(metrics.Labels{Stage: stageLive})
+	c.guard.Stage = trace.StageLive
+	c.guard.Sink = s
+	c.guard.OnEvent(g.count)
+	return c
+}
+
+// count folds one guard event into the plane's stats and metrics.
+func (g *LiveGuard) count(e guard.Event) {
+	switch {
+	case e.Kind == guard.EventNonCommand:
+		g.nonCommands.Add(1)
+		mLiveNonCommands.Inc()
+	case e.Released:
+		g.released.Add(1)
+		mLiveReleased.Inc()
+		lvLiveRelease.Inc()
+	default:
+		g.dropped.Add(1)
+		mLiveDropped.Inc()
+		lvLiveDrop.Inc()
+	}
+}
+
+// liveDecide is the DecisionFunc as one connection's decision.Method.
+type liveDecide struct {
+	g *LiveGuard
+	s *proxy.Session
+	c *liveConn
+}
+
+// Name is the decision span's name.
+func (liveDecide) Name() string { return "live_decide" }
+
+// Check runs the DecisionFunc on its own goroutine and delivers the
+// verdict under the connection's lock. Close cancels the context and
+// waits for the call to return.
+func (m liveDecide) Check(req decision.Request, done func(decision.Result)) {
+	g := m.g
+	g.held.Add(1)
+	mLiveHeld.Inc()
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		ctx := context.WithValue(trace.WithCommand(g.ctx, req.Command), speakerAddrKey{}, m.s.ClientAddr())
+		legit := g.decide(ctx)
+		end := time.Now()
+		mLiveHoldSeconds.ObserveExemplar(end.Sub(req.At), uint64(req.Command))
+		m.c.mu.Lock()
+		defer m.c.mu.Unlock()
+		done(decision.Result{Legitimate: legit, At: end})
+	}()
+}
+
+// Addr returns the guard's listen address.
+func (g *LiveGuard) Addr() string { return g.tcp.Addr() }
+
+// Stats returns the guard's counters.
+func (g *LiveGuard) Stats() LiveGuardStats {
+	return LiveGuardStats{
+		CommandsHeld:     int(g.held.Load()),
+		CommandsReleased: int(g.released.Load()),
+		CommandsDropped:  int(g.dropped.Load()),
+		NonCommands:      int(g.nonCommands.Load()),
+	}
+}
+
+// TrackedSessions returns the number of live connections, each of
+// which carries its guard state — the leak observable: it must return
+// to zero once every speaker has disconnected.
+func (g *LiveGuard) TrackedSessions() int { return len(g.tcp.Sessions()) }
+
+// Close stops the guard: it cancels in-flight DecisionFunc contexts,
+// closes every session, and waits for the DecisionFunc calls to
+// return. Every tap has finished once the proxy is closed, so no new
+// call can start behind the wait.
+func (g *LiveGuard) Close() error {
+	g.cancel()
+	err := g.tcp.Close()
+	g.wg.Wait()
 	return err
+}
+
+// wallClock is a connection's guard.Scheduler on the wall clock. Its
+// timers call back under the connection's lock, the lock every other
+// entry into the connection's guard takes, and stop firing once the
+// connection's session is done.
+type wallClock struct {
+	mu   *sync.Mutex
+	done <-chan struct{}
+}
+
+func (wallClock) Now() time.Time { return time.Now() }
+
+// ScheduleTimer runs fn at time at, under the connection's lock.
+func (c wallClock) ScheduleTimer(at time.Time, fn func()) simtime.Timer {
+	t := &wallTimer{mu: c.mu, done: c.done, fn: fn, at: at, armed: true}
+	t.t = time.AfterFunc(time.Until(at), t.fire)
+	return t
+}
+
+func (wallClock) RescheduleTimer(t simtime.Timer, at time.Time) simtime.Timer {
+	w := t.(*wallTimer)
+	w.at, w.armed = at, true
+	w.t.Reset(time.Until(at))
+	return w
+}
+
+// wallTimer is one wallClock timer. at and armed are guarded by the
+// connection's lock: a firing that lost the race for the lock against
+// Cancel or RescheduleTimer finds the timer disarmed or not yet due,
+// and does nothing.
+type wallTimer struct {
+	mu    *sync.Mutex
+	done  <-chan struct{}
+	t     *time.Timer
+	fn    func()
+	at    time.Time
+	armed bool
+}
+
+// Cancel keeps the timer from firing. Callers hold the connection's
+// lock.
+func (w *wallTimer) Cancel() {
+	w.armed = false
+	w.t.Stop()
+}
+
+func (w *wallTimer) fire() {
+	select {
+	case <-w.done:
+		return
+	default:
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.armed || time.Now().Before(w.at) {
+		return
+	}
+	w.armed = false
+	w.fn()
+}
+
+// splitOneRecord extracts one complete TLS record from the front of
+// buf, returning (record bytes, remainder, true), or ok=false if the
+// buffer does not yet hold a full record.
+func splitOneRecord(buf []byte) (record, rest []byte, ok bool) {
+	const headerLen = 5
+	if len(buf) < headerLen {
+		return nil, buf, false
+	}
+	n := int(buf[3])<<8 | int(buf[4])
+	total := headerLen + n
+	if len(buf) < total {
+		return nil, buf, false
+	}
+	return buf[:total:total], buf[total:], true
 }

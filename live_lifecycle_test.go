@@ -2,15 +2,17 @@ package voiceguard
 
 import (
 	"context"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"voiceguard/internal/emul"
 )
 
-// startEchoUpstream runs a plain TCP echo server for LiveProxy tests.
+// startEchoUpstream runs a plain TCP echo server for StartLiveProxy tests.
 func startEchoUpstream(t *testing.T) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -94,8 +96,8 @@ func TestLiveProxySessionStateFreedOnDisconnect(t *testing.T) {
 		}
 		_ = conn.Close()
 	}
-	waitZero(t, "proxy session state", lp.ActiveSessions)
-	if got := lp.Stats().HeldBursts; got < churn {
+	waitZero(t, "proxy session state", lp.TrackedSessions)
+	if got := lp.Stats().CommandsHeld; got < churn {
 		t.Fatalf("held %d bursts, want >= %d", got, churn)
 	}
 }
@@ -175,7 +177,7 @@ func TestLiveProxyCloseDuringBurstChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if got := lp.ActiveSessions(); got != 0 {
+	if got := lp.TrackedSessions(); got != 0 {
 		t.Fatalf("sessions after close = %d, want 0", got)
 	}
 }
@@ -274,5 +276,62 @@ func TestSpeakerAddrFlowsToDecision(t *testing.T) {
 	}
 	if SpeakerAddr(context.Background()) != "" {
 		t.Fatal("SpeakerAddr on a bare context should be empty")
+	}
+}
+
+// A new burst that starts while the previous one is still held is a
+// command of its own: it gets its own DecisionFunc call, and the first
+// verdict releases only the first burst.
+func TestLiveProxyNewBurstWhileHeldGetsOwnDecision(t *testing.T) {
+	const idle = 50 * time.Millisecond
+	var calls atomic.Int32
+	verdicts := make(chan bool, 2)
+	lp, err := StartLiveProxy("127.0.0.1:0", startEchoUpstream(t),
+		func(ctx context.Context) bool {
+			calls.Add(1)
+			select {
+			case v := <-verdicts:
+				return v
+			case <-ctx.Done():
+				return false
+			}
+		}, idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = lp.Close() })
+
+	conn, err := net.DialTimeout("tcp", lp.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("first burst")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "first decision", func() bool { return calls.Load() == 1 })
+	time.Sleep(2 * idle)
+	if _, err := conn.Write([]byte("second burst")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(idle)
+
+	verdicts <- true
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	got := make([]byte, len("first burst"))
+	if _, err := io.ReadFull(conn, got); err != nil || string(got) != "first burst" {
+		t.Fatalf("first release: %q, %v", got, err)
+	}
+	waitFor(t, "second burst's own decision", func() bool { return calls.Load() == 2 })
+	_ = conn.SetReadDeadline(time.Now().Add(2 * idle))
+	if n, _ := conn.Read(got); n > 0 {
+		t.Fatalf("second burst reached the upstream before its verdict: %q", got[:n])
+	}
+
+	verdicts <- true
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	got = make([]byte, len("second burst"))
+	if _, err := io.ReadFull(conn, got); err != nil || string(got) != "second burst" {
+		t.Fatalf("second release: %q, %v", got, err)
 	}
 }

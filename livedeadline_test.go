@@ -21,7 +21,7 @@ func wedged(ctx context.Context) bool {
 	return false
 }
 
-// echoUpstream runs a byte-echo server for LiveProxy tests.
+// echoUpstream runs a byte-echo server for StartLiveProxy tests.
 func echoUpstream(t *testing.T) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

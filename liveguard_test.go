@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"voiceguard/internal/emul"
+	"voiceguard/internal/guard"
+	"voiceguard/internal/metrics"
 	"voiceguard/internal/trafficgen"
 )
 
@@ -192,4 +194,156 @@ func TestLiveGuardValidation(t *testing.T) {
 	if _, err := StartLiveGuard("127.0.0.1:0", "127.0.0.1:1", nil, time.Second); err == nil {
 		t.Fatal("nil decision accepted")
 	}
+}
+
+// waitFor polls cond for up to three seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// sendCommand sends one marker-bearing Echo command and its end frame.
+func sendCommand(t *testing.T, speaker *emul.SpeakerClient) {
+	t.Helper()
+	if err := speaker.SendPattern(commandLengths, emul.MsgCommand); err != nil {
+		t.Fatal(err)
+	}
+	if err := speaker.SendPattern([]int{60}, emul.MsgEnd); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A second command recognized while the first is still being decided
+// gets its own query, and the first command's release must not carry
+// it to the cloud: its bytes stay held until its own verdict.
+func TestLiveGuardSecondCommandWaitsForItsOwnVerdict(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	f := newLiveFixture(t, idle)
+	speaker, err := emul.DialSpeaker(f.guard.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer speaker.Close()
+
+	sendCommand(t, speaker)
+	waitStats(t, f.guard, func(s LiveGuardStats) bool { return s.CommandsHeld == 1 })
+	time.Sleep(2 * idle) // the next command is a new spike
+	sendCommand(t, speaker)
+	time.Sleep(idle / 2)
+
+	f.verdicts <- true // the first command is legitimate
+	waitStats(t, f.guard, func(s LiveGuardStats) bool { return s.CommandsReleased == 1 })
+	waitFor(t, "first command completing", func() bool { return f.cloud.CompletedCommands() >= 1 })
+	time.Sleep(2 * idle)
+	if got := f.cloud.CompletedCommands(); got != 1 {
+		t.Fatalf("cloud completed %d commands with the second still pending, want 1", got)
+	}
+	if got := f.guard.Stats().CommandsHeld; got != 2 {
+		t.Fatalf("CommandsHeld = %d, want 2: the second command never got its own query", got)
+	}
+
+	f.verdicts <- true
+	waitFor(t, "second command completing", func() bool { return f.cloud.CompletedCommands() == 2 })
+}
+
+// A short non-command spike that ends while a command's verdict is
+// pending is released on idle, but its release must not flush the
+// held command ahead of that verdict.
+func TestLiveGuardShortSpikeDoesNotReleasePendingCommand(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	f := newLiveFixture(t, idle)
+	speaker, err := emul.DialSpeaker(f.guard.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer speaker.Close()
+
+	sendCommand(t, speaker)
+	waitStats(t, f.guard, func(s LiveGuardStats) bool { return s.CommandsHeld == 1 })
+	time.Sleep(2 * idle)
+	if err := speaker.SendPattern([]int{90, 101}, emul.MsgCommand); err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, f.guard, func(s LiveGuardStats) bool { return s.NonCommands == 1 })
+	time.Sleep(2 * idle)
+	if got := f.cloud.CompletedCommands(); got != 0 {
+		t.Fatalf("cloud completed %d commands before any verdict", got)
+	}
+
+	f.verdicts <- true
+	waitFor(t, "command completing after its verdict", func() bool { return f.cloud.CompletedCommands() == 1 })
+}
+
+// A verdict that arrives after the hold deadline already resolved the
+// hold resolves nothing a second time: holds = releases + drops.
+func TestLiveGuardLateVerdictAfterDeadlineCountedOnce(t *testing.T) {
+	cloud, err := emul.NewCloudServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cloud.Close() })
+	unwedge := make(chan struct{})
+	g, err := StartLiveGuard("127.0.0.1:0", cloud.Addr(), func(ctx context.Context) bool {
+		select {
+		case <-unwedge:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}, 100*time.Millisecond, WithHoldDeadline(150*time.Millisecond, guard.DegradedFailClosed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = g.Close() })
+	before := proxyOutcomes()
+
+	speaker, err := emul.DialSpeaker(g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer speaker.Close()
+	sendCommand(t, speaker)
+	waitStats(t, g, func(s LiveGuardStats) bool { return s.CommandsHeld == 1 })
+	waitFor(t, "hold deadline", func() bool {
+		for _, s := range g.tcp.Sessions() {
+			if s.Holding() {
+				return false
+			}
+		}
+		return true
+	})
+	close(unwedge) // the late verdict
+	waitStats(t, g, func(s LiveGuardStats) bool { return s.CommandsReleased == 1 })
+
+	after := proxyOutcomes()
+	holds := after[0] - before[0]
+	resolved := (after[1] - before[1]) + (after[2] - before[2])
+	if holds != 1 || resolved != holds {
+		t.Fatalf("holds %d, releases + drops %d: want one hold resolved once", holds, resolved)
+	}
+	if got := cloud.CompletedCommands(); got != 0 {
+		t.Fatalf("late verdict released a command the deadline dropped: %d", got)
+	}
+}
+
+// proxyOutcomes reads the transport's hold, release, and drop totals.
+func proxyOutcomes() [3]int64 {
+	var out [3]int64
+	for _, c := range metrics.Default.Snapshot().Counters {
+		switch c.Name {
+		case "proxy_holds_total":
+			out[0] = c.Value
+		case "proxy_releases_total":
+			out[1] = c.Value
+		case "proxy_drops_total":
+			out[2] = c.Value
+		}
+	}
+	return out
 }

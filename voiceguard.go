@@ -15,8 +15,9 @@
 //     three testbeds, both speakers, the 7-day protection protocol,
 //     the traffic-recognition study, RSSI maps, stair-trace
 //     classification, and the delay analyses;
-//   - a live layer (StartLiveProxy) running the hold/release/drop
-//     traffic handler on real TCP sockets.
+//   - a live layer (StartLiveGuard, StartLiveProxy) running the same
+//     guard core on real TCP sockets, holding, releasing, and dropping
+//     the speaker's traffic.
 package voiceguard
 
 import (

@@ -181,12 +181,12 @@ func TestLiveProxyReleaseAndDrop(t *testing.T) {
 	}
 	verdicts <- false
 	deadline := time.Now().Add(3 * time.Second)
-	for lp.Stats().DroppedBursts == 0 && time.Now().Before(deadline) {
+	for lp.Stats().CommandsDropped == 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
 	stats := lp.Stats()
-	if stats.HeldBursts < 2 || stats.ReleasedBursts != 1 || stats.DroppedBursts < 1 {
+	if stats.CommandsHeld < 2 || stats.CommandsReleased != 1 || stats.CommandsDropped < 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	// Give any stray released bytes time to surface, then confirm the
