@@ -123,6 +123,24 @@ func BenchmarkHomeDay(b *testing.B) {
 	b.ReportMetric(100*last.Confusion.Accuracy(), "pct_accuracy")
 }
 
+// BenchmarkBackgroundDay measures the LAN-chatter generator that
+// every background-traffic home runs once per simulated day: one
+// 16-hour day (~30,000 packets) streamed burst by burst into a no-op
+// sink. Only the current burst is ever held, so allocations per day
+// stay at the per-burst address string and DNS messages.
+func BenchmarkBackgroundDay(b *testing.B) {
+	start := scenario.DefaultStart.Add(6 * time.Hour)
+	packets := 0
+	sink := func(pcap.Packet) { packets++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trafficgen.NewBackgroundStream(rng.New(int64(i)), start, 16*time.Hour).Drain(sink)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(packets)/float64(b.N), "packets/day")
+}
+
 // --- Fleet engine ----------------------------------------------------
 
 // fleetBenchConfig is the shared shape of the fleet benchmarks: 32

@@ -8,7 +8,8 @@ import (
 
 // hotFuncs designates the allocation-free hot paths: the per-sample
 // radio field, the wall-loss memo, the zero-copy proxy pumps, the
-// live plane's per-chunk tap, and the per-packet spike classifiers.
+// live plane's per-chunk tap, the per-packet spike classifiers, and
+// the traffic generators' per-packet builders and background stream.
 // BenchmarkRadioSample / BenchmarkProxyThroughput pin the radio and
 // proxy paths at 0 allocs/op; this rule keeps the cheap-to-introduce
 // allocation sources (formatting, string concatenation,
@@ -45,6 +46,11 @@ var hotFuncs = map[string]map[string]bool{
 	},
 	"voiceguard/internal/fleet": {
 		"shardFor": true, "step": true, "runRound": true,
+	},
+	"voiceguard/internal/trafficgen": {
+		"appDataPacket": true, "handshakePacket": true, "mustAppData": true,
+		"mustRecord": true, "quicPacket": true, "dnsExchange": true,
+		"EmitBefore": true, "Drain": true, "fill": true,
 	},
 }
 

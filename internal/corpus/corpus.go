@@ -9,6 +9,7 @@ package corpus
 
 import (
 	"strings"
+	"sync"
 	"time"
 
 	"voiceguard/internal/rng"
@@ -23,17 +24,24 @@ type Corpus struct {
 	Commands []string
 }
 
+// The corpora are pure functions of fixed seeds, so each is built once
+// per process and shared by every caller.
+var (
+	alexaOnce  = sync.OnceValue(func() Corpus { return build("alexa", 320, 5.95, alexaDist, 101) })
+	googleOnce = sync.OnceValue(func() Corpus { return build("google", 443, 7.39, googleDist, 202) })
+)
+
 // Alexa returns the synthetic Alexa corpus: 320 commands, mean word
-// count 5.95, at least 86.8 % with 4+ words.
-func Alexa() Corpus {
-	return build("alexa", 320, 5.95, alexaDist, 101)
-}
+// count 5.95, at least 86.8 % with 4+ words. Commands is shared by
+// every caller in the process and is read-only; copy it before
+// modifying.
+func Alexa() Corpus { return alexaOnce() }
 
 // Google returns the synthetic Google Assistant corpus: 443 commands,
-// mean word count 7.39, at least 93.9 % with 5+ words.
-func Google() Corpus {
-	return build("google", 443, 7.39, googleDist, 202)
-}
+// mean word count 7.39, at least 93.9 % with 5+ words. Commands is
+// shared by every caller in the process and is read-only; copy it
+// before modifying.
+func Google() Corpus { return googleOnce() }
 
 // countDist maps a word count to its sampling weight.
 type countDist []struct {

@@ -1,6 +1,7 @@
 package pcap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
@@ -27,35 +28,50 @@ const (
 	dnsAnswerTTL     = 300
 	dnsHeaderLen     = 12
 	maxDNSLabelBytes = 63
+
+	// dnsAnswerLen is the encoded A answer: a 2-byte compression
+	// pointer to the question name, TYPE, CLASS, TTL, RDLENGTH and
+	// the 4-byte address.
+	dnsAnswerLen = 2 + 10 + 4
+	// dnsNamePointer is the compression pointer to offset 12, where
+	// the question name starts.
+	dnsNamePointer = 0xC000 | dnsHeaderLen
 )
 
-// EncodeDNSQuery serialises an A query for name.
-func EncodeDNSQuery(id uint16, name string) ([]byte, error) {
-	q, err := encodeQuestion(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, dnsHeaderLen, dnsHeaderLen+len(q))
-	binary.BigEndian.PutUint16(out[0:2], id)
-	binary.BigEndian.PutUint16(out[4:6], 1) // QDCOUNT
-	return append(out, q...), nil
+// DNSQuestion is a pre-encoded question section: one A/IN question
+// for a fixed name. Generators that resolve the same few names over
+// and over encode each once and stamp every message from it, so a
+// message costs one allocation and no name encoding.
+type DNSQuestion struct {
+	wire []byte // labels + QTYPE + QCLASS; shared, never mutated
 }
 
-// EncodeDNSResponse serialises an A response answering name with addr.
-func EncodeDNSResponse(id uint16, name string, addr netip.Addr) ([]byte, error) {
-	if !addr.Is4() {
-		return nil, fmt.Errorf("pcap: DNS answer %v is not IPv4", addr)
-	}
-	q, err := encodeQuestion(name)
+// NewDNSQuestion encodes the A/IN question for name.
+func NewDNSQuestion(name string) (DNSQuestion, error) {
+	labels, err := encodeName(name)
 	if err != nil {
-		return nil, err
+		return DNSQuestion{}, err
 	}
-	out := make([]byte, dnsHeaderLen, dnsHeaderLen+len(q)+16)
+	return DNSQuestion{wire: append(labels, 0, dnsTypeA, 0, dnsClassIN)}, nil
+}
+
+// Query serialises an A query for the question with the given ID.
+func (q DNSQuestion) Query(id uint16) []byte {
+	out := make([]byte, dnsHeaderLen, dnsHeaderLen+len(q.wire))
+	binary.BigEndian.PutUint16(out[0:2], id)
+	binary.BigEndian.PutUint16(out[4:6], 1) // QDCOUNT
+	return append(out, q.wire...)
+}
+
+// Response serialises an A response answering the question with the
+// IPv4 address ip.
+func (q DNSQuestion) Response(id uint16, ip [4]byte) []byte {
+	out := make([]byte, dnsHeaderLen, dnsHeaderLen+len(q.wire)+dnsAnswerLen)
 	binary.BigEndian.PutUint16(out[0:2], id)
 	binary.BigEndian.PutUint16(out[2:4], dnsFlagResponse)
 	binary.BigEndian.PutUint16(out[4:6], 1) // QDCOUNT
 	binary.BigEndian.PutUint16(out[6:8], 1) // ANCOUNT
-	out = append(out, q...)
+	out = append(out, q.wire...)
 
 	// Answer: compression pointer to the question name at offset 12.
 	out = append(out, 0xC0, dnsHeaderLen)
@@ -65,18 +81,28 @@ func EncodeDNSResponse(id uint16, name string, addr netip.Addr) ([]byte, error) 
 	binary.BigEndian.PutUint32(rr[4:8], dnsAnswerTTL)
 	binary.BigEndian.PutUint16(rr[8:10], 4)
 	out = append(out, rr[:]...)
-	ip := addr.As4()
-	return append(out, ip[:]...), nil
+	return append(out, ip[:]...)
 }
 
-// encodeQuestion serialises the question section for an A/IN query.
-func encodeQuestion(name string) ([]byte, error) {
-	labels, err := encodeName(name)
+// EncodeDNSQuery serialises an A query for name.
+func EncodeDNSQuery(id uint16, name string) ([]byte, error) {
+	q, err := NewDNSQuestion(name)
 	if err != nil {
 		return nil, err
 	}
-	out := append(labels, 0, dnsTypeA, 0, dnsClassIN)
-	return out, nil
+	return q.Query(id), nil
+}
+
+// EncodeDNSResponse serialises an A response answering name with addr.
+func EncodeDNSResponse(id uint16, name string, addr netip.Addr) ([]byte, error) {
+	if !addr.Is4() {
+		return nil, fmt.Errorf("pcap: DNS answer %v is not IPv4", addr)
+	}
+	q, err := NewDNSQuestion(name)
+	if err != nil {
+		return nil, err
+	}
+	return q.Response(id, addr.As4()), nil
 }
 
 // encodeName serialises a domain name as length-prefixed labels.
@@ -97,7 +123,11 @@ func encodeName(name string) ([]byte, error) {
 }
 
 // ParseDNS parses a DNS message produced by the encoders above (one
-// question; responses carry one A answer).
+// question; responses carry one A answer). A response is accepted only
+// if its first answer is exactly that shape — its name the compression
+// pointer back to the question, TYPE A, CLASS IN, a 4-byte address —
+// so a TXT, AAAA or foreign-name record that happens to carry four
+// bytes is never read as the queried name's address.
 func ParseDNS(b []byte) (DNSMessage, error) {
 	var msg DNSMessage
 	if len(b) < dnsHeaderLen {
@@ -121,12 +151,18 @@ func ParseDNS(b []byte) (DNSMessage, error) {
 		if ancount == 0 {
 			return msg, fmt.Errorf("pcap: DNS response with no answers")
 		}
-		// Answer name: compression pointer (2 bytes).
-		if len(rest) < 2+10+4 {
+		if len(rest) < dnsAnswerLen {
 			return msg, fmt.Errorf("pcap: truncated DNS answer")
 		}
-		rdlen := int(binary.BigEndian.Uint16(rest[10:12]))
-		if rdlen != 4 || len(rest) < 12+rdlen {
+		if ptr := binary.BigEndian.Uint16(rest[0:2]); ptr != dnsNamePointer {
+			return msg, fmt.Errorf("pcap: DNS answer name %#04x does not point at the question", ptr)
+		}
+		typ := binary.BigEndian.Uint16(rest[2:4])
+		class := binary.BigEndian.Uint16(rest[4:6])
+		if typ != dnsTypeA || class != dnsClassIN {
+			return msg, fmt.Errorf("pcap: unsupported DNS answer TYPE %d CLASS %d", typ, class)
+		}
+		if rdlen := binary.BigEndian.Uint16(rest[10:12]); rdlen != 4 {
 			return msg, fmt.Errorf("pcap: unsupported DNS answer RDLENGTH %d", rdlen)
 		}
 		msg.Addr = netip.AddrFrom4([4]byte(rest[12:16]))
@@ -149,6 +185,12 @@ func parseName(b []byte) (string, []byte, error) {
 		}
 		if n > maxDNSLabelBytes || len(b) < n {
 			return "", nil, fmt.Errorf("pcap: invalid DNS label length %d", n)
+		}
+		// A dot inside a label would make the dotted name ambiguous
+		// ("a.b" as one label or two): reject it, so Name maps back
+		// to exactly these labels.
+		if bytes.IndexByte(b[:n], '.') >= 0 {
+			return "", nil, fmt.Errorf("pcap: DNS label contains a dot")
 		}
 		labels = append(labels, string(b[:n]))
 		b = b[n:]

@@ -108,3 +108,38 @@ func TestIsDNSQueryAndResponse(t *testing.T) {
 		t.Fatal("TCP packet classified as DNS query")
 	}
 }
+
+func TestParseDNSRejectsNonAAnswers(t *testing.T) {
+	b, err := EncodeDNSResponse(7, avsName, netip.MustParseAddr("1.2.3.4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Offsets into the 16-byte answer at the end of the message.
+	for name, patch := range map[string]func(answer []byte){
+		"TXT type":        func(a []byte) { a[3] = 16 },
+		"CHAOS class":     func(a []byte) { a[5] = 3 },
+		"foreign name":    func(a []byte) { a[1] = 0x30 },
+		"uncompressed":    func(a []byte) { a[0] = 3 },
+		"6-byte RDLENGTH": func(a []byte) { a[11] = 6 },
+	} {
+		bad := append([]byte(nil), b...)
+		patch(bad[len(bad)-16:])
+		if msg, err := ParseDNS(bad); err == nil {
+			t.Errorf("%s: accepted answer %+v", name, msg)
+		}
+	}
+}
+
+func TestParseDNSRejectsDottedLabel(t *testing.T) {
+	// The single label "x.x.xcom" would read back as the three-label
+	// name x.x.xcom.
+	b, err := EncodeDNSQuery(1, "xaxbxcom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[dnsHeaderLen+2] = '.'
+	b[dnsHeaderLen+4] = '.'
+	if msg, err := ParseDNS(b); err == nil {
+		t.Fatalf("accepted dotted label as %q", msg.Name)
+	}
+}

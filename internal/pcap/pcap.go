@@ -37,6 +37,11 @@ func (p Protocol) String() string {
 // in bytes — the quantity the paper's packet-level signatures are
 // defined over. Payload optionally carries the bytes themselves (TLS
 // records or DNS messages) for header inspection.
+//
+// Payload is read-only. The traffic generators share one buffer among
+// every packet with the same bytes (interned TLS records, zero-filled
+// datagrams), so a consumer that needs to modify a payload must copy
+// it first.
 type Packet struct {
 	Time    time.Time
 	SrcIP   string

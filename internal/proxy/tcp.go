@@ -328,7 +328,7 @@ func (p *TCP) acceptLoop(o options) {
 func (p *TCP) startSession(client net.Conn, o options) {
 	// The upstream dial happens at accept time, before any spike —
 	// and therefore any command ID — exists on this session.
-	//vglint:allow tracectx accept-time dial precedes any command; the session binds its command ID later via BindCommand
+	//vglint:allow tracectx accept-time dial precedes any command; the session takes its command ID later via HoldCommand
 	server, err := p.dial(context.Background())
 	if err != nil {
 		mUpstreamDialErr.Inc()

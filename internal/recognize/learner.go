@@ -69,11 +69,16 @@ func (l *SignatureLearner) Signature() ([]int, bool) {
 // Observe feeds one captured packet and reports whether the learned
 // signature changed.
 func (l *SignatureLearner) Observe(p pcap.Packet) bool {
-	if msg, ok := pcap.IsDNSResponse(p); ok {
-		if msg.Name == l.Domain && p.DstIP == l.SpeakerIP && msg.Addr != (netip.Addr{}) {
-			l.labelled[msg.Addr.String()] = true
+	// A DNS response to another host would fall through to the TCP
+	// test below and be ignored there, so only the speaker's replies
+	// need parsing.
+	if p.DstIP == l.SpeakerIP {
+		if msg, ok := pcap.IsDNSResponse(p); ok {
+			if msg.Name == l.Domain && msg.Addr != (netip.Addr{}) {
+				l.labelled[msg.Addr.String()] = true
+			}
+			return false
 		}
-		return false
 	}
 	if p.SrcIP != l.SpeakerIP || p.Proto != pcap.TCP || !l.labelled[p.DstIP] {
 		return false

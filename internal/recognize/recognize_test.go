@@ -1,6 +1,7 @@
 package recognize
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -110,6 +111,48 @@ func TestTrackerLearnsFromDNS(t *testing.T) {
 	addr, ok := tr.Current()
 	if !ok || addr != e.AVSAddr() {
 		t.Fatalf("tracker = %v (%v), want %v", addr, ok, e.AVSAddr())
+	}
+}
+
+// TestTrackerIgnoresNonAAnswers feeds DNS responses for the tracked
+// domain whose answer is not an A/IN record for the question's name —
+// a TXT record, a CHAOS-class record, an answer for another name —
+// each carrying four bytes that would parse as an address. None may
+// re-target the tracker.
+func TestTrackerIgnoresNonAAnswers(t *testing.T) {
+	avs := netip.MustParseAddr("52.94.233.7")
+	bogus := netip.MustParseAddr("6.6.6.6")
+	tr := NewAVSTracker(trafficgen.EchoIP, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
+	response := func(addr netip.Addr, patch func(answer []byte)) pcap.Packet {
+		b, err := pcap.EncodeDNSResponse(9, trafficgen.AVSDomain, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The answer is the last 16 bytes: name pointer, TYPE, CLASS,
+		// TTL, RDLENGTH, RDATA.
+		patch(b[len(b)-16:])
+		return pcap.Packet{
+			Time:  t0,
+			SrcIP: trafficgen.RouterIP, SrcPort: pcap.DNSPort,
+			DstIP: trafficgen.EchoIP, DstPort: 40001,
+			Proto: pcap.UDP, Len: len(b), Payload: b,
+		}
+	}
+	if !tr.Observe(response(avs, func([]byte) {})) {
+		t.Fatal("a well-formed A answer did not set the tracker")
+	}
+	for name, patch := range map[string]func([]byte){
+		"TXT":        func(a []byte) { a[3] = 16 },
+		"AAAA":       func(a []byte) { a[3] = 28 },
+		"class CH":   func(a []byte) { a[5] = 3 },
+		"other name": func(a []byte) { a[1] = 0x20 },
+	} {
+		if tr.Observe(response(bogus, patch)) {
+			t.Errorf("%s answer moved the tracker", name)
+		}
+		if got, _ := tr.Current(); got != avs {
+			t.Fatalf("%s answer re-targeted the tracker to %v", name, got)
+		}
 	}
 }
 
@@ -391,10 +434,7 @@ func TestRecognizerIgnoresBackgroundChatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	background, err := trafficgen.Background(src.Split("bg"), t0, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	background := trafficgen.Background(src.Split("bg"), t0, time.Hour)
 	inv := e.Invocation(t0.Add(30*time.Minute), 1)
 
 	merged := append(append(boot, background...), inv.All()...)
@@ -420,10 +460,7 @@ func TestRecognizerIgnoresBackgroundChatter(t *testing.T) {
 }
 
 func TestBackgroundTrafficNeverFromSpeaker(t *testing.T) {
-	bg, err := trafficgen.Background(rng.New(78), t0, 10*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bg := trafficgen.Background(rng.New(78), t0, 10*time.Minute)
 	if len(bg) == 0 {
 		t.Fatal("no background traffic generated")
 	}

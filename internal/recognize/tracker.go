@@ -81,8 +81,10 @@ func (t *AVSTracker) ForceAddress(addr netip.Addr) { t.set(addr) }
 // Observe feeds one captured packet to the tracker and reports
 // whether the tracked address changed.
 func (t *AVSTracker) Observe(p pcap.Packet) bool {
-	if t.UseDNS {
-		if msg, ok := pcap.IsDNSResponse(p); ok && msg.Response && msg.Name == t.Domain && p.DstIP == t.SpeakerIP {
+	// The destination test comes first: it is a string compare, and it
+	// spares parsing every other host's DNS replies.
+	if t.UseDNS && p.DstIP == t.SpeakerIP {
+		if msg, ok := pcap.IsDNSResponse(p); ok && msg.Response && msg.Name == t.Domain {
 			if t.set(msg.Addr) {
 				mTrackerDNSUpdates.Inc()
 				return true

@@ -3,7 +3,6 @@ package scenario
 import (
 	"time"
 
-	"voiceguard/internal/pcap"
 	"voiceguard/internal/trafficgen"
 )
 
@@ -25,6 +24,9 @@ import (
 //   - A popped event whose time has fallen behind the clock (the
 //     previous command overran its slot) is clamped to now + 1 minute,
 //     identical to the reference walk.
+//   - Background chatter is streamed from the day's own Split("bg")
+//     child, burst by burst as the clock reaches it. Split never
+//     advances daySrc, so when a burst is generated moves no draw.
 
 // agendaEvent is one scheduled experiment event.
 type agendaEvent struct {
@@ -106,15 +108,12 @@ func (r *run) runDay(day int) {
 
 	dayStart := r.clock.Now().Add(6 * time.Hour) // 06:00
 
-	// Background chatter for the day, fed to the guard in
-	// chronological order between commands.
-	var background []pcap.Packet
+	// Background chatter, streamed to the guard in chronological
+	// order between events: each burst is generated only when the
+	// day reaches it.
+	var bg *trafficgen.BackgroundStream
 	if r.cfg.BackgroundTraffic {
-		var err error
-		background, err = trafficgen.Background(daySrc.Split("bg"), dayStart, 16*time.Hour)
-		if err != nil {
-			background = nil // degrade to a quiet network
-		}
+		bg = trafficgen.NewBackgroundStream(daySrc.Split("bg"), dayStart, 16*time.Hour)
 	}
 
 	for r.agenda.len() > 0 {
@@ -124,12 +123,9 @@ func (r *run) runDay(day int) {
 			at = r.clock.Now().Add(time.Minute)
 		}
 		// Deliver the background packets that precede this event.
-		cut := 0
-		for cut < len(background) && background[cut].Time.Before(at) {
-			cut++
+		if bg != nil {
+			bg.EmitBefore(at, r.feedPacket)
 		}
-		r.feed(background[:cut])
-		background = background[cut:]
 
 		r.clock.RunUntil(at)
 		if ev.malicious {
@@ -138,7 +134,9 @@ func (r *run) runDay(day int) {
 			r.legitCommand(day, daySrc)
 		}
 	}
-	r.feed(background)
+	if bg != nil {
+		bg.Drain(r.feedPacket)
+	}
 	// Jump to next midnight, draining any timers still pending.
 	r.clock.RunUntil(r.clock.Now().Truncate(24 * time.Hour).Add(24 * time.Hour))
 }

@@ -246,7 +246,7 @@ func Run(cfg Config) (*Outcome, error) {
 
 // RunReference executes the experiment with the retained pre-scheduler
 // reference loop: command slots walked in sorted order through the
-// same per-slot clamp and background-cut semantics. It exists as the
+// same per-slot clamp and background-stream semantics. It exists as the
 // bit-identity oracle for the event-driven path — same seed, same
 // config must produce a deep-equal Outcome from both entry points.
 func RunReference(cfg Config) (*Outcome, error) {
@@ -562,13 +562,19 @@ func (r *run) setupMotion() {
 
 // feed advances the clock and delivers packets to the guard.
 func (r *run) feed(packets []pcap.Packet) {
-	if r.cfg.RecordCapture {
-		r.outcome.Capture = append(r.outcome.Capture, packets...)
-	}
 	for _, p := range packets {
-		r.clock.AdvanceTo(p.Time)
-		r.guard.Feed(p)
+		r.feedPacket(p)
 	}
+}
+
+// feedPacket advances the clock to one packet and delivers it to the
+// guard.
+func (r *run) feedPacket(p pcap.Packet) {
+	if r.cfg.RecordCapture {
+		r.outcome.Capture = append(r.outcome.Capture, p)
+	}
+	r.clock.AdvanceTo(p.Time)
+	r.guard.Feed(p)
 }
 
 // locPos returns the position of a location ID.
@@ -605,13 +611,9 @@ func (r *run) runDayReference(day int) {
 
 	// Background chatter for the day, fed to the guard in
 	// chronological order between commands.
-	var background []pcap.Packet
+	var bg *trafficgen.BackgroundStream
 	if r.cfg.BackgroundTraffic {
-		var err error
-		background, err = trafficgen.Background(daySrc.Split("bg"), dayStart, 16*time.Hour)
-		if err != nil {
-			background = nil // degrade to a quiet network
-		}
+		bg = trafficgen.NewBackgroundStream(daySrc.Split("bg"), dayStart, 16*time.Hour)
 	}
 
 	for _, s := range slots {
@@ -620,12 +622,9 @@ func (r *run) runDayReference(day int) {
 			at = r.clock.Now().Add(time.Minute)
 		}
 		// Deliver the background packets that precede this command.
-		cut := 0
-		for cut < len(background) && background[cut].Time.Before(at) {
-			cut++
+		if bg != nil {
+			bg.EmitBefore(at, r.feedPacket)
 		}
-		r.feed(background[:cut])
-		background = background[cut:]
 
 		r.clock.AdvanceTo(at)
 		if s.malicious {
@@ -634,7 +633,9 @@ func (r *run) runDayReference(day int) {
 			r.legitCommand(day, daySrc)
 		}
 	}
-	r.feed(background)
+	if bg != nil {
+		bg.Drain(r.feedPacket)
+	}
 	// Advance to next midnight.
 	r.clock.AdvanceTo(r.clock.Now().Truncate(24 * time.Hour).Add(24 * time.Hour))
 }

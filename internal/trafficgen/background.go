@@ -9,54 +9,125 @@ import (
 	"voiceguard/internal/rng"
 )
 
-// Background synthesises unrelated home-network chatter over the
+// backgroundHosts are the LAN's other hosts.
+var backgroundHosts = []string{
+	"192.168.1.50", // laptop
+	"192.168.1.51", // smart TV
+	"192.168.1.52", // tablet
+}
+
+// backgroundLens are the other hosts' application-data lengths. They
+// deliberately include marker-valued lengths — other hosts may emit
+// any length; only the speaker's flow may be interpreted.
+var backgroundLens = []int{138, 75, 77, 33, 277, 480, 1100, 1400}
+
+// cdnQuestions are the pre-encoded lookups of the unrelated
+// cdnN.example.com domains the other hosts resolve.
+var cdnQuestions = func() (qs [50]pcap.DNSQuestion) {
+	for i := range qs {
+		qs[i] = mustQuestion(fmt.Sprintf("cdn%d.example.com", i))
+	}
+	return qs
+}()
+
+// maxBurstPackets bounds one burst: a DNS exchange, a handshake and up
+// to ten data packets.
+const maxBurstPackets = 2 + 1 + 10
+
+// BackgroundStream synthesises unrelated home-network chatter over the
 // window [start, start+dur): laptops browsing, a TV streaming, phones
 // syncing. The guard captures everything on the LAN, so the
 // recognizer must ignore all of it — it keys on the speaker's IP and
 // the tracked cloud flow (§IV-B1: "The traffic flows originating from
 // a smart speaker are complex and only some of them are related to
 // voice commands", and other hosts' flows even more so).
-func Background(src *rng.Source, start time.Time, dur time.Duration) ([]pcap.Packet, error) {
-	hosts := []string{
-		"192.168.1.50", // laptop
-		"192.168.1.51", // smart TV
-		"192.168.1.52", // tablet
+//
+// The stream generates one burst (an optional DNS lookup, a TLS
+// handshake and a few data packets) at a time into a reused buffer, as
+// the consumer asks for packets: a 16-hour day is ~30,000 packets, of
+// which only the current burst is ever held. Packets come out in
+// time order.
+type BackgroundStream struct {
+	src   *rng.Source
+	at    time.Time // start of the next burst
+	end   time.Time
+	port  int
+	burst []pcap.Packet // the current burst
+	next  int           // first packet of burst not yet emitted
+}
+
+// NewBackgroundStream returns the chatter for [start, start+dur),
+// drawing from src.
+func NewBackgroundStream(src *rng.Source, start time.Time, dur time.Duration) *BackgroundStream {
+	return &BackgroundStream{
+		src:   src,
+		at:    start,
+		end:   start.Add(dur),
+		port:  52000,
+		burst: make([]pcap.Packet, 0, maxBurstPackets),
 	}
-	var out []pcap.Packet
-	at := start
-	end := start.Add(dur)
-	port := 52000
-	for at.Before(end) {
-		host := rng.Pick(src, hosts)
-		port++
+}
 
-		dst, err := netip.ParseAddr(fmt.Sprintf("93.184.%d.%d", 1+src.IntN(250), 1+src.IntN(250)))
-		if err != nil {
-			return nil, err
+// EmitBefore passes every not yet emitted packet timestamped strictly
+// before t to emit, in time order.
+func (s *BackgroundStream) EmitBefore(t time.Time, emit func(pcap.Packet)) {
+	for s.next < len(s.burst) || s.fill() {
+		p := &s.burst[s.next]
+		if !p.Time.Before(t) {
+			return
 		}
-		// Occasional DNS lookup for an unrelated domain.
-		if src.Bool(0.4) {
-			name := fmt.Sprintf("cdn%d.example.com", src.IntN(50))
-			dns, err := dnsExchange(at, host, port, name, dst, src)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, dns...)
-			at = dns[1].Time.Add(intraSpikeGap(src))
-		}
+		s.next++
+		emit(*p)
+	}
+}
 
-		// A short TLS burst: handshake + a few data packets. The data
-		// deliberately includes marker-valued lengths — other hosts
-		// may emit any length; only the speaker's flow may be
-		// interpreted.
-		out = append(out, handshakePacket(at, host, port, dst.String(), TLSPort, 200+src.IntN(120)))
+// Drain passes every remaining packet to emit, in time order.
+func (s *BackgroundStream) Drain(emit func(pcap.Packet)) {
+	for s.next < len(s.burst) || s.fill() {
+		s.next++
+		emit(s.burst[s.next-1])
+	}
+}
+
+// fill generates the next burst into the buffer, reporting false once
+// the window holds no further burst. A burst starts inside the window
+// but may run past its end.
+func (s *BackgroundStream) fill() bool {
+	if !s.at.Before(s.end) {
+		return false
+	}
+	src := s.src
+	s.burst, s.next = s.burst[:0], 0
+	host := rng.Pick(src, backgroundHosts)
+	s.port++
+	port := s.port
+	a := 1 + src.IntN(250)
+	b := 1 + src.IntN(250)
+	dst := netip.AddrFrom4([4]byte{93, 184, byte(a), byte(b)})
+	dstIP := dst.String()
+
+	at := s.at
+	// Occasional DNS lookup for an unrelated domain.
+	if src.Bool(0.4) {
+		dns := dnsExchange(at, host, port, cdnQuestions[src.IntN(len(cdnQuestions))], dst, src)
+		s.burst = append(s.burst, dns[:]...)
+		at = dns[1].Time.Add(intraSpikeGap(src))
+	}
+	// A short TLS burst: handshake + a few data packets.
+	s.burst = append(s.burst, handshakePacket(at, host, port, dstIP, TLSPort, 200+src.IntN(120)))
+	at = at.Add(intraSpikeGap(src))
+	for i, n := 0, 3+src.IntN(8); i < n; i++ {
+		s.burst = append(s.burst, appDataPacket(at, host, port, dstIP, TLSPort, rng.Pick(src, backgroundLens)))
 		at = at.Add(intraSpikeGap(src))
-		for i, n := 0, 3+src.IntN(8); i < n; i++ {
-			length := rng.Pick(src, []int{138, 75, 77, 33, 277, 480, 1100, 1400})
-			out = append(out, appDataPacket(at, host, port, dst.String(), TLSPort, length))
-			at = at.Add(intraSpikeGap(src))
-		}
-		at = at.Add(time.Duration(src.Uniform(2, 30)) * time.Second)
 	}
-	return out, nil
+	s.at = at.Add(time.Duration(src.Uniform(2, 30)) * time.Second)
+	return true
+}
+
+// Background collects the whole of a BackgroundStream's window into
+// one slice, for tests and offline captures.
+func Background(src *rng.Source, start time.Time, dur time.Duration) []pcap.Packet {
+	var out []pcap.Packet
+	NewBackgroundStream(src, start, dur).Drain(func(p pcap.Packet) { out = append(out, p) })
+	return out
 }

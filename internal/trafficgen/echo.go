@@ -1,7 +1,6 @@
 package trafficgen
 
 import (
-	"fmt"
 	"net/netip"
 	"time"
 
@@ -94,10 +93,7 @@ func (e *Echo) newPort() int {
 }
 
 func (e *Echo) newAVSAddr() netip.Addr {
-	addr, err := netip.ParseAddr(fmt.Sprintf("52.94.233.%d", e.nextIP))
-	if err != nil {
-		panic(err) // unreachable: address is well-formed by construction
-	}
+	addr := netip.AddrFrom4([4]byte{52, 94, 233, byte(e.nextIP)})
 	e.nextIP++
 	if e.nextIP > 254 {
 		e.nextIP = 1
@@ -109,11 +105,12 @@ func (e *Echo) newAVSAddr() netip.Addr {
 // source port to addr: a ClientHello followed by the signature's
 // Application Data lengths.
 func (e *Echo) connectPackets(t time.Time, port int, addr netip.Addr, signature []int) ([]pcap.Packet, time.Time) {
-	var out []pcap.Packet
-	out = append(out, handshakePacket(t, EchoIP, port, addr.String(), TLSPort, 180+e.src.IntN(80)))
+	dstIP := addr.String()
+	out := make([]pcap.Packet, 0, 1+len(signature))
+	out = append(out, handshakePacket(t, EchoIP, port, dstIP, TLSPort, 180+e.src.IntN(80)))
 	t = t.Add(intraSpikeGap(e.src))
 	for _, l := range signature {
-		out = append(out, appDataPacket(t, EchoIP, port, addr.String(), TLSPort, l))
+		out = append(out, appDataPacket(t, EchoIP, port, dstIP, TLSPort, l))
 		t = t.Add(intraSpikeGap(e.src))
 	}
 	return out, t
@@ -125,25 +122,22 @@ func (e *Echo) connectPackets(t time.Time, port int, addr netip.Addr, signature 
 func (e *Echo) Boot(t time.Time) ([]pcap.Packet, error) {
 	var out []pcap.Packet
 
-	dns, err := dnsExchange(t, EchoIP, e.newPort(), AVSDomain, e.avsAddr, e.src)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, dns...)
+	dns := dnsExchange(t, EchoIP, e.newPort(), avsQuestion, e.avsAddr, e.src)
+	out = append(out, dns[:]...)
 	conn, next := e.connectPackets(dns[1].Time.Add(intraSpikeGap(e.src)), e.avsPort, e.avsAddr, e.signature)
 	out = append(out, conn...)
 	t = next
 
 	for _, srv := range OtherAmazonServers {
-		addr, err := netip.ParseAddr(fmt.Sprintf("54.239.%d.%d", 20+e.src.IntN(60), 1+e.src.IntN(250)))
+		q, err := pcap.NewDNSQuestion(srv.Domain)
 		if err != nil {
 			return nil, err
 		}
-		dns, err := dnsExchange(t, EchoIP, e.newPort(), srv.Domain, addr, e.src)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, dns...)
+		a := 20 + e.src.IntN(60)
+		b := 1 + e.src.IntN(250)
+		addr := netip.AddrFrom4([4]byte{54, 239, byte(a), byte(b)})
+		dns := dnsExchange(t, EchoIP, e.newPort(), q, addr, e.src)
+		out = append(out, dns[:]...)
 		conn, next := e.connectPackets(dns[1].Time.Add(intraSpikeGap(e.src)), e.newPort(), addr, srv.Signature)
 		out = append(out, conn...)
 		t = next.Add(time.Duration(e.src.Uniform(200, 800)) * time.Millisecond)
@@ -161,11 +155,8 @@ func (e *Echo) Reconnect(t time.Time, withDNS bool) ([]pcap.Packet, error) {
 	e.avsPort = e.newPort()
 	var out []pcap.Packet
 	if withDNS {
-		dns, err := dnsExchange(t, EchoIP, e.newPort(), AVSDomain, e.avsAddr, e.src)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, dns...)
+		dns := dnsExchange(t, EchoIP, e.newPort(), avsQuestion, e.avsAddr, e.src)
+		out = append(out, dns[:]...)
 		t = dns[1].Time.Add(intraSpikeGap(e.src))
 	}
 	conn, _ := e.connectPackets(t, e.avsPort, e.avsAddr, e.signature)

@@ -1,7 +1,6 @@
 package trafficgen
 
 import (
-	"fmt"
 	"net/netip"
 	"time"
 
@@ -24,6 +23,7 @@ type GHM struct {
 
 	src      *rng.Source
 	addr     netip.Addr
+	ip       string // addr.String(), cached per address
 	nextPort int
 	nextIP   int
 }
@@ -38,7 +38,7 @@ func NewGHM(src *rng.Source) *GHM {
 		nextPort:      50000,
 		nextIP:        1,
 	}
-	g.addr = g.newAddr()
+	g.setAddr(g.newAddr())
 	return g
 }
 
@@ -51,15 +51,18 @@ func (g *GHM) newPort() int {
 }
 
 func (g *GHM) newAddr() netip.Addr {
-	addr, err := netip.ParseAddr(fmt.Sprintf("142.250.65.%d", g.nextIP))
-	if err != nil {
-		panic(err) // unreachable: address is well-formed by construction
-	}
+	addr := netip.AddrFrom4([4]byte{142, 250, 65, byte(g.nextIP)})
 	g.nextIP++
 	if g.nextIP > 254 {
 		g.nextIP = 1
 	}
 	return addr
+}
+
+// setAddr moves the speaker to a new cloud address.
+func (g *GHM) setAddr(addr netip.Addr) {
+	g.addr = addr
+	g.ip = addr.String()
 }
 
 // Invocation generates one on-demand voice-command invocation
@@ -74,13 +77,10 @@ func (g *GHM) Invocation(t time.Time) (Invocation, error) {
 	if !g.src.Bool(g.CachedDNSProb) {
 		// Fresh resolution; the cloud address may rotate.
 		if g.src.Bool(0.3) {
-			g.addr = g.newAddr()
+			g.setAddr(g.newAddr())
 		}
-		dns, err := dnsExchange(t, GHMIP, g.newPort(), GoogleDomain, g.addr, g.src)
-		if err != nil {
-			return Invocation{}, err
-		}
-		inv.Setup = append(inv.Setup, dns...)
+		dns := dnsExchange(t, GHMIP, g.newPort(), googleQuestion, g.addr, g.src)
+		inv.Setup = append(inv.Setup, dns[:]...)
 		t = dns[1].Time.Add(intraSpikeGap(g.src))
 	}
 
@@ -90,7 +90,7 @@ func (g *GHM) Invocation(t time.Time) (Invocation, error) {
 		inv.Setup = append(inv.Setup, g.quicPacket(t, port, 1200+g.src.IntN(52)))
 		t = t.Add(intraSpikeGap(g.src))
 	} else {
-		inv.Setup = append(inv.Setup, handshakePacket(t, GHMIP, port, g.addr.String(), TLSPort, 230+g.src.IntN(80)))
+		inv.Setup = append(inv.Setup, handshakePacket(t, GHMIP, port, g.ip, TLSPort, 230+g.src.IntN(80)))
 		t = t.Add(intraSpikeGap(g.src))
 	}
 
@@ -101,7 +101,7 @@ func (g *GHM) Invocation(t time.Time) (Invocation, error) {
 		if quic {
 			packets = append(packets, g.quicPacket(t, port, length))
 		} else {
-			packets = append(packets, appDataPacket(t, GHMIP, port, g.addr.String(), TLSPort, length))
+			packets = append(packets, appDataPacket(t, GHMIP, port, g.ip, TLSPort, length))
 		}
 		t = t.Add(intraSpikeGap(g.src))
 	}
@@ -109,14 +109,19 @@ func (g *GHM) Invocation(t time.Time) (Invocation, error) {
 	return inv, nil
 }
 
+// quicZeros backs every QUIC datagram's zero-filled payload: a
+// length-n payload is quicZeros[:n:n], shared and never mutated. It
+// covers the longest datagram Invocation draws (1349 bytes).
+var quicZeros [1350]byte
+
 // quicPacket builds a QUIC/UDP datagram of the given payload length.
 func (g *GHM) quicPacket(t time.Time, port, length int) pcap.Packet {
 	return pcap.Packet{
 		Time:  t,
 		SrcIP: GHMIP, SrcPort: port,
-		DstIP: g.addr.String(), DstPort: QUICPort,
+		DstIP: g.ip, DstPort: QUICPort,
 		Proto:   pcap.UDP,
 		Len:     length,
-		Payload: make([]byte, length),
+		Payload: quicZeros[:length:length],
 	}
 }

@@ -142,48 +142,71 @@ func (inv Invocation) CommandSpike() LabeledSpike {
 	return LabeledSpike{}
 }
 
-// appDataCache interns the zero-filled application-data payloads by
-// wire length. The generators emit the same few dozen signature
-// lengths millions of times over a simulated week; every emission of a
-// given length is byte-identical, so one shared slice serves them all.
-// Consumers (ParseRecords copies bodies; IsAppData reads headers in
-// place) never mutate packet payloads.
+// recordSmall and recordBig intern the zero-bodied TLS records the
+// generators emit, keyed by record type and wire length. The
+// generators emit at most a few thousand (type, length) pairs,
+// millions of times over a simulated week; every emission of a pair is
+// byte-identical, so one shared slice serves them all. Consumers
+// (ParseRecords copies bodies; IsAppData reads headers in place) never
+// mutate packet payloads.
 //
 // Every generator length fits the fixed table, so the common case is
 // one atomic pointer load; the map is a fallback for out-of-range
-// lengths from external callers.
-const appDataCacheMax = 2048
+// lengths from external callers (SetConnectSignature).
+const recordCacheMax = 2048
+
+// recordHeaderLen is the TLS record header: type, version, length.
+const recordHeaderLen = 5
 
 var (
-	appDataSmall [appDataCacheMax]atomic.Pointer[[]byte]
-	appDataBig   sync.Map // int (wire length) -> []byte
+	recordSmall [4][recordCacheMax]atomic.Pointer[[]byte] // [type - ChangeCipherSpec][wire length]
+	recordBig   sync.Map                                  // recordKey -> []byte
 )
 
-// mustAppData builds an application-data payload of the given wire
+type recordKey struct {
+	typ     pcap.RecordType
+	wireLen int
+}
+
+// mustRecord returns a TLS 1.2 record of the given type whose body is
+// wireLen-5 zero bytes. The returned slice is shared and must not be
+// mutated.
+func mustRecord(typ pcap.RecordType, wireLen int) []byte {
+	if wireLen >= recordCacheMax {
+		key := recordKey{typ, wireLen}
+		if b, ok := recordBig.Load(key); ok {
+			return b.([]byte)
+		}
+		b, _ := recordBig.LoadOrStore(key, zeroRecord(typ, wireLen))
+		return b.([]byte)
+	}
+	slot := &recordSmall[typ-pcap.RecordChangeCipherSpec][wireLen]
+	if p := slot.Load(); p != nil {
+		return *p
+	}
+	b := zeroRecord(typ, wireLen)
+	slot.Store(&b)
+	return b
+}
+
+// zeroRecord encodes a zero-bodied record of the given wire length.
+func zeroRecord(typ pcap.RecordType, wireLen int) []byte {
+	return pcap.EncodeRecord(pcap.Record{
+		Type:    typ,
+		Version: pcap.TLS12Version,
+		Payload: make([]byte, wireLen-recordHeaderLen),
+	})
+}
+
+// mustAppData returns an application-data payload of the given wire
 // length, padding undersized lengths up to the minimum record size.
 // Signature lengths in this package are all >= 5 bytes. The returned
 // slice is shared and must not be mutated.
 func mustAppData(wireLen int) []byte {
-	if wireLen < 5 {
-		wireLen = 5
+	if wireLen < recordHeaderLen {
+		wireLen = recordHeaderLen
 	}
-	if wireLen < appDataCacheMax {
-		if p := appDataSmall[wireLen].Load(); p != nil {
-			return *p
-		}
-	} else if b, ok := appDataBig.Load(wireLen); ok {
-		return b.([]byte)
-	}
-	b, err := pcap.AppData(wireLen)
-	if err != nil {
-		panic(err) // unreachable: length clamped above
-	}
-	if wireLen < appDataCacheMax {
-		appDataSmall[wireLen].Store(&b)
-	} else {
-		appDataBig.Store(wireLen, b)
-	}
-	return b
+	return mustRecord(pcap.RecordApplicationData, wireLen)
 }
 
 // appDataPacket builds a client-to-server application-data packet.
@@ -201,11 +224,7 @@ func appDataPacket(t time.Time, srcIP string, srcPort int, dstIP string, dstPort
 
 // handshakePacket builds a TLS handshake packet (ClientHello etc.).
 func handshakePacket(t time.Time, srcIP string, srcPort int, dstIP string, dstPort int, payloadLen int) pcap.Packet {
-	payload := pcap.EncodeRecord(pcap.Record{
-		Type:    pcap.RecordHandshake,
-		Version: pcap.TLS12Version,
-		Payload: make([]byte, payloadLen),
-	})
+	payload := mustRecord(pcap.RecordHandshake, recordHeaderLen+payloadLen)
 	return pcap.Packet{
 		Time:  t,
 		SrcIP: srcIP, SrcPort: srcPort,
@@ -216,33 +235,43 @@ func handshakePacket(t time.Time, srcIP string, srcPort int, dstIP string, dstPo
 	}
 }
 
-// dnsExchange builds a query/response pair for name resolving to
-// addr. The response arrives 10-40 ms after the query.
-func dnsExchange(t time.Time, clientIP string, clientPort int, name string, addr netip.Addr, src *rng.Source) ([]pcap.Packet, error) {
+// mustQuestion pre-encodes the DNS question for one of the
+// generators' fixed, well-formed domain names.
+func mustQuestion(name string) pcap.DNSQuestion {
+	q, err := pcap.NewDNSQuestion(name)
+	if err != nil {
+		panic(err) // unreachable: every generator domain is well-formed
+	}
+	return q
+}
+
+// The speakers' own cloud domains, encoded once.
+var (
+	avsQuestion    = mustQuestion(AVSDomain)
+	googleQuestion = mustQuestion(GoogleDomain)
+)
+
+// dnsExchange builds a query/response pair for q resolving to the
+// IPv4 address addr. The response arrives 10-40 ms after the query.
+func dnsExchange(t time.Time, clientIP string, clientPort int, q pcap.DNSQuestion, addr netip.Addr, src *rng.Source) [2]pcap.Packet {
 	id := uint16(src.IntN(1 << 16))
-	q, err := pcap.EncodeDNSQuery(id, name)
-	if err != nil {
-		return nil, err
-	}
-	r, err := pcap.EncodeDNSResponse(id, name, addr)
-	if err != nil {
-		return nil, err
-	}
+	query := q.Query(id)
+	resp := q.Response(id, addr.As4())
 	latency := time.Duration(src.Uniform(10, 40)) * time.Millisecond
-	return []pcap.Packet{
+	return [2]pcap.Packet{
 		{
 			Time:  t,
 			SrcIP: clientIP, SrcPort: clientPort,
 			DstIP: RouterIP, DstPort: pcap.DNSPort,
-			Proto: pcap.UDP, Len: len(q), Payload: q,
+			Proto: pcap.UDP, Len: len(query), Payload: query,
 		},
 		{
 			Time:  t.Add(latency),
 			SrcIP: RouterIP, SrcPort: pcap.DNSPort,
 			DstIP: clientIP, DstPort: clientPort,
-			Proto: pcap.UDP, Len: len(r), Payload: r,
+			Proto: pcap.UDP, Len: len(resp), Payload: resp,
 		},
-	}, nil
+	}
 }
 
 // intraSpikeGap draws a sub-second inter-packet interval, keeping the
