@@ -156,9 +156,8 @@ func fleetBenchConfig() scenario.FleetConfig {
 // sharded manager. homes_per_sec is the fleet engine's headline
 // number, tracked by the CI bench gate; its speedup over
 // BenchmarkFleetSequentialBaseline comes from shard fan-out across
-// the worker pool plus the shared immutable caches (one plan pointer
-// and one radio shadow field per floorplan kind, instead of one per
-// home).
+// the worker pool plus floorplans built once per fleet instead of
+// once per home.
 func BenchmarkFleet(b *testing.B) {
 	cfg := fleetBenchConfig()
 	cfg.Plans = scenario.NewFleetPlans()
@@ -182,8 +181,7 @@ func BenchmarkFleet(b *testing.B) {
 
 // BenchmarkFleetSequentialBaseline is the naive loop the fleet engine
 // replaces: the same homes, one scenario.Run after another, each home
-// paying for its own floorplan and radio field (fresh plans, radio
-// seeded from the home seed). The BenchmarkFleet /
+// paying for its own floorplans. The BenchmarkFleet /
 // BenchmarkFleetSequentialBaseline homes_per_sec ratio is the
 // engine's measured speedup.
 func BenchmarkFleetSequentialBaseline(b *testing.B) {
@@ -193,9 +191,7 @@ func BenchmarkFleetSequentialBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for h := 0; h < cfg.Homes; h++ {
-			hc := scenario.FleetHomeConfig(cfg.Seed, h, cfg.Days, scenario.FleetPlans{})
-			hc.RadioSeed = 0 // per-home radio field, the pre-fleet behaviour
-			out, err := scenario.Run(hc)
+			out, err := scenario.Run(scenario.FleetHomeConfig(cfg.Seed, h, cfg.Days, scenario.FleetPlans{}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -344,10 +340,7 @@ func BenchmarkAblationDNSOnly(b *testing.B) {
 			dnsOnly.Observe(p)
 			full.Observe(p)
 		}
-		reconnect, err := echo.Reconnect(time.Date(2023, 3, 1, 1, 0, 0, 0, time.UTC), false)
-		if err != nil {
-			b.Fatal(err)
-		}
+		reconnect := echo.Reconnect(time.Date(2023, 3, 1, 1, 0, 0, 0, time.UTC), false)
 		for _, p := range reconnect {
 			dnsOnly.Observe(p)
 			full.Observe(p)
@@ -482,19 +475,13 @@ func BenchmarkAdaptiveSignatureLearning(b *testing.B) {
 		echo.SetConnectSignature([]int{88, 42, 700, 140, 77, 140, 200, 81})
 		at := time.Date(2023, 3, 1, 1, 0, 0, 0, time.UTC)
 		for j := 0; j < 4; j++ {
-			packets, err := echo.Reconnect(at, true)
-			if err != nil {
-				b.Fatal(err)
-			}
+			packets := echo.Reconnect(at, true)
 			for _, p := range packets {
 				tr.Observe(p)
 			}
 			at = at.Add(time.Minute)
 		}
-		packets, err := echo.Reconnect(at, false)
-		if err != nil {
-			b.Fatal(err)
-		}
+		packets := echo.Reconnect(at, false)
 		for _, p := range packets {
 			tr.Observe(p)
 		}

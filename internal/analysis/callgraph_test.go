@@ -68,16 +68,22 @@ func TestGraphStaticEdgesAndFacts(t *testing.T) {
 		t.Errorf("Manager.RunRound: expected a Block fact (parallel.Do fan-out), got %+v", facts)
 	}
 
-	// The radio memo-miss path allocates (Sprintf key) and draws from
-	// the seeded stream: both facts must be summarized.
-	radioPkg := modulePkg(t, m, "voiceguard/internal/radio")
-	uncached := findFunc(t, radioPkg, "Model", "shadowAtUncached")
-	f := g.Facts(uncached)
-	if f == nil || f.Alloc == nil {
-		t.Errorf("shadowAtUncached: expected an Alloc fact, got %+v", f)
+	// Position.String formats (an Alloc fact); Model.Sample draws its
+	// measurement noise from the caller's stream (an RNGDraw fact).
+	floorplanPkg := modulePkg(t, m, "voiceguard/internal/floorplan")
+	str := findFunc(t, floorplanPkg, "Position", "String")
+	if f := g.Facts(str); f == nil || f.Alloc == nil {
+		t.Errorf("Position.String: expected an Alloc fact, got %+v", f)
 	}
-	if f == nil || f.RNGDraw == nil {
-		t.Errorf("shadowAtUncached: expected an RNGDraw fact, got %+v", f)
+	radioPkg := modulePkg(t, m, "voiceguard/internal/radio")
+	sample := findFunc(t, radioPkg, "Model", "Sample")
+	if f := g.Facts(sample); f == nil || f.RNGDraw == nil {
+		t.Errorf("Model.Sample: expected an RNGDraw fact, got %+v", f)
+	}
+	// shadowAt derives its value through the pure KeyedNormal: no
+	// state-consuming draw of its own.
+	if f := g.Facts(findFunc(t, radioPkg, "Model", "shadowAt")); f != nil && f.RNGDraw != nil {
+		t.Errorf("Model.shadowAt: KeyedNormal is pure, got RNGDraw fact %+v", f.RNGDraw)
 	}
 }
 

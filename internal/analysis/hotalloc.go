@@ -7,11 +7,13 @@ import (
 )
 
 // hotFuncs designates the allocation-free hot paths: the per-sample
-// radio field, the wall-loss memo, the zero-copy proxy pumps, the
+// radio field, the wall-loss loop, the zero-copy proxy pumps, the
 // live plane's per-chunk tap, the per-packet spike classifiers, and
 // the traffic generators' per-packet builders and background stream.
-// BenchmarkRadioSample / BenchmarkProxyThroughput pin the radio and
-// proxy paths at 0 allocs/op; this rule keeps the cheap-to-introduce
+// BenchmarkProxyThroughput pins the proxy path at 0 allocs/op and
+// BenchmarkRadioSample the radio path at 1 (16 B: the shadow draw's
+// PCG state, which escapes through rand.Rand's Source interface);
+// this rule keeps the cheap-to-introduce
 // allocation sources (formatting, string concatenation,
 // string<->[]byte conversions) out of them mechanically. Functions
 // are matched by name within the package, so methods are listed by
@@ -19,13 +21,12 @@ import (
 var hotFuncs = map[string]map[string]bool{
 	"voiceguard/internal/radio": {
 		"PathRSSI": true, "Mean": true, "shadowAt": true,
-		"shadowAtUncached": true, "Sample": true, "AverageAt": true,
+		"Sample": true, "AverageAt": true,
 		"SampleBatch": true, "SampleRepeat": true, "AverageAtBatch": true,
 		"MeanBatch": true, "SampleFromMeans": true,
 	},
 	"voiceguard/internal/floorplan": {
-		"WallLoss": true, "wallLossUncached": true, "LineOfSight": true,
-		"shardFor": true, "get": true, "put": true,
+		"WallLoss": true, "LineOfSight": true,
 	},
 	"voiceguard/internal/proxy": {
 		"clientToServer": true, "serverToClient": true, "forward": true,
@@ -59,8 +60,8 @@ var hotFuncs = map[string]map[string]bool{
 // string<->[]byte conversions — directly in the body, and (via the
 // module call graph) in any non-hot helper the function reaches
 // within hotAllocDepth calls. Helpers that are themselves designated
-// hot are skipped: their own direct findings (and suppressions, for
-// the memo-miss compute-through paths) govern them.
+// hot are skipped: their own direct findings (and suppressions)
+// govern them.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "designated hot functions must stay allocation-free: no fmt, string concatenation, or string<->[]byte conversion, directly or through reachable helpers",

@@ -22,9 +22,9 @@ var sharedStreamTypes = []struct{ pkg, name string }{
 }
 
 // splitMethods are the rng.Source derivations that are safe on a
-// shared root: Split/SplitN are pure functions of the parent seed and
-// the label, consuming no parent state.
-var splitMethods = map[string]bool{"Split": true, "SplitN": true}
+// shared root: Split/SplitN/KeyedNormal are pure functions of the
+// parent seed and their keys, consuming no parent state.
+var splitMethods = map[string]bool{"Split": true, "SplitN": true, "KeyedNormal": true}
 
 // RNGShare flags a *rng.Source, *ble.Scanner, or traffic generator
 // captured from an enclosing scope and consumed inside a `go`

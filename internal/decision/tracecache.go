@@ -6,6 +6,7 @@ import (
 
 	"voiceguard/internal/ble"
 	"voiceguard/internal/floorplan"
+	"voiceguard/internal/metrics"
 	"voiceguard/internal/mobility"
 	"voiceguard/internal/radio"
 )
@@ -44,6 +45,17 @@ var traceMeans struct {
 // without inserting (correctness unaffected).
 const traceMeanCacheCap = 16384
 
+// Memo counters on metrics.Default: one add per lookup.
+const (
+	MetricTraceMeanHits   = "decision_trace_mean_hits_total"
+	MetricTraceMeanMisses = "decision_trace_mean_misses_total"
+)
+
+var (
+	mTraceMeanHits   = metrics.NewCounter(MetricTraceMeanHits)
+	mTraceMeanMisses = metrics.NewCounter(MetricTraceMeanMisses)
+)
+
 // traceMeanVector returns the deterministic link means for n samples
 // along the path, step apart, starting at offset — memoized, and
 // bit-identical to sampling the positions through radio.MeanBatch
@@ -57,8 +69,10 @@ func traceMeanVector(sc *ble.Scanner, adv ble.Advertiser, path *mobility.Path, o
 	means, ok := traceMeans.m[key]
 	traceMeans.mu.RUnlock()
 	if ok {
+		mTraceMeanHits.Inc()
 		return means
 	}
+	mTraceMeanMisses.Inc()
 
 	positions := make([]floorplan.Position, n)
 	path.SampleInto(offset, step, positions)

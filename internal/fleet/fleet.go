@@ -17,12 +17,11 @@
 // meaning — a tenant registered during round k joins at the next
 // round with its own day 0.
 //
-// What tenants share is exactly the immutable caches: the
-// process-global radio shadow-field memo, each floorplan's WallLoss
-// memo, and the mobility route/path memos. Callers opt into that
-// sharing by giving homes the same *floorplan.Plan pointer and the
-// same radio seed (see scenario.FleetHomeConfig); the fleet engine
-// itself never copies or duplicates per-home state.
+// What tenants share is exactly the immutable state: floorplans and
+// the process-global mobility path and trace-mean memos. Callers opt
+// into plan sharing by giving homes the same *floorplan.Plan pointer
+// (see scenario.FleetHomeConfig); the fleet engine itself never
+// copies or duplicates per-home state.
 package fleet
 
 import (

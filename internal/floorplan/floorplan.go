@@ -125,11 +125,6 @@ type Plan struct {
 	Routes    map[string]Route
 
 	byID map[int]Location
-
-	// wallLosses memoizes WallLoss per exact position pair; see
-	// cache.go. Guarded for concurrent readers, so one plan can be
-	// shared across parallel trials.
-	wallLosses wallCache
 }
 
 // Location returns the measurement location with the given 1-based ID.
@@ -216,38 +211,42 @@ func (p *Plan) LocationsInRoom(name string) []int {
 // the horizontal projection on the lower floor; the radio model
 // combines this with the floor penetration loss.
 //
-// Results are memoized per exact position pair and safe for
-// concurrent callers; the memo never changes a returned value, only
-// how fast it comes back.
+// A wall whose bounding box lies wholly outside the path's (widened by
+// the intersection test's tolerance) cannot touch the path, so it is
+// rejected before the exact segment test.
 func (p *Plan) WallLoss(a, b Position) (loss float64, crossings int) {
-	key := wallKey{
-		aFloor: a.Floor, bFloor: b.Floor,
-		ax: a.At.X, ay: a.At.Y, bx: b.At.X, by: b.At.Y,
-	}
-	if v, ok := p.wallLosses.get(key); ok {
-		return v.loss, v.crossings
-	}
-	loss, crossings = p.wallLossUncached(a, b)
-	p.wallLosses.put(key, wallVal{loss: loss, crossings: crossings})
-	return loss, crossings
-}
-
-// wallLossUncached is the direct geometric computation behind
-// WallLoss.
-func (p *Plan) wallLossUncached(a, b Position) (loss float64, crossings int) {
 	floor := a.Floor
 	if b.Floor < floor {
 		floor = b.Floor
 	}
+	minX, maxX := a.At.X, b.At.X
+	if minX > maxX {
+		minX, maxX = maxX, minX
+	}
+	minY, maxY := a.At.Y, b.At.Y
+	if minY > maxY {
+		minY, maxY = maxY, minY
+	}
+	minX, maxX, minY, maxY = minX-bboxSlack, maxX+bboxSlack, minY-bboxSlack, maxY+bboxSlack
 	path := geom.Segment{A: a.At, B: b.At}
 	for _, w := range p.Walls[floor] {
-		if path.Intersects(w.Seg) {
+		s := w.Seg
+		if (s.A.X < minX && s.B.X < minX) || (s.A.X > maxX && s.B.X > maxX) ||
+			(s.A.Y < minY && s.B.Y < minY) || (s.A.Y > maxY && s.B.Y > maxY) {
+			continue
+		}
+		if path.Intersects(s) {
 			loss += w.Loss
 			crossings++
 		}
 	}
 	return loss, crossings
 }
+
+// bboxSlack widens WallLoss's bounding-box reject past geom's
+// intersection tolerance (1e-9 m), so the reject never drops a wall
+// the exact test would count as touching.
+const bboxSlack = 1e-6
 
 // LineOfSight reports whether two positions are on the same floor with
 // no wall between them.

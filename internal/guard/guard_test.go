@@ -260,10 +260,7 @@ func TestGHMGuardImmediateQuery(t *testing.T) {
 	events := collect(g)
 	g.DispatchDelay = 350 * time.Millisecond
 
-	inv, err := ghm.Invocation(epoch.Add(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv := ghm.Invocation(epoch.Add(time.Minute))
 	for _, p := range inv.All() {
 		clock.AdvanceTo(p.Time)
 		g.Feed(p)

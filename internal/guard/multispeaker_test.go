@@ -79,10 +79,7 @@ func TestDualSpeakerDeployment(t *testing.T) {
 	// Interleave invocations on both speakers: merge their packets
 	// into one stream, as a real capture would see them.
 	echoInv := echoGen.Invocation(clock.Now().Add(time.Minute), 1)
-	ghmInv, err := ghmGen.Invocation(clock.Now().Add(time.Minute).Add(700 * time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ghmInv := ghmGen.Invocation(clock.Now().Add(time.Minute).Add(700 * time.Millisecond))
 	merged := append(echoInv.All(), ghmInv.All()...)
 	pcap.SortByTime(merged)
 	feed(merged)
@@ -119,10 +116,7 @@ func TestDualSpeakerIsolation(t *testing.T) {
 	router.Add(trafficgen.GHMIP, ghmGuard)
 
 	ghmGen := trafficgen.NewGHM(root.Split("traffic"))
-	inv, err := ghmGen.Invocation(epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv := ghmGen.Invocation(epoch)
 	for _, p := range inv.All() {
 		clock.AdvanceTo(p.Time)
 		router.Feed(p)

@@ -12,6 +12,7 @@ import (
 
 	"voiceguard/internal/floorplan"
 	"voiceguard/internal/geom"
+	"voiceguard/internal/metrics"
 	"voiceguard/internal/rng"
 )
 
@@ -66,6 +67,22 @@ var routeCache struct {
 // misses compute without inserting (correctness unaffected).
 const routeCacheCap = 8192
 
+// Memo counters on metrics.Default: one add per route or wander
+// lookup.
+const (
+	MetricRouteHits    = "mobility_route_hits_total"
+	MetricRouteMisses  = "mobility_route_misses_total"
+	MetricWanderHits   = "mobility_wander_hits_total"
+	MetricWanderMisses = "mobility_wander_misses_total"
+)
+
+var (
+	mRouteHits    = metrics.NewCounter(MetricRouteHits)
+	mRouteMisses  = metrics.NewCounter(MetricRouteMisses)
+	mWanderHits   = metrics.NewCounter(MetricWanderHits)
+	mWanderMisses = metrics.NewCounter(MetricWanderMisses)
+)
+
 func routeLookup(key routeKey, waypoints []floorplan.Position) (*Path, bool) {
 	routeCache.mu.RLock()
 	defer routeCache.mu.RUnlock()
@@ -76,8 +93,10 @@ entries:
 				continue entries
 			}
 		}
+		mRouteHits.Inc()
 		return e.path, true
 	}
+	mRouteMisses.Inc()
 	return nil, false
 }
 
@@ -172,9 +191,11 @@ func wanderLookup(key wanderKey, poly geom.Polygon) (*Path, bool) {
 	defer wanderCache.mu.RUnlock()
 	for _, e := range wanderCache.m[key] {
 		if e.poly.Equal(poly) {
+			mWanderHits.Inc()
 			return e.path, true
 		}
 	}
+	mWanderMisses.Inc()
 	return nil, false
 }
 

@@ -25,10 +25,7 @@ func dnsSeeds(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reconnect, err := e.Reconnect(t0.Add(time.Hour), true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reconnect := e.Reconnect(t0.Add(time.Hour), true)
 	for _, p := range append(boot, reconnect...) {
 		keep(p)
 	}

@@ -13,7 +13,6 @@
 package radio
 
 import (
-	"fmt"
 	"math"
 
 	"voiceguard/internal/floorplan"
@@ -75,11 +74,11 @@ var (
 
 // Model computes RSSI between positions on a floor plan.
 //
-// A Model is safe for concurrent use: the shadow-field memo is
-// guarded for concurrent readers, so one model can back many parallel
-// trials. The rng.Source arguments of Sample/SampleN/AverageAt are
-// NOT safe to share — each concurrent caller must bring its own
-// split stream.
+// A Model is safe for concurrent use: it is immutable after
+// construction and derives every shadow value from its seed, so one
+// model can back many parallel trials. The rng.Source arguments of
+// Sample/SampleN/AverageAt are NOT safe to share — each concurrent
+// caller must bring its own split stream.
 type Model struct {
 	plan   *floorplan.Plan
 	params Params
@@ -164,41 +163,23 @@ func (m *Model) Mean(tx, rx floorplan.Position) float64 {
 }
 
 // shadowAt returns the static shadowing (dB) for the link, keyed by
-// the transmitter position and the receiver's 0.5 m grid cell so that
-// nearby receiver positions share a shadow value (spatial coherence
-// for walking traces). Values are memoized in a process-global cache
-// keyed by the shadow stream's seed and sigma, so same-seed models
-// share the warmed field; hits are bit-identical to the uncached
-// derivation (see cache.go).
+// the transmitter position (to 0.1 m) and the receiver's 0.5 m grid
+// cell so that nearby receiver positions share a shadow value (spatial
+// coherence for walking traces). The value is derived afresh on every
+// call: the first normal draw of the shadow stream's child keyed by
+// the quantized link, scaled by the shadowing std-dev.
 func (m *Model) shadowAt(tx, rx floorplan.Position) float64 {
 	if m.params.ShadowSigma == 0 {
 		return 0
 	}
-	key := shadowKey{
-		seed: m.shadow.Seed(), sigma: m.params.ShadowSigma,
-		txFloor: tx.Floor, txX: tx.At.X, txY: tx.At.Y,
-		rxFloor: rx.Floor,
-		cx:      int(math.Floor(rx.At.X * 2)),
-		cy:      int(math.Floor(rx.At.Y * 2)),
-	}
-	if v, ok := globalShadows.get(key); ok {
-		return v
-	}
-	v := m.shadowAtUncached(tx, rx)
-	globalShadows.put(key, v)
-	return v
-}
-
-// shadowAtUncached is the original per-call derivation: a string key
-// over the quantized link, hashed into a fresh split of the model's
-// shadow stream. It remains the source of truth the memo serves.
-func (m *Model) shadowAtUncached(tx, rx floorplan.Position) float64 {
-	//vglint:allow hotalloc miss path only: the memo in shadowAt serves hits; this Sprintf is the seeded source of truth hits must stay bit-identical to
-	key := fmt.Sprintf("%d:%.1f:%.1f|%d:%d:%d",
-		tx.Floor, tx.At.X, tx.At.Y,
-		rx.Floor, int(math.Floor(rx.At.X*2)), int(math.Floor(rx.At.Y*2)))
-	//vglint:allow hotalloc miss path only: Split hashes the key through []byte once per uncached cell; hits never get here
-	return m.shadow.Split(key).Normal(0, m.params.ShadowSigma)
+	return m.params.ShadowSigma * m.shadow.KeyedNormal(
+		uint64(tx.Floor),
+		uint64(int64(math.Round(10*tx.At.X))),
+		uint64(int64(math.Round(10*tx.At.Y))),
+		uint64(rx.Floor),
+		uint64(int64(math.Floor(2*rx.At.X))),
+		uint64(int64(math.Floor(2*rx.At.Y))),
+	)
 }
 
 // Measurement is a single RSSI reading.

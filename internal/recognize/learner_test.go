@@ -26,10 +26,7 @@ func feedLearner(l *SignatureLearner, packets []pcap.Packet) bool {
 func observeConnections(t *testing.T, l *SignatureLearner, e *trafficgen.Echo, n int, start time.Time) time.Time {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		packets, err := e.Reconnect(start, true /* with DNS, so the flow is labelled */)
-		if err != nil {
-			t.Fatal(err)
-		}
+		packets := e.Reconnect(start, true /* with DNS, so the flow is labelled */)
 		feedLearner(l, packets)
 		start = start.Add(time.Minute)
 	}
@@ -81,10 +78,7 @@ func TestLearnerIgnoresUnlabelledFlows(t *testing.T) {
 	// Reconnects without DNS: the destination is never labelled.
 	at := t0
 	for i := 0; i < 5; i++ {
-		packets, err := e.Reconnect(at, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		packets := e.Reconnect(at, false)
 		feedLearner(l, packets)
 		at = at.Add(time.Minute)
 	}
@@ -159,10 +153,7 @@ func TestAdaptiveTrackerSurvivesSignatureChange(t *testing.T) {
 	e.SetConnectSignature(updated)
 	at := t0.Add(time.Hour)
 	for i := 0; i < 4; i++ {
-		packets, err := e.Reconnect(at, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		packets := e.Reconnect(at, true)
 		for _, p := range packets {
 			tr.Observe(p)
 		}
@@ -171,10 +162,7 @@ func TestAdaptiveTrackerSurvivesSignatureChange(t *testing.T) {
 
 	// Now a cached reconnect with no DNS: only the relearned
 	// signature can follow it.
-	packets, err := e.Reconnect(at, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packets := e.Reconnect(at, false)
 	for _, p := range packets {
 		tr.Observe(p)
 	}
@@ -201,10 +189,7 @@ func TestStaticTrackerLosesChangedSignature(t *testing.T) {
 	old, _ := tr.Current()
 
 	e.SetConnectSignature([]int{88, 42, 700, 140, 77, 140, 200, 81})
-	packets, err := e.Reconnect(t0.Add(time.Hour), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packets := e.Reconnect(t0.Add(time.Hour), false)
 	for _, p := range packets {
 		tr.Observe(p)
 	}

@@ -166,10 +166,7 @@ func TestTrackerFollowsCachedReconnectViaSignature(t *testing.T) {
 	for _, p := range boot {
 		tr.Observe(p)
 	}
-	reconnect, err := e.Reconnect(t0.Add(time.Hour), false /* no DNS */)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reconnect := e.Reconnect(t0.Add(time.Hour), false /* no DNS */)
 	for _, p := range reconnect {
 		tr.Observe(p)
 	}
@@ -191,10 +188,7 @@ func TestDNSOnlyTrackerMissesCachedReconnect(t *testing.T) {
 		tr.Observe(p)
 	}
 	old, _ := tr.Current()
-	reconnect, err := e.Reconnect(t0.Add(time.Hour), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reconnect := e.Reconnect(t0.Add(time.Hour), false)
 	for _, p := range reconnect {
 		tr.Observe(p)
 	}
@@ -334,10 +328,7 @@ func TestRecognizerEchoFollowsReconnect(t *testing.T) {
 	for _, p := range boot {
 		r.Feed(p)
 	}
-	reconnect, err := e.Reconnect(t0.Add(10*time.Minute), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reconnect := e.Reconnect(t0.Add(10*time.Minute), false)
 	for _, p := range reconnect {
 		r.Feed(p)
 	}
@@ -390,10 +381,7 @@ func TestRecognizerGHM(t *testing.T) {
 	g := trafficgen.NewGHM(rng.New(11))
 	r := NewGHM(trafficgen.GHMIP)
 	for i := 0; i < 20; i++ {
-		inv, err := g.Invocation(t0.Add(time.Duration(i) * 5 * time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
+		inv := g.Invocation(t0.Add(time.Duration(i) * 5 * time.Minute))
 		commands := 0
 		for _, p := range inv.All() {
 			if a := r.Feed(p); a == ActionCommand {

@@ -5,37 +5,72 @@
 // stream derived from a root seed and a label, so adding randomness to
 // one component never perturbs another and whole experiments replay
 // bit-identically.
+//
+// Child seeds are derived statelessly with the SplitMix64 finalizer
+// (Steele, Lea & Flood, "Fast splittable pseudorandom number
+// generators", OOPSLA 2014), and each stream draws from a math/rand/v2
+// PCG. Deriving a child costs a few multiplies and one small
+// allocation; no generator state is built until the first draw.
 package rng
 
 import (
-	"hash/fnv"
 	"math"
-	"math/rand"
-	"strconv"
+	"math/rand/v2"
 )
+
+// golden is the SplitMix64 increment (2^64 / φ, odd).
+const golden = 0x9e3779b97f4a7c15
+
+// mix is the SplitMix64 step: add the golden increment, then run the
+// variant-13 finalizer. It is a bijection on uint64.
+func mix(x uint64) uint64 {
+	x += golden
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// fnv1a64 is the 64-bit FNV-1a hash of s, read in place.
+func fnv1a64(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
 
 // Source is a deterministic random stream that supports
 // order-independent splitting into labelled child streams.
 //
-// The underlying generator is seeded lazily, on the first draw: the
-// math/rand lagged-Fibonacci source pays a ~600-step warmup per seed,
-// which is pure waste for the many split children that are created,
-// consulted for their seed (memoized path and shadow-field lookups),
-// and never drawn from.
+// The generator is seeded lazily, on the first draw, so split children
+// that are only consulted for their seed never build one.
 type Source struct {
 	r    *rand.Rand
+	pcg  rand.PCG
 	seed int64
 }
 
-// New returns a stream seeded with seed.
+// New returns a stream seeded with seed. All 64 bits of the seed
+// select the stream.
 func New(seed int64) *Source {
 	return &Source{seed: seed}
+}
+
+// seedPCG seeds p as the stream for seed.
+func seedPCG(p *rand.PCG, seed int64) {
+	s := uint64(seed)
+	p.Seed(s, mix(s^golden))
 }
 
 // rand returns the underlying generator, seeding it on first use.
 func (s *Source) rand() *rand.Rand {
 	if s.r == nil {
-		s.r = rand.New(rand.NewSource(s.seed))
+		seedPCG(&s.pcg, s.seed)
+		s.r = rand.New(&s.pcg)
 	}
 	return s.r
 }
@@ -48,29 +83,46 @@ func (s *Source) Seed() int64 { return s.seed }
 // keyed by Seed is only valid for fresh streams.
 func (s *Source) Fresh() bool { return s.r == nil }
 
+// splitSeed is the seed of the child keyed by label.
+func (s *Source) splitSeed(label string) uint64 {
+	return mix(uint64(s.seed) ^ mix(fnv1a64(label)))
+}
+
 // Split derives an independent child stream keyed by label. Splitting
 // is a pure function of the parent seed and the label — it does not
 // consume state from the parent, so the order in which children are
 // created does not matter.
 func (s *Source) Split(label string) *Source {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(strconv.FormatInt(s.seed, 16)))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(label))
-	return New(int64(h.Sum64()))
+	return New(int64(s.splitSeed(label)))
 }
 
 // SplitN derives a child stream keyed by label and an index, for
 // per-item streams (e.g. one per day, one per location).
 func (s *Source) SplitN(label string, n int) *Source {
-	return s.Split(label + "#" + strconv.Itoa(n))
+	return New(int64(mix(s.splitSeed(label) + uint64(n))))
+}
+
+// KeyedNormal returns the first standard-normal draw of the child
+// stream keyed by the integers ks, whose seed is h := Seed(), then
+// h = mix(h ^ k) for each k in order. Like Split it is a pure function
+// of the parent seed and its keys. The child's generator lives on the
+// caller's stack; only the PCG state (16 bytes) escapes, through
+// rand.Rand's Source interface.
+func (s *Source) KeyedNormal(ks ...uint64) float64 {
+	h := uint64(s.seed)
+	for _, k := range ks {
+		h = mix(h ^ k)
+	}
+	var p rand.PCG
+	seedPCG(&p, int64(h))
+	return rand.New(&p).NormFloat64()
 }
 
 // Float64 returns a uniform value in [0, 1).
 func (s *Source) Float64() float64 { return s.rand().Float64() }
 
 // IntN returns a uniform int in [0, n). n must be > 0.
-func (s *Source) IntN(n int) int { return s.rand().Intn(n) }
+func (s *Source) IntN(n int) int { return s.rand().IntN(n) }
 
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {

@@ -167,3 +167,65 @@ func TestLogNormalPositive(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedsDoNotAliasMod31 guards the whole 64-bit seed: seeds that
+// agree modulo 2^31-1 (the reduction math/rand's generator applies)
+// must still select different streams, both as root seeds and as
+// split children.
+func TestSeedsDoNotAliasMod31(t *testing.T) {
+	const m31 = 1<<31 - 1
+	for _, pair := range [][2]int64{{5, 5 + m31}, {-3, -3 + 4*m31}, {0, m31}} {
+		a, b := New(pair[0]), New(pair[1])
+		same := 0
+		for i := 0; i < 100; i++ {
+			if a.Float64() == b.Float64() {
+				same++
+			}
+		}
+		if same > 0 {
+			t.Errorf("New(%d) and New(%d) matched %d/100 draws", pair[0], pair[1], same)
+		}
+	}
+	// Children of congruent roots under one label.
+	a, b := New(5).Split("radio"), New(5+m31).Split("radio")
+	if a.Seed() == b.Seed() || a.Float64() == b.Float64() {
+		t.Error("children of roots congruent mod 2^31-1 alias")
+	}
+}
+
+// childSink makes split children escape, as they do in real callers.
+var childSink *Source
+
+// TestSplitAllocatesOnlyChild pins the derivation cost: Split and
+// SplitN hash in place and allocate just the child Source.
+func TestSplitAllocatesOnlyChild(t *testing.T) {
+	root := New(7)
+	if n := testing.AllocsPerRun(100, func() { childSink = root.Split("radio-shadow") }); n != 1 {
+		t.Errorf("Split allocates %v, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { childSink = root.SplitN("day", 12) }); n != 1 {
+		t.Errorf("SplitN allocates %v, want 1", n)
+	}
+}
+
+// TestKeyedNormalIsChildStreamFirstDraw checks the stack-built draw
+// against the child stream built on the heap from the documented key
+// chain, and that it consumes nothing from the parent.
+func TestKeyedNormalIsChildStreamFirstDraw(t *testing.T) {
+	root := New(11)
+	keys := []uint64{0, 12, 34, 1, 5, 1<<64 - 1}
+	h := uint64(root.Seed())
+	for _, k := range keys {
+		h = mix(h ^ k)
+	}
+	want := New(int64(h)).Normal(0, 1)
+	if got := root.KeyedNormal(keys...); got != want {
+		t.Fatalf("KeyedNormal = %v, child stream's first Normal = %v", got, want)
+	}
+	if !root.Fresh() {
+		t.Fatal("KeyedNormal drew from the parent stream")
+	}
+	if root.KeyedNormal(keys[:5]...) == want {
+		t.Fatal("dropping a key did not change the draw")
+	}
+}

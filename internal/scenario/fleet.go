@@ -16,11 +16,10 @@ import (
 )
 
 // FleetPlans is the floorplan set a fleet shares. Every home of the
-// same kind uses the same *Plan pointer, so the per-plan WallLoss
-// memo and the per-(plan, spot) route memos are warmed once per
-// testbed instead of once per home — the cache-sharing half of the
-// fleet engine's throughput win (the other half is the shared radio
-// seed, see FleetHomeConfig).
+// same kind uses the same *Plan pointer, so a plan is built once per
+// fleet rather than once per home, and a replayed home (same seed,
+// same plan pointer) finds its trace means in decision's memo, which
+// is keyed by the radio model's identity.
 type FleetPlans struct {
 	House     *floorplan.Plan
 	Apartment *floorplan.Plan
@@ -84,9 +83,8 @@ const fleetStartWindow = 6 * time.Hour
 // fifth home runs fail-open, roughly every fourth home lives with an
 // injected push-channel fault, and every sixth home has background
 // traffic. The per-home RNG stream is split from the fleet seed keyed
-// by home ID — never by scheduling order — and homes of the same
-// floorplan share one radio seed so the process-global shadow-field
-// memo is warmed once per testbed.
+// by home ID — never by scheduling order — and seeds everything the
+// home draws, its radio shadow field included.
 func FleetHomeConfig(seed int64, i, days int, plans FleetPlans) Config {
 	plans = plans.withDefaults()
 	id := FleetHomeID(i)
@@ -100,9 +98,6 @@ func FleetHomeConfig(seed int64, i, days int, plans FleetPlans) Config {
 		Home:    id,
 		Days:    days,
 		Seed:    root.Split(id).Seed(),
-		// One radio seed per floorplan kind: N homes, one shadow
-		// field.
-		RadioSeed: root.Split("radio/" + plan.Name).Seed(),
 	}
 	if i%2 == 1 {
 		cfg.Spot = "B"
@@ -159,7 +154,7 @@ type FleetConfig struct {
 	// Plans is the shared floorplan set; nil entries are filled with
 	// fresh testbeds. Pass the same FleetPlans to a sequential
 	// comparison run so both paths share plan pointers (and therefore
-	// caches).
+	// the trace-mean memo entries keyed by them).
 	Plans FleetPlans
 
 	Seed int64

@@ -100,20 +100,12 @@ func TestFleetHomeConfigPure(t *testing.T) {
 		if a.Plan != plans.forHome(i) {
 			t.Fatalf("home %d did not share the fleet plan pointer", i)
 		}
-		if a.RadioSeed == 0 || a.Seed == 0 {
+		if a.Seed == 0 {
 			t.Fatalf("home %d missing seeds: %+v", i, a)
 		}
 		if a.Start.Before(DefaultStart) || !a.Start.Before(DefaultStart.Add(fleetStartWindow)) {
 			t.Fatalf("home %d start %v outside the stagger window", i, a.Start)
 		}
-	}
-	// Same floorplan kind → same radio seed (shared shadow field);
-	// different kinds → different fields.
-	if FleetHomeConfig(7, 0, 2, plans).RadioSeed != FleetHomeConfig(7, 3, 2, plans).RadioSeed {
-		t.Fatal("same-plan homes do not share a radio seed")
-	}
-	if FleetHomeConfig(7, 0, 2, plans).RadioSeed == FleetHomeConfig(7, 1, 2, plans).RadioSeed {
-		t.Fatal("different-plan homes share a radio seed")
 	}
 	// Distinct per-home command streams.
 	if FleetHomeConfig(7, 0, 2, plans).Seed == FleetHomeConfig(7, 1, 2, plans).Seed {

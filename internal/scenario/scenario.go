@@ -117,14 +117,6 @@ type Config struct {
 	// homes do not issue their day's commands in lockstep.
 	Start time.Time
 
-	// RadioSeed, when non-zero, seeds the propagation model
-	// independently of Seed. Fleet runs give every home of the same
-	// floorplan one shared radio seed, so the process-global
-	// shadow-field memo is warmed once per testbed instead of once per
-	// home (N homes, one cache). Zero keeps the historical behaviour:
-	// the radio model is seeded from Seed.
-	RadioSeed int64
-
 	Seed int64
 }
 
@@ -290,11 +282,7 @@ func newRun(cfg Config) (*run, error) {
 	if cfg.RadioParams != nil {
 		params = *cfg.RadioParams
 	}
-	radioSeed := cfg.Seed
-	if cfg.RadioSeed != 0 {
-		radioSeed = cfg.RadioSeed
-	}
-	r.model = radio.NewModel(cfg.Plan, params, radioSeed)
+	r.model = radio.NewModel(cfg.Plan, params, cfg.Seed)
 	r.cmdLocs = cfg.Plan.CommandLocations(spot)
 	r.dwellLocs = cfg.Plan.DwellLocations()
 	dwell := make(map[int]bool, len(r.dwellLocs))
@@ -769,18 +757,13 @@ func (r *run) issue(day int, malicious bool, ownerLoc int, src *rng.Source) {
 	start := r.clock.Now()
 	r.haveCmd = false
 
-	var packets []pcap.Packet
+	var inv trafficgen.Invocation
 	if r.cfg.Speaker == GHM {
-		inv, err := r.ghm.Invocation(start)
-		if err != nil {
-			return
-		}
-		packets = inv.All()
+		inv = r.ghm.Invocation(start)
 	} else {
-		inv := r.echo.Invocation(start, responseSpikes(src))
-		packets = inv.All()
+		inv = r.echo.Invocation(start, responseSpikes(src))
 	}
-	r.feed(packets)
+	r.feed(inv.All())
 	r.clock.Advance(12 * time.Second) // let queries and timers settle
 
 	command := rng.Pick(src, r.corp.Commands)

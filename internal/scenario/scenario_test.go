@@ -33,22 +33,73 @@ func TestRunValidatesConfig(t *testing.T) {
 	}
 }
 
-// checkOutcome asserts the paper's Tables II-IV shape: accuracy above
-// ~96%, recall at (or extremely near) 100%.
+// The paper's Tables II-IV shape: accuracy above ~96%, recall at (or
+// extremely near) 100%.
+const (
+	minAccuracy  = 0.95
+	minRecall    = 0.97
+	minPrecision = 0.88
+)
+
+// checkOutcome asserts the Tables II-IV shape on one run.
 func checkOutcome(t *testing.T, name string, out *Outcome) {
 	t.Helper()
 	c := out.Confusion
 	if c.Total() == 0 {
 		t.Fatalf("%s: no commands recorded", name)
 	}
-	if acc := c.Accuracy(); acc < 0.95 {
-		t.Errorf("%s: accuracy %.4f below 0.95 (%v)", name, acc, c)
+	if acc := c.Accuracy(); acc < minAccuracy {
+		t.Errorf("%s: accuracy %.4f below %.2f (%v)", name, acc, minAccuracy, c)
 	}
-	if rec := c.Recall(); rec < 0.97 {
-		t.Errorf("%s: recall %.4f below 0.97 (%v)", name, rec, c)
+	if rec := c.Recall(); rec < minRecall {
+		t.Errorf("%s: recall %.4f below %.2f (%v)", name, rec, minRecall, c)
 	}
-	if prec := c.Precision(); prec < 0.88 {
-		t.Errorf("%s: precision %.4f below 0.88 (%v)", name, prec, c)
+	if prec := c.Precision(); prec < minPrecision {
+		t.Errorf("%s: precision %.4f below %.2f (%v)", name, prec, minPrecision, c)
+	}
+}
+
+// TestTableShapeAcrossSeeds checks the Tables II-IV shape as a
+// distribution rather than one draw: for every configuration the
+// fixed-seed tests pin, the mean over seeds 1-10 must clear
+// checkOutcome's thresholds. Any single seed may fall below them; the
+// mean may not, so a re-rolled RNG can move individual runs but not
+// the shape.
+func TestTableShapeAcrossSeeds(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"house/A/echo", Config{Plan: floorplan.House(), Spot: "A", Speaker: Echo, Devices: twoPhones()}},
+		{"house/B/ghm", Config{Plan: floorplan.House(), Spot: "B", Speaker: GHM, Devices: twoPhones()}},
+		{"apartment/A", Config{Plan: floorplan.Apartment(), Spot: "A", Speaker: Echo, Devices: twoPhones()}},
+		{"apartment/B", Config{Plan: floorplan.Apartment(), Spot: "B", Speaker: Echo, Devices: twoPhones()}},
+		{"office/A/ghm-watch", Config{Plan: floorplan.Office(), Spot: "A", Speaker: GHM, Devices: watch()}},
+	}
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, c := range configs {
+		outs, err := RunSeeds(c.cfg, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acc, rec, prec float64
+		for _, o := range outs {
+			acc += o.Confusion.Accuracy()
+			rec += o.Confusion.Recall()
+			prec += o.Confusion.Precision()
+		}
+		n := float64(len(outs))
+		acc, rec, prec = acc/n, rec/n, prec/n
+		t.Logf("%s: 10-seed mean accuracy %.4f recall %.4f precision %.4f", c.name, acc, rec, prec)
+		if acc < minAccuracy {
+			t.Errorf("%s: mean accuracy %.4f below %.2f", c.name, acc, minAccuracy)
+		}
+		if rec < minRecall {
+			t.Errorf("%s: mean recall %.4f below %.2f", c.name, rec, minRecall)
+		}
+		if prec < minPrecision {
+			t.Errorf("%s: mean precision %.4f below %.2f", c.name, prec, minPrecision)
+		}
 	}
 }
 

@@ -162,8 +162,8 @@ func wanderRoom(plan *floorplan.Plan, i int) floorplan.Room {
 // deployment locations in the house, measured with the Pixel 5.
 //
 // Each case records its traces with its own seed, scanner, and model,
-// so the cases fan out across the parallel worker pool (the plan's
-// wall-loss memo is shared and read-safe); results are identical to a
+// so the cases fan out across the parallel worker pool (the plan is
+// immutable and read-safe); results are identical to a
 // serial run. Within one case the trace collection stays serial — all
 // traces of a case draw from a single scanner stream whose
 // interleaving is part of the seeded record.

@@ -149,7 +149,7 @@ func (e *Echo) Boot(t time.Time) ([]pcap.Packet, error) {
 // (§IV-B1's reconnection problem). When withDNS is false the speaker
 // reuses a cached resolution and no DNS exchange appears on the wire —
 // the case that defeats DNS-only tracking.
-func (e *Echo) Reconnect(t time.Time, withDNS bool) ([]pcap.Packet, error) {
+func (e *Echo) Reconnect(t time.Time, withDNS bool) []pcap.Packet {
 	e.avsAddr = e.newAVSAddr()
 	e.avsIP = e.avsAddr.String()
 	e.avsPort = e.newPort()
@@ -160,7 +160,7 @@ func (e *Echo) Reconnect(t time.Time, withDNS bool) ([]pcap.Packet, error) {
 		t = dns[1].Time.Add(intraSpikeGap(e.src))
 	}
 	conn, _ := e.connectPackets(t, e.avsPort, e.avsAddr, e.signature)
-	return append(out, conn...), nil
+	return append(out, conn...)
 }
 
 // Heartbeats returns the keep-alive packets in [t, t+dur): one

@@ -69,7 +69,7 @@ func (g *GHM) setAddr(addr netip.Addr) {
 // starting at t: an optional DNS exchange, the session handshake, and
 // the command spike. The transport is QUIC/UDP with probability
 // QUICProb, else TCP.
-func (g *GHM) Invocation(t time.Time) (Invocation, error) {
+func (g *GHM) Invocation(t time.Time) Invocation {
 	inv := Invocation{Speaker: "ghm", Start: t}
 	port := g.newPort()
 	quic := g.src.Bool(g.QUICProb)
@@ -106,7 +106,7 @@ func (g *GHM) Invocation(t time.Time) (Invocation, error) {
 		t = t.Add(intraSpikeGap(g.src))
 	}
 	inv.Spikes = append(inv.Spikes, LabeledSpike{Phase: PhaseCommand, Packets: packets})
-	return inv, nil
+	return inv
 }
 
 // quicZeros backs every QUIC datagram's zero-filled payload: a

@@ -110,10 +110,7 @@ func TestEchoHeartbeats(t *testing.T) {
 func TestEchoReconnectChangesAddr(t *testing.T) {
 	e := NewEcho(rng.New(3))
 	before := e.AVSAddr()
-	packets, err := e.Reconnect(t0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packets := e.Reconnect(t0, false)
 	if e.AVSAddr() == before {
 		t.Fatal("reconnect did not change the AVS address")
 	}
@@ -262,10 +259,7 @@ func TestEchoInvocationAllSorted(t *testing.T) {
 
 func TestGHMInvocationOneSpike(t *testing.T) {
 	g := NewGHM(rng.New(10))
-	inv, err := g.Invocation(t0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv := g.Invocation(t0)
 	if len(inv.Spikes) != 1 || inv.Spikes[0].Phase != PhaseCommand {
 		t.Fatalf("GHM spikes = %+v, want exactly one command spike", inv.Spikes)
 	}
@@ -275,10 +269,7 @@ func TestGHMUsesBothTransports(t *testing.T) {
 	g := NewGHM(rng.New(11))
 	var sawTCP, sawUDP bool
 	for i := 0; i < 100; i++ {
-		inv, err := g.Invocation(t0.Add(time.Duration(i) * time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
+		inv := g.Invocation(t0.Add(time.Duration(i) * time.Minute))
 		switch inv.Spikes[0].Packets[0].Proto {
 		case pcap.TCP:
 			sawTCP = true
@@ -295,10 +286,7 @@ func TestGHMSometimesSkipsDNS(t *testing.T) {
 	g := NewGHM(rng.New(12))
 	withDNS, withoutDNS := 0, 0
 	for i := 0; i < 100; i++ {
-		inv, err := g.Invocation(t0.Add(time.Duration(i) * time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
+		inv := g.Invocation(t0.Add(time.Duration(i) * time.Minute))
 		hasDNS := false
 		for _, p := range inv.Setup {
 			if _, ok := pcap.IsDNSQuery(p); ok {
@@ -318,10 +306,7 @@ func TestGHMSometimesSkipsDNS(t *testing.T) {
 
 func TestGHMCommandPacketsShareOneFlow(t *testing.T) {
 	g := NewGHM(rng.New(13))
-	inv, err := g.Invocation(t0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv := g.Invocation(t0)
 	key := inv.Spikes[0].Packets[0].FlowKey()
 	for _, p := range inv.Spikes[0].Packets {
 		if p.FlowKey() != key {

@@ -25,6 +25,9 @@ func FuzzSplitOneRecord(f *testing.F) {
 	f.Add(stream)
 	f.Add(stream[:len(stream)-3]) // a trailing partial record
 	f.Add([]byte{23, 3, 3, 0xff, 0xff})
+	f.Add([]byte{})               // no bytes at all
+	f.Add([]byte{23, 3, 3, 0, 0}) // a header declaring an empty body
+	f.Add([]byte{23, 3, 3, 0, 1}) // a header whose one-byte body is missing
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var joined []byte
