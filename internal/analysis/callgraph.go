@@ -46,7 +46,7 @@ type FuncFacts struct {
 	// goroutine and never block the function that spawned it.
 	Block *Fact
 	// RNGDraw is a state-consuming draw: any *rng.Source method other
-	// than the pure Split/SplitN/KeyedNormal/Seed/Fresh, or a math/rand
+	// than the pure Split/SplitN/KeyedNormal/Seed, or a math/rand
 	// call.
 	RNGDraw *Fact
 	// Metric is a metric-family registration call (metrics.Counter,
@@ -437,7 +437,7 @@ func record(slot **Fact, pos token.Pos, what string) {
 // rngPureMethods are the *rng.Source methods that consume no stream
 // state: calling them in any order is deterministic by construction.
 var rngPureMethods = map[string]bool{
-	"Split": true, "SplitN": true, "KeyedNormal": true, "Seed": true, "Fresh": true,
+	"Split": true, "SplitN": true, "KeyedNormal": true, "Seed": true,
 }
 
 // isRNGDraw reports whether fn is a state-consuming *rng.Source

@@ -28,7 +28,7 @@ type houseFixture struct {
 	root    *rng.Source
 }
 
-func newHouseFixture(t *testing.T, seed int64) *houseFixture {
+func newHouseFixture(t testing.TB, seed int64) *houseFixture {
 	t.Helper()
 	f := &houseFixture{
 		plan: floorplan.House(),

@@ -14,35 +14,41 @@ import (
 // Trace-mean memoization. A recorded trace is deterministic means plus
 // per-recording noise: the means depend only on the radio model's
 // deterministic field (radio.ModelIdent), the advertiser position, and
-// the sampled path — and the same paths recur constantly. Within one
-// simulation the climbing owner walks the same stair routes and
-// bystanders idle at the same deployment spots on every motion event;
-// across same-seed runs (a fault study's per-profile replays, repeated
-// benchmark iterations) every wander path recurs too, because
-// mobility's path memos make recurring paths pointer-identical. The
-// memo computes the 40-sample mean vector once per (model, tx, path)
+// the positions sampled along the path — and the same paths recur.
+// Within one simulation the climbing owner walks the same stair routes
+// and bystanders idle at the same deployment spots on every motion
+// event; across same-seed runs (a fault study's per-profile replays,
+// repeated benchmark iterations) every wander path recurs too, because
+// it is rebuilt from the same seeded split. The memo computes the
+// sampled mean vector once per (model, tx, path contents, sampling)
 // and lets each recording draw only its noise, skipping the per-sample
 // path-loss, wall-crossing, and shadow-cell work.
 
-// traceMeanKey identifies one deterministic mean vector. The path is
-// keyed by pointer: mobility.NewRoutePath and NewWanderPath return
-// memoized immutable paths, so a recurring path has a stable address.
+// traceMeanKey identifies one deterministic mean vector up to a digest
+// collision: the path enters by its content digest, and the entry it
+// maps to holds the path itself for an exact comparison.
 type traceMeanKey struct {
 	model  radio.ModelIdent
 	tx     floorplan.Position
-	path   *mobility.Path
+	path   uint64 // mobility.Path.Digest
 	offset time.Duration
 	step   time.Duration
 	n      int
 }
 
-var traceMeans struct {
-	mu sync.RWMutex
-	m  map[traceMeanKey][]float64
+type traceMeanEntry struct {
+	path  *mobility.Path
+	means []float64
 }
 
-// traceMeanCacheCap bounds the memo; once full, further misses compute
-// without inserting (correctness unaffected).
+var traceMeans struct {
+	mu sync.RWMutex
+	m  map[traceMeanKey]traceMeanEntry
+}
+
+// traceMeanCacheCap bounds the memo. A miss that finds it full starts
+// a new map, so entries of homes that no longer run cannot keep the
+// recurring paths of live ones out.
 const traceMeanCacheCap = 16384
 
 // Memo counters on metrics.Default: one add per lookup.
@@ -59,33 +65,33 @@ var (
 // traceMeanVector returns the deterministic link means for n samples
 // along the path, step apart, starting at offset — memoized, and
 // bit-identical to sampling the positions through radio.MeanBatch
-// directly. The returned slice is shared and must not be mutated.
+// directly. A hit needs a path with bit-identical points, so a digest
+// collision is a miss that replaces the entry. The returned slice is
+// shared and must not be mutated.
 func traceMeanVector(sc *ble.Scanner, adv ble.Advertiser, path *mobility.Path, offset, step time.Duration, n int) []float64 {
 	key := traceMeanKey{
 		model: sc.Model.Ident(), tx: adv.Pos,
-		path: path, offset: offset, step: step, n: n,
+		path: path.Digest(), offset: offset, step: step, n: n,
 	}
 	traceMeans.mu.RLock()
-	means, ok := traceMeans.m[key]
+	e, ok := traceMeans.m[key]
 	traceMeans.mu.RUnlock()
-	if ok {
+	if ok && e.path.Equal(path) {
 		mTraceMeanHits.Inc()
-		return means
+		return e.means
 	}
 	mTraceMeanMisses.Inc()
 
 	positions := make([]floorplan.Position, n)
 	path.SampleInto(offset, step, positions)
-	means = make([]float64, n)
+	means := make([]float64, n)
 	sc.Model.MeanBatch(adv.Pos, positions, means)
 
 	traceMeans.mu.Lock()
-	if traceMeans.m == nil {
-		traceMeans.m = make(map[traceMeanKey][]float64)
+	if traceMeans.m == nil || len(traceMeans.m) >= traceMeanCacheCap {
+		traceMeans.m = make(map[traceMeanKey]traceMeanEntry)
 	}
-	if len(traceMeans.m) < traceMeanCacheCap {
-		traceMeans.m[key] = means
-	}
+	traceMeans.m[key] = traceMeanEntry{path: path, means: means}
 	traceMeans.mu.Unlock()
 	return means
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"voiceguard/internal/geom"
 )
@@ -234,6 +235,11 @@ func ToJSON(w io.Writer, p *Plan) error {
 func toPoint(xy []float64) (geom.Point, error) {
 	if len(xy) != 2 {
 		return geom.Point{}, fmt.Errorf("point needs [x, y], got %v", xy)
+	}
+	// Walks through the plan are timed in int64 nanoseconds, which one
+	// leg of about 10^10 m overflows; no building comes near ±10^6 m.
+	if math.Abs(xy[0]) > 1e6 || math.Abs(xy[1]) > 1e6 {
+		return geom.Point{}, fmt.Errorf("point %v lies beyond ±1e6 m", xy)
 	}
 	return geom.Point{X: xy[0], Y: xy[1]}, nil
 }

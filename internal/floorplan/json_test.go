@@ -121,6 +121,11 @@ func TestFromJSONRejectsInvalid(t *testing.T) {
 			"locations":[{"id":1,"room":"r","floor":0,"at":[5,5]}]
 		}`},
 		{name: "no locations", body: `{"name":"x","rooms":[{"name":"r","floor":0,"corners":[[0,0],[1,0],[1,1],[0,1]]}]}`},
+		{name: "coordinate span overflows", body: `{
+			"name":"x",
+			"rooms":[{"name":"r","floor":0,"corners":[[-1e308,0],[1e308,0],[1e308,1],[-1e308,1]]}],
+			"locations":[{"id":1,"room":"r","floor":0,"at":[0,0.5]}]
+		}`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

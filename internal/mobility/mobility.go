@@ -7,12 +7,10 @@ package mobility
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"voiceguard/internal/floorplan"
 	"voiceguard/internal/geom"
-	"voiceguard/internal/metrics"
 	"voiceguard/internal/rng"
 )
 
@@ -36,89 +34,43 @@ type timedPoint struct {
 	pos floorplan.Position
 }
 
-// Route-path memoization. A route path is a pure deterministic
-// function of the waypoint list and the speed, and the simulation
-// rebuilds the same few paths constantly (the stair routes on every
-// motion event, two-point "still" routes at the finite set of
-// deployment locations). Construction is cheap; the value of the memo
-// is POINTER stability — downstream caches key derived per-path
-// quantities (e.g. a trace's deterministic RSSI means) by *Path, which
-// only hits if the same route yields the same pointer. Paths are
-// immutable after construction, so sharing is safe.
-
-type routeKey struct {
-	speed     float64
-	name      string
-	waypoints int
+// bits is the point's exact bit pattern, the unit of Digest and Equal.
+func (tp timedPoint) bits() [4]uint64 {
+	return [4]uint64{uint64(tp.t), uint64(tp.pos.Floor), math.Float64bits(tp.pos.At.X), math.Float64bits(tp.pos.At.Y)}
 }
 
-type routeEntry struct {
-	waypoints []floorplan.Position
-	path      *Path
-}
-
-var routeCache struct {
-	mu      sync.RWMutex
-	entries int
-	m       map[routeKey][]routeEntry
-}
-
-// routeCacheCap bounds the total memoized paths; once full, further
-// misses compute without inserting (correctness unaffected).
-const routeCacheCap = 8192
-
-// Memo counters on metrics.Default: one add per route or wander
-// lookup.
-const (
-	MetricRouteHits    = "mobility_route_hits_total"
-	MetricRouteMisses  = "mobility_route_misses_total"
-	MetricWanderHits   = "mobility_wander_hits_total"
-	MetricWanderMisses = "mobility_wander_misses_total"
-)
-
-var (
-	mRouteHits    = metrics.NewCounter(MetricRouteHits)
-	mRouteMisses  = metrics.NewCounter(MetricRouteMisses)
-	mWanderHits   = metrics.NewCounter(MetricWanderHits)
-	mWanderMisses = metrics.NewCounter(MetricWanderMisses)
-)
-
-func routeLookup(key routeKey, waypoints []floorplan.Position) (*Path, bool) {
-	routeCache.mu.RLock()
-	defer routeCache.mu.RUnlock()
-entries:
-	for _, e := range routeCache.m[key] {
-		for i := range waypoints {
-			if e.waypoints[i] != waypoints[i] {
-				continue entries
-			}
+// Digest is the 64-bit FNV-1a hash of the path's timed points, read
+// as words: equal paths have equal digests. It keys memos of
+// quantities derived from a path's positions; a memo confirms a hit
+// with Equal, since distinct paths can share a digest.
+func (p *Path) Digest() uint64 {
+	h := uint64(14695981039346656037)
+	for _, tp := range p.points {
+		for _, w := range tp.bits() {
+			h = (h ^ w) * 1099511628211
 		}
-		mRouteHits.Inc()
-		return e.path, true
 	}
-	mRouteMisses.Inc()
-	return nil, false
+	return h
 }
 
-func routeStore(key routeKey, waypoints []floorplan.Position, p *Path) {
-	routeCache.mu.Lock()
-	defer routeCache.mu.Unlock()
-	if routeCache.m == nil {
-		routeCache.m = make(map[routeKey][]routeEntry)
+// Equal reports whether p and q have bit-identical timed points, so
+// that every position sampled from one is the same as from the other.
+func (p *Path) Equal(q *Path) bool {
+	if len(p.points) != len(q.points) {
+		return false
 	}
-	if routeCache.entries < routeCacheCap {
-		wp := append([]floorplan.Position(nil), waypoints...)
-		routeCache.m[key] = append(routeCache.m[key], routeEntry{waypoints: wp, path: p})
-		routeCache.entries++
+	for i := range p.points {
+		if p.points[i].bits() != q.points[i].bits() {
+			return false
+		}
 	}
+	return true
 }
 
 // NewRoutePath returns a Path that walks the route's waypoints in
 // order at the given speed. Consecutive waypoints on different floors
 // are treated as a stair climb, which costs hopLength metres of
-// walking time; the floor switches halfway through the climb. The
-// result is memoized: the same waypoints at the same speed return the
-// same (immutable) *Path.
+// walking time; the floor switches halfway through the climb.
 func NewRoutePath(route floorplan.Route, speed float64) (*Path, error) {
 	if speed <= 0 {
 		return nil, fmt.Errorf("mobility: speed must be positive, got %v", speed)
@@ -126,11 +78,8 @@ func NewRoutePath(route floorplan.Route, speed float64) (*Path, error) {
 	if len(route.Waypoints) < 2 {
 		return nil, fmt.Errorf("mobility: route %q has %d waypoints", route.Name, len(route.Waypoints))
 	}
-	key := routeKey{speed: speed, name: route.Name, waypoints: len(route.Waypoints)}
-	if p, ok := routeLookup(key, route.Waypoints); ok {
-		return p, nil
-	}
-	p := &Path{points: []timedPoint{{t: 0, pos: route.Waypoints[0]}}}
+	points := make([]timedPoint, 1, len(route.Waypoints))
+	points[0] = timedPoint{t: 0, pos: route.Waypoints[0]}
 	elapsed := time.Duration(0)
 	for i := 1; i < len(route.Waypoints); i++ {
 		prev, next := route.Waypoints[i-1], route.Waypoints[i]
@@ -139,10 +88,9 @@ func NewRoutePath(route floorplan.Route, speed float64) (*Path, error) {
 			dist += hopLength * float64(abs(next.Floor-prev.Floor))
 		}
 		elapsed += time.Duration(dist / speed * float64(time.Second))
-		p.points = append(p.points, timedPoint{t: elapsed, pos: next})
+		points = append(points, timedPoint{t: elapsed, pos: next})
 	}
-	routeStore(key, route.Waypoints, p)
-	return p, nil
+	return &Path{points: points}, nil
 }
 
 // wanderStepMax bounds one leg of an in-room wander. People "moving
@@ -151,110 +99,43 @@ func NewRoutePath(route floorplan.Route, speed float64) (*Path, error) {
 // RSSI "only fluctuates within a small range".
 const wanderStepMax = 2.0 // m
 
-// Wander-path memoization. A wander path is a pure function of the
-// room geometry, speed, duration, and the seed of a fresh rng stream,
-// and the simulation builds one per motion event from a per-event
-// split — thousands per simulated week, each paying the stream's
-// seeding warmup plus waypoint rejection sampling. The memo returns
-// the previously built (immutable) Path when the same inputs recur,
-// without ever drawing from the caller's stream.
-//
-// The room's polygon is part of the derivation but not comparable, so
-// the key carries the room's name and floor and each entry stores the
-// polygon it was built from; a hit requires vertex-exact equality, so
-// two plans reusing a room name can never serve each other's paths.
-
-type wanderKey struct {
-	seed     int64
-	speed    float64
-	duration time.Duration
-	floor    int
-	name     string
-}
-
-type wanderEntry struct {
-	poly geom.Polygon
-	path *Path
-}
-
-var wanderCache struct {
-	mu sync.RWMutex
-	m  map[wanderKey][]wanderEntry
-}
-
-// wanderCacheCap bounds the memo; once full, further misses compute
-// without inserting (correctness unaffected).
-const wanderCacheCap = 8192
-
-func wanderLookup(key wanderKey, poly geom.Polygon) (*Path, bool) {
-	wanderCache.mu.RLock()
-	defer wanderCache.mu.RUnlock()
-	for _, e := range wanderCache.m[key] {
-		if e.poly.Equal(poly) {
-			mWanderHits.Inc()
-			return e.path, true
-		}
-	}
-	mWanderMisses.Inc()
-	return nil, false
-}
-
-func wanderStore(key wanderKey, poly geom.Polygon, p *Path) {
-	wanderCache.mu.Lock()
-	defer wanderCache.mu.Unlock()
-	if wanderCache.m == nil {
-		wanderCache.m = make(map[wanderKey][]wanderEntry)
-	}
-	if len(wanderCache.m) < wanderCacheCap {
-		wanderCache.m[key] = append(wanderCache.m[key], wanderEntry{poly: poly, path: p})
-	}
-}
-
 // NewWanderPath returns a Path that wanders randomly inside the room
 // for at least the given duration, taking short legs (at most
-// wanderStepMax metres) from a random starting point. When src is a
-// fresh split (never drawn from), the result is memoized by src's
-// seed and the room geometry; a memo hit leaves src untouched, which
-// is indistinguishable from a miss because callers split a dedicated
-// stream per path.
+// wanderStepMax metres) from a random starting point. A room too small
+// to hold a leg of 0.2 m gets a path that stands still once the walk
+// stops finding one.
 func NewWanderPath(room floorplan.Room, speed float64, duration time.Duration, src *rng.Source) (*Path, error) {
 	if speed <= 0 {
 		return nil, fmt.Errorf("mobility: speed must be positive, got %v", speed)
 	}
-	key := wanderKey{seed: src.Seed(), speed: speed, duration: duration, floor: room.Floor, name: room.Name}
-	cacheable := src.Fresh()
-	if cacheable {
-		if p, ok := wanderLookup(key, room.Poly); ok {
-			return p, nil
-		}
-	}
-	p := buildWanderPath(room, speed, duration, src)
-	if cacheable {
-		wanderStore(key, room.Poly, p)
-	}
-	return p, nil
-}
-
-// buildWanderPath is the seeded derivation the memo serves.
-func buildWanderPath(room floorplan.Room, speed float64, duration time.Duration, src *rng.Source) *Path {
-	start := randomPointIn(room.Poly, src)
-	p := &Path{points: []timedPoint{{t: 0, pos: floorplan.Position{Floor: room.Floor, At: start}}}}
+	at := func(pt geom.Point) floorplan.Position { return floorplan.Position{Floor: room.Floor, At: pt} }
+	cur := randomPointIn(room.Poly, src)
+	// A leg averages 1.2 m; half again the expected leg count holds
+	// about 98 % of 9–10 s walks in one allocation.
+	legs := max(0, min(int(speed*duration.Seconds()/1.2), 32))
+	points := make([]timedPoint, 1, 1+3*legs/2)
+	points[0] = timedPoint{t: 0, pos: at(cur)}
 	elapsed := time.Duration(0)
-	cur := start
-	for elapsed < duration {
+	for skipped := 0; elapsed < duration; {
 		target := localTarget(room.Poly, cur, src)
 		dist := cur.Dist(target)
 		if dist < 0.2 {
-			continue
+			// Skipping does not advance the clock, so in a room under
+			// about 0.2 m across it would never end: after 64 skips
+			// in a row the walker stands still for the rest of the
+			// duration.
+			if skipped++; skipped < 64 {
+				continue
+			}
+			points = append(points, timedPoint{t: duration, pos: at(cur)})
+			break
 		}
+		skipped = 0
 		elapsed += time.Duration(dist / speed * float64(time.Second))
-		p.points = append(p.points, timedPoint{
-			t:   elapsed,
-			pos: floorplan.Position{Floor: room.Floor, At: target},
-		})
+		points = append(points, timedPoint{t: elapsed, pos: at(target)})
 		cur = target
 	}
-	return p
+	return &Path{points: points}, nil
 }
 
 // localTarget picks the next wander leg: a point within wanderStepMax
@@ -264,9 +145,10 @@ func localTarget(poly geom.Polygon, cur geom.Point, src *rng.Source) geom.Point 
 	for attempt := 0; attempt < 16; attempt++ {
 		angle := src.Uniform(0, 2*math.Pi)
 		step := src.Uniform(0.4, wanderStepMax)
+		sin, cos := math.Sincos(angle)
 		cand := geom.Point{
-			X: cur.X + step*math.Cos(angle),
-			Y: cur.Y + step*math.Sin(angle),
+			X: cur.X + step*cos,
+			Y: cur.Y + step*sin,
 		}
 		if poly.Contains(cand) {
 			return cand
@@ -299,7 +181,8 @@ func PerimeterRouteOf(name string, floor int, poly geom.Polygon, inset float64) 
 	return PerimeterRoute(floorplan.Room{Name: name, Floor: floor, Poly: poly}, inset)
 }
 
-// randomPointIn rejection-samples a uniform point inside the polygon.
+// randomPointIn rejection-samples a uniform point inside the polygon,
+// giving up after 1000 draws.
 func randomPointIn(poly geom.Polygon, src *rng.Source) geom.Point {
 	minX, minY := poly[0].X, poly[0].Y
 	maxX, maxY := minX, minY
@@ -317,12 +200,15 @@ func randomPointIn(poly geom.Polygon, src *rng.Source) geom.Point {
 			maxY = v.Y
 		}
 	}
-	for {
+	for attempt := 0; attempt < 1000; attempt++ {
 		pt := geom.Point{X: src.Uniform(minX, maxX), Y: src.Uniform(minY, maxY)}
 		if poly.Contains(pt) {
 			return pt
 		}
 	}
+	// A sliver of a room can reject every draw; the first vertex
+	// stands in rather than looping forever.
+	return poly[0]
 }
 
 // Duration returns the total duration of the path.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"voiceguard/internal/floorplan"
+	"voiceguard/internal/geom"
 	"voiceguard/internal/rng"
 )
 
@@ -175,6 +176,33 @@ func TestWanderRejectsBadSpeed(t *testing.T) {
 	room, _ := h.Room("living")
 	if _, err := NewWanderPath(room, -1, time.Second, rng.New(1)); err == nil {
 		t.Fatal("negative speed accepted")
+	}
+}
+
+// TestWanderEndsInDegenerateRooms wanders rooms no 0.2 m leg fits in:
+// a 0.15 m closet, and a zero-area sliver no rejection draw lands in.
+// Both walks must end, and last at least the requested duration.
+func TestWanderEndsInDegenerateRooms(t *testing.T) {
+	for _, room := range []floorplan.Room{
+		{Name: "closet", Poly: geom.Rect(0, 0, 0.15, 0.15)},
+		{Name: "sliver", Poly: geom.Polygon{{X: 0, Y: 0}, {X: 1, Y: 1}, {X: 2, Y: 2}}},
+	} {
+		done := make(chan *Path, 1)
+		go func() {
+			p, err := NewWanderPath(room, DefaultSpeed, 9*time.Second, rng.New(1))
+			if err != nil {
+				t.Error(err)
+			}
+			done <- p
+		}()
+		select {
+		case p := <-done:
+			if p != nil && p.Duration() < 9*time.Second {
+				t.Errorf("%s: wander lasts %v, want at least 9s", room.Name, p.Duration())
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s: NewWanderPath did not return within 3 s", room.Name)
+		}
 	}
 }
 

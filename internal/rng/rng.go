@@ -78,11 +78,6 @@ func (s *Source) rand() *rand.Rand {
 // Seed reports the seed this stream was created with.
 func (s *Source) Seed() int64 { return s.seed }
 
-// Fresh reports whether the stream has never been drawn from, i.e.
-// its future output is still a pure function of Seed. Memoization
-// keyed by Seed is only valid for fresh streams.
-func (s *Source) Fresh() bool { return s.r == nil }
-
 // splitSeed is the seed of the child keyed by label.
 func (s *Source) splitSeed(label string) uint64 {
 	return mix(uint64(s.seed) ^ mix(fnv1a64(label)))
