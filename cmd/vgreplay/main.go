@@ -37,10 +37,7 @@ func main() {
 
 	// Invalid flag values are usage errors: reject them up front with
 	// usage and exit 2 (the vgproxy standard), before any work starts.
-	if err := cliutil.FirstError(
-		cliutil.NonEmpty("-in", *in),
-		cliutil.OneOf("-speaker", *speaker, "echo", "ghm"),
-	); err != nil {
+	if err := validate(*in, *speaker, *ip); err != nil {
 		fmt.Fprintln(os.Stderr, "vgreplay:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -59,9 +56,23 @@ func main() {
 	_ = closeTrace()
 }
 
+// validate checks the flag values. A mistyped -ip would match no
+// packet and replay into silence, so it is a usage error too.
+func validate(in, speaker, ip string) error {
+	return cliutil.FirstError(
+		cliutil.NonEmpty("-in", in),
+		cliutil.OneOf("-speaker", speaker, "echo", "ghm"),
+		cliutil.IPv4("-ip", ip),
+	)
+}
+
 func run(in, speaker, ip string) error {
 	if in == "" {
 		return fmt.Errorf("-in is required")
+	}
+	speakerIP, err := pcap.ParseIPv4(ip)
+	if err != nil {
+		return err
 	}
 	f, err := os.Open(in)
 	if err != nil {
@@ -79,9 +90,9 @@ func run(in, speaker, ip string) error {
 	var rec *recognize.Recognizer
 	switch speaker {
 	case "echo":
-		rec = recognize.NewEcho(ip)
+		rec = recognize.NewEcho(speakerIP)
 	case "ghm":
-		rec = recognize.NewGHM(ip)
+		rec = recognize.NewGHM(speakerIP)
 	default:
 		return fmt.Errorf("unknown speaker %q", speaker)
 	}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,5 +79,56 @@ func TestRunErrors(t *testing.T) {
 	_ = f.Close()
 	if err := run(empty, "echo", trafficgen.EchoIP); err == nil {
 		t.Fatal("empty capture accepted")
+	}
+}
+
+func TestValidateFlags(t *testing.T) {
+	cases := []struct {
+		name, in, speaker, ip string
+		wantErr               string // "" means valid
+	}{
+		{"defaults", "run.vgc", "echo", trafficgen.EchoIP, ""},
+		{"ghm", "run.vgc", "ghm", trafficgen.GHMIP, ""},
+		{"missing -in", "", "echo", trafficgen.EchoIP, "-in is required"},
+		{"bad speaker", "run.vgc", "siri", trafficgen.EchoIP, `invalid -speaker "siri"`},
+		{"ip typo", "run.vgc", "echo", "192.168.1.2OO", `invalid -ip "192.168.1.2OO"`},
+		{"ip hostname", "run.vgc", "echo", "echo.local", `invalid -ip "echo.local"`},
+		{"ip leading zero", "run.vgc", "echo", "192.168.001.200", `invalid -ip "192.168.001.200"`},
+		{"ip six", "run.vgc", "echo", "fe80::1", `invalid -ip "fe80::1"`},
+		{"ip empty", "run.vgc", "echo", "", `invalid -ip ""`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := validate(c.in, c.speaker, c.ip)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("validate = %v, want nil", err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("validate = %v, want an error containing %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
+// TestMainRejectsBadIPWithUsage runs the command itself (this test
+// binary re-executed into main) with a mistyped -ip: it must print the
+// error and the usage text and exit 2 before reading the capture.
+func TestMainRejectsBadIPWithUsage(t *testing.T) {
+	if os.Getenv("VGREPLAY_RUN_MAIN") == "1" {
+		os.Args = []string{"vgreplay", "-in", os.Getenv("VGREPLAY_IN"), "-ip", "192.168.1.2OO"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMainRejectsBadIPWithUsage$")
+	cmd.Env = append(os.Environ(), "VGREPLAY_RUN_MAIN=1", "VGREPLAY_IN="+writeTestCapture(t))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want exit status 2; output:\n%s", err, out)
+	}
+	for _, want := range []string{`invalid -ip "192.168.1.2OO"`, "Usage of"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
 	}
 }

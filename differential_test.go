@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"net"
-	"net/netip"
 	"sort"
 	"sync"
 	"testing"
@@ -87,9 +86,9 @@ func (m *scriptedMethod) Check(req decision.Request, done func(decision.Result))
 func simOutcomes(bursts [][]pcap.Packet, avs string) []guard.Event {
 	epoch := time.Date(2023, 3, 1, 9, 0, 0, 0, time.UTC)
 	clock := simtime.NewSim(epoch)
-	rec := recognize.NewEcho(trafficgen.EchoIP)
+	rec := recognize.NewEcho(trafficgen.EchoAddr)
 	rec.IdleGap = diffIdleGap
-	rec.Tracker.ForceAddress(netip.MustParseAddr(avs))
+	rec.Tracker.ForceAddress(pcap.MustParseIPv4(avs))
 	g := guard.New(clock, rec, &scriptedMethod{clock: clock}, "echo")
 	var events []guard.Event
 	g.OnEvent(func(e guard.Event) { events = append(events, e) })
@@ -98,7 +97,7 @@ func simOutcomes(bursts [][]pcap.Packet, avs string) []guard.Event {
 		clock.AdvanceTo(at)
 		for _, p := range b {
 			p.Time = at
-			g.Feed(p)
+			g.Feed(&p)
 		}
 	}
 	clock.Advance(time.Second)

@@ -9,6 +9,8 @@ package cliutil
 import (
 	"fmt"
 	"strings"
+
+	"voiceguard/internal/pcap"
 )
 
 // OneOf rejects value unless it is exactly one of allowed.
@@ -49,6 +51,15 @@ func Positive(flagName string, value int) error {
 func NonEmpty(flagName, value string) error {
 	if value == "" {
 		return fmt.Errorf("%s is required", flagName)
+	}
+	return nil
+}
+
+// IPv4 rejects a value that is not a dotted-decimal IPv4 address, the
+// only address form a capture carries.
+func IPv4(flagName, value string) error {
+	if _, err := pcap.ParseIPv4(value); err != nil {
+		return fmt.Errorf("invalid %s %q (want a dotted-decimal IPv4 address)", flagName, value)
 	}
 	return nil
 }

@@ -29,6 +29,9 @@ func TestValidators(t *testing.T) {
 		{"positive negative", Positive("-queries", -3), true, "invalid -queries -3"},
 		{"nonempty ok", NonEmpty("-in", "run.vgc"), false, ""},
 		{"nonempty missing", NonEmpty("-in", ""), true, "-in is required"},
+		{"ipv4 ok", IPv4("-ip", "192.168.1.200"), false, ""},
+		{"ipv4 typo", IPv4("-ip", "192.168.1.2OO"), true, `invalid -ip "192.168.1.2OO" (want a dotted-decimal IPv4 address)`},
+		{"ipv4 ipv6", IPv4("-ip", "::1"), true, `invalid -ip "::1"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

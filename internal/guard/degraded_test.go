@@ -33,7 +33,7 @@ func degradedFixture(t *testing.T, seed int64) *fixture {
 	root := rng.New(seed)
 	f.echo = trafficgen.NewEcho(root.Split("traffic"))
 	f.echo.AnomalyRate = 0
-	rec := recognize.NewEcho(trafficgen.EchoIP)
+	rec := recognize.NewEcho(trafficgen.EchoAddr)
 	f.guard = New(f.clock, rec, pathDeadMethod{}, "echo")
 	f.events = collect(f.guard)
 	boot, err := f.echo.Boot(epoch)
@@ -104,12 +104,12 @@ func TestEvidenceVerdictIgnoresDegradedPolicy(t *testing.T) {
 func TestRouterPerSpeakerDegradedOverride(t *testing.T) {
 	clock := simtime.NewSim(epoch)
 	mkGuard := func(ip string) *Guard {
-		return New(clock, recognize.NewEcho(ip), pathDeadMethod{}, ip)
+		return New(clock, recognize.NewEcho(pcap.MustParseIPv4(ip)), pathDeadMethod{}, ip)
 	}
 	r := NewRouter()
 	a, b := mkGuard("10.0.0.2"), mkGuard("10.0.0.3")
-	r.Add("10.0.0.2", a)
-	r.Add("10.0.0.3", b)
+	mustAdd(t, r, "10.0.0.2", a)
+	mustAdd(t, r, "10.0.0.3", b)
 
 	r.SetDegradedAll(DegradedFailClosed)
 	if !r.SetDegraded("10.0.0.3", DegradedFailOpen) {
@@ -128,22 +128,22 @@ func TestRouterPerSpeakerDegradedOverride(t *testing.T) {
 func TestRouterCountsUnknownSpeakers(t *testing.T) {
 	clock := simtime.NewSim(epoch)
 	r := NewRouter()
-	r.Add("10.0.0.2", New(clock, recognize.NewEcho("10.0.0.2"), pathDeadMethod{}, "echo"))
+	mustAdd(t, r, "10.0.0.2", New(clock, recognize.NewEcho(pcap.MustParseIPv4("10.0.0.2")), pathDeadMethod{}, "echo"))
 
 	before := mUnknownSpeaker.Value()
 	for i := 0; i < 5; i++ {
-		r.Feed(pcap.Packet{Time: epoch, SrcIP: "10.0.0.77", DstIP: "8.8.8.8", Proto: pcap.TCP, Len: 100})
+		r.Feed(&pcap.Packet{Time: epoch, SrcIP: pcap.MustParseIPv4("10.0.0.77"), DstIP: pcap.MustParseIPv4("8.8.8.8"), Proto: pcap.TCP, Len: 100})
 	}
 	if got := mUnknownSpeaker.Value() - before; got != 5 {
 		t.Fatalf("unknown-speaker counter advanced by %d, want 5", got)
 	}
-	if len(r.unknownTraced) != 1 || !r.unknownTraced["10.0.0.77"] {
+	if len(r.unknownTraced) != 1 || !r.unknownTraced[pcap.MustParseIPv4("10.0.0.77")] {
 		t.Fatalf("unknownTraced = %v, want exactly the one unknown IP", r.unknownTraced)
 	}
 	// Known speaker and DNS-to-speaker paths stay uncounted.
 	before = mUnknownSpeaker.Value()
-	r.Feed(pcap.Packet{Time: epoch, SrcIP: "10.0.0.2", DstIP: "8.8.8.8", Proto: pcap.TCP, Len: 100})
-	r.Feed(pcap.Packet{Time: epoch, SrcIP: "192.168.1.1", DstIP: "10.0.0.2", Proto: pcap.UDP, Len: 80})
+	r.Feed(&pcap.Packet{Time: epoch, SrcIP: pcap.MustParseIPv4("10.0.0.2"), DstIP: pcap.MustParseIPv4("8.8.8.8"), Proto: pcap.TCP, Len: 100})
+	r.Feed(&pcap.Packet{Time: epoch, SrcIP: pcap.MustParseIPv4("192.168.1.1"), DstIP: pcap.MustParseIPv4("10.0.0.2"), Proto: pcap.UDP, Len: 80})
 	if got := mUnknownSpeaker.Value() - before; got != 0 {
 		t.Fatalf("known-speaker traffic advanced the unknown counter by %d", got)
 	}

@@ -31,7 +31,7 @@ func ExampleGuard_OnEvent() {
 	clock := simtime.NewSim(start)
 	tr := trace.New(64)
 
-	g := guard.New(clock, recognize.NewGHM(trafficgen.GHMIP), allowMethod{clock}, "ghm")
+	g := guard.New(clock, recognize.NewGHM(trafficgen.GHMAddr), allowMethod{clock}, "ghm")
 	g.Tracer = tr
 	g.OnEvent(func(e guard.Event) {
 		fmt.Printf("command %d: released=%v after holding %d packet(s)\n",
@@ -44,10 +44,10 @@ func ExampleGuard_OnEvent() {
 	})
 
 	clock.AdvanceTo(start)
-	g.Feed(pcap.Packet{
+	g.Feed(&pcap.Packet{
 		Time:  start,
-		SrcIP: trafficgen.GHMIP, SrcPort: 40001,
-		DstIP: "142.250.1.1", DstPort: trafficgen.TLSPort,
+		SrcIP: trafficgen.GHMAddr, SrcPort: 40001,
+		DstIP: pcap.MustParseIPv4("142.250.1.1"), DstPort: trafficgen.TLSPort,
 		Proto: pcap.TCP, Len: 500,
 	})
 	clock.Advance(5 * time.Second)

@@ -17,6 +17,7 @@
 package guard
 
 import (
+	"fmt"
 	"time"
 
 	"voiceguard/internal/decision"
@@ -285,14 +286,19 @@ func (g *Guard) tracer() *trace.Tracer { return trace.Or(g.Tracer) }
 
 // Feed processes one captured packet. Callers must advance the
 // simulated clock to the packet's timestamp before feeding it, so
-// pending decision callbacks interleave correctly with traffic.
-func (g *Guard) Feed(p pcap.Packet) {
+// pending decision callbacks interleave correctly with traffic. p is
+// read only during the call.
+//
+// Only packets the recognizer adds to its spike count as held and push
+// the idle deadline out: other hosts' chatter, DNS and heartbeats
+// (ActionNone) leave the episode alone.
+func (g *Guard) Feed(p *pcap.Packet) {
 	switch g.recognizer.Feed(p) {
 	case recognize.ActionHold:
 		mSpikes.Inc()
 		g.startEpisode(p.Time, 1)
 		g.armIdleTimer(p.Time)
-	case recognize.ActionNone:
+	case recognize.ActionExtend:
 		if g.cur != nil {
 			g.cur.heldPackets++
 			g.armIdleTimer(p.Time)
@@ -591,7 +597,7 @@ func (g *Guard) record(ev Event) {
 // address — the paper's multi-speaker deployment identifies the
 // speaker in use by its unique IP (§V).
 type Router struct {
-	guards map[string]*Guard
+	guards map[pcap.IPv4]*Guard
 
 	// Tracer receives the router's diagnostics (nil uses
 	// trace.Default).
@@ -600,20 +606,33 @@ type Router struct {
 	// unknownTraced remembers which unknown source IPs already emitted
 	// a trace event, so a misconfigured speaker surfaces once per IP
 	// instead of flooding the flight recorder per packet.
-	unknownTraced map[string]bool
+	unknownTraced map[pcap.IPv4]bool
 }
 
 // NewRouter returns an empty router.
 func NewRouter() *Router {
-	return &Router{guards: make(map[string]*Guard), unknownTraced: make(map[string]bool)}
+	return &Router{guards: make(map[pcap.IPv4]*Guard), unknownTraced: make(map[pcap.IPv4]bool)}
 }
 
-// Add registers a guard for a speaker IP.
-func (r *Router) Add(speakerIP string, g *Guard) { r.guards[speakerIP] = g }
+// Add registers a guard for a speaker IP, given in dotted-decimal
+// form. A malformed address is an error and registers nothing.
+func (r *Router) Add(speakerIP string, g *Guard) error {
+	ip, err := pcap.ParseIPv4(speakerIP)
+	if err != nil {
+		return fmt.Errorf("guard: router: %w", err)
+	}
+	r.guards[ip] = g
+	return nil
+}
 
-// Guard returns the guard for a speaker IP.
+// Guard returns the guard for a dotted-decimal speaker IP; a
+// malformed address has none.
 func (r *Router) Guard(speakerIP string) (*Guard, bool) {
-	g, ok := r.guards[speakerIP]
+	ip, err := pcap.ParseIPv4(speakerIP)
+	if err != nil {
+		return nil, false
+	}
+	g, ok := r.guards[ip]
 	return g, ok
 }
 
@@ -621,7 +640,7 @@ func (r *Router) Guard(speakerIP string) (*Guard, bool) {
 // per-speaker knob of the deployment-wide fail-open/fail-closed
 // choice. Reports whether the speaker IP is registered.
 func (r *Router) SetDegraded(speakerIP string, p DegradedPolicy) bool {
-	g, ok := r.guards[speakerIP]
+	g, ok := r.Guard(speakerIP)
 	if ok {
 		g.Degraded = p
 	}
@@ -642,8 +661,8 @@ func (r *Router) SetDegradedAll(p DegradedPolicy) {
 // laptops — but also a speaker whose IP was misconfigured) are
 // counted and traced once per source IP, so a silently unguarded
 // speaker shows up in metrics instead of as invisible false
-// negatives.
-func (r *Router) Feed(p pcap.Packet) {
+// negatives. p is read only during the call.
+func (r *Router) Feed(p *pcap.Packet) {
 	if g, ok := r.guards[p.SrcIP]; ok {
 		g.Feed(p)
 		return
@@ -658,7 +677,7 @@ func (r *Router) Feed(p pcap.Packet) {
 	if !r.unknownTraced[p.SrcIP] {
 		r.unknownTraced[p.SrcIP] = true
 		trace.Or(r.Tracer).Record(trace.Event(0, trace.StageGuard, "unknown_speaker", p.Time,
-			trace.String("src_ip", p.SrcIP),
-			trace.String("dst_ip", p.DstIP)))
+			trace.String("src_ip", p.SrcIP.String()),
+			trace.String("dst_ip", p.DstIP.String())))
 	}
 }

@@ -56,7 +56,7 @@ func newFixture(t *testing.T, seed int64) *fixture {
 
 	f.echo = trafficgen.NewEcho(root.Split("traffic"))
 	f.echo.AnomalyRate = 0
-	rec := recognize.NewEcho(trafficgen.EchoIP)
+	rec := recognize.NewEcho(trafficgen.EchoAddr)
 	f.guard = New(f.clock, rec, method, "echo")
 	f.events = collect(f.guard)
 
@@ -73,7 +73,7 @@ func newFixture(t *testing.T, seed int64) *fixture {
 func (f *fixture) feed(packets []pcap.Packet) {
 	for _, p := range packets {
 		f.clock.AdvanceTo(p.Time)
-		f.guard.Feed(p)
+		f.guard.Feed(&p)
 	}
 }
 
@@ -256,14 +256,14 @@ func TestGHMGuardImmediateQuery(t *testing.T) {
 		Devices: []decision.DeviceConfig{{ID: "pixel5", Threshold: -8.5}},
 	}
 	ghm := trafficgen.NewGHM(root.Split("traffic"))
-	g := New(clock, recognize.NewGHM(trafficgen.GHMIP), method, "ghm")
+	g := New(clock, recognize.NewGHM(trafficgen.GHMAddr), method, "ghm")
 	events := collect(g)
 	g.DispatchDelay = 350 * time.Millisecond
 
 	inv := ghm.Invocation(epoch.Add(time.Minute))
 	for _, p := range inv.All() {
 		clock.AdvanceTo(p.Time)
-		g.Feed(p)
+		g.Feed(&p)
 	}
 	clock.Advance(15 * time.Second)
 
@@ -291,7 +291,7 @@ func TestEventCallbackFires(t *testing.T) {
 func TestRouterRoutesBySpeakerIP(t *testing.T) {
 	f := newFixture(t, 9)
 	router := NewRouter()
-	router.Add(trafficgen.EchoIP, f.guard)
+	mustAdd(t, router, trafficgen.EchoIP, f.guard)
 
 	if _, ok := router.Guard(trafficgen.EchoIP); !ok {
 		t.Fatal("registered guard not found")
@@ -303,7 +303,7 @@ func TestRouterRoutesBySpeakerIP(t *testing.T) {
 	inv := f.echo.Invocation(f.clock.Now().Add(time.Minute), 0)
 	for _, p := range inv.All() {
 		f.clock.AdvanceTo(p.Time)
-		router.Feed(p)
+		router.Feed(&p)
 	}
 	f.settle()
 	if len(commandEvents(*f.events)) != 1 {
@@ -311,7 +311,36 @@ func TestRouterRoutesBySpeakerIP(t *testing.T) {
 	}
 
 	// Unknown-host packets are dropped silently.
-	router.Feed(pcap.Packet{Time: f.clock.Now(), SrcIP: "10.9.9.9", DstIP: "8.8.8.8", Proto: pcap.TCP})
+	router.Feed(&pcap.Packet{Time: f.clock.Now(), SrcIP: pcap.MustParseIPv4("10.9.9.9"), DstIP: pcap.MustParseIPv4("8.8.8.8"), Proto: pcap.TCP})
+}
+
+// mustAdd registers a guard for a dotted-decimal speaker IP.
+func mustAdd(t *testing.T, r *Router, speakerIP string, g *Guard) {
+	t.Helper()
+	if err := r.Add(speakerIP, g); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A malformed speaker address is an error on Add and an unknown
+// speaker on lookup, never a panic.
+func TestRouterRejectsMalformedAddress(t *testing.T) {
+	f := newFixture(t, 9)
+	router := NewRouter()
+	for _, ip := range []string{"", "echo", "192.168.1.2OO", "192.168.001.200", "::1"} {
+		if err := router.Add(ip, f.guard); err == nil {
+			t.Errorf("Add(%q) accepted a malformed address", ip)
+		}
+		if _, ok := router.Guard(ip); ok {
+			t.Errorf("Guard(%q) found a guard", ip)
+		}
+		if router.SetDegraded(ip, DegradedFailOpen) {
+			t.Errorf("SetDegraded(%q) reported a registered speaker", ip)
+		}
+	}
+	if len(router.guards) != 0 {
+		t.Fatalf("malformed addresses registered %d guards", len(router.guards))
+	}
 }
 
 func TestHoldDurationAccessors(t *testing.T) {

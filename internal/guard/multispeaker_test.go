@@ -54,19 +54,19 @@ func TestDualSpeakerDeployment(t *testing.T) {
 	echoGen.AnomalyRate = 0
 	ghmGen := trafficgen.NewGHM(root.Split("ghm-traffic"))
 
-	echoGuard := New(clock, recognize.NewEcho(trafficgen.EchoIP), newMethod(spotA), "echo")
-	ghmGuard := New(clock, recognize.NewGHM(trafficgen.GHMIP), newMethod(spotB), "ghm")
+	echoGuard := New(clock, recognize.NewEcho(trafficgen.EchoAddr), newMethod(spotA), "echo")
+	ghmGuard := New(clock, recognize.NewGHM(trafficgen.GHMAddr), newMethod(spotB), "ghm")
 	echoEvents, ghmEvents := collect(echoGuard), collect(ghmGuard)
 	ghmGuard.DispatchDelay = 350 * time.Millisecond
 
 	router := NewRouter()
-	router.Add(trafficgen.EchoIP, echoGuard)
-	router.Add(trafficgen.GHMIP, ghmGuard)
+	mustAdd(t, router, trafficgen.EchoIP, echoGuard)
+	mustAdd(t, router, trafficgen.GHMIP, ghmGuard)
 
 	feed := func(packets []pcap.Packet) {
 		for _, p := range packets {
 			clock.AdvanceTo(p.Time)
-			router.Feed(p)
+			router.Feed(&p)
 		}
 	}
 
@@ -108,18 +108,18 @@ func TestDualSpeakerIsolation(t *testing.T) {
 	clock := simtime.NewSim(epoch)
 	root := rng.New(100)
 
-	echoGuard := New(clock, recognize.NewEcho(trafficgen.EchoIP), &decision.StaticMethod{MethodName: "allow", Allow: true}, "echo")
-	ghmGuard := New(clock, recognize.NewGHM(trafficgen.GHMIP), &decision.StaticMethod{MethodName: "allow", Allow: true}, "ghm")
+	echoGuard := New(clock, recognize.NewEcho(trafficgen.EchoAddr), &decision.StaticMethod{MethodName: "allow", Allow: true}, "echo")
+	ghmGuard := New(clock, recognize.NewGHM(trafficgen.GHMAddr), &decision.StaticMethod{MethodName: "allow", Allow: true}, "ghm")
 	echoEvents, ghmEvents := collect(echoGuard), collect(ghmGuard)
 	router := NewRouter()
-	router.Add(trafficgen.EchoIP, echoGuard)
-	router.Add(trafficgen.GHMIP, ghmGuard)
+	mustAdd(t, router, trafficgen.EchoIP, echoGuard)
+	mustAdd(t, router, trafficgen.GHMIP, ghmGuard)
 
 	ghmGen := trafficgen.NewGHM(root.Split("traffic"))
 	inv := ghmGen.Invocation(epoch)
 	for _, p := range inv.All() {
 		clock.AdvanceTo(p.Time)
-		router.Feed(p)
+		router.Feed(&p)
 	}
 	clock.Advance(10 * time.Second)
 

@@ -34,11 +34,11 @@ func (m *slowMethod) Check(req decision.Request, done func(decision.Result)) {
 
 // ghmPacket builds one GHM cloud-flow packet (any spike on the TLS
 // port is immediately a command for the GHM recognizer).
-func ghmPacket(at time.Time, srcPort int) pcap.Packet {
-	return pcap.Packet{
+func ghmPacket(at time.Time, srcPort uint16) *pcap.Packet {
+	return &pcap.Packet{
 		Time:  at,
-		SrcIP: trafficgen.GHMIP, SrcPort: srcPort,
-		DstIP: "142.250.1.1", DstPort: trafficgen.TLSPort,
+		SrcIP: trafficgen.GHMAddr, SrcPort: srcPort,
+		DstIP: pcap.MustParseIPv4("142.250.1.1"), DstPort: trafficgen.TLSPort,
 		Proto: pcap.TCP, Len: 500,
 	}
 }
@@ -52,7 +52,7 @@ func ghmPacket(at time.Time, srcPort int) pcap.Packet {
 func TestSecondCommandWhilePendingIsQueued(t *testing.T) {
 	clock := simtime.NewSim(epoch)
 	m := &slowMethod{clock: clock, delay: 5 * time.Second, allow: true}
-	g := New(clock, recognize.NewGHM(trafficgen.GHMIP), m, "ghm")
+	g := New(clock, recognize.NewGHM(trafficgen.GHMAddr), m, "ghm")
 	events := collect(g)
 
 	// First command spike at t=0; its verdict is due at t=5s.
@@ -99,13 +99,13 @@ func TestSecondCommandWhilePendingIsQueued(t *testing.T) {
 func TestQueuedCommandsDrainInOrder(t *testing.T) {
 	clock := simtime.NewSim(epoch)
 	m := &slowMethod{clock: clock, delay: 10 * time.Second, allow: false}
-	g := New(clock, recognize.NewGHM(trafficgen.GHMIP), m, "ghm")
+	g := New(clock, recognize.NewGHM(trafficgen.GHMAddr), m, "ghm")
 	events := collect(g)
 
 	for i := 0; i < 3; i++ {
 		at := epoch.Add(time.Duration(i) * 2 * time.Second)
 		clock.AdvanceTo(at)
-		g.Feed(ghmPacket(at, 41000+i))
+		g.Feed(ghmPacket(at, uint16(41000+i)))
 	}
 	clock.Advance(2 * time.Minute)
 
@@ -153,12 +153,12 @@ func spansFor(spans []trace.Span, id trace.CommandID) []trace.Span {
 func TestRouterDNSResponseFeedsTracker(t *testing.T) {
 	clock := simtime.NewSim(epoch)
 	m := &slowMethod{clock: clock, delay: time.Second, allow: true}
-	rec := recognize.NewEcho(trafficgen.EchoIP)
+	rec := recognize.NewEcho(trafficgen.EchoAddr)
 	g := New(clock, rec, m, "echo")
 	events := collect(g)
 
 	router := NewRouter()
-	router.Add(trafficgen.EchoIP, g)
+	mustAdd(t, router, trafficgen.EchoIP, g)
 
 	// The DNS response travels router→speaker: its SrcIP is not a
 	// registered speaker, so only the DstIP fallback delivers it.
@@ -168,10 +168,10 @@ func TestRouterDNSResponseFeedsTracker(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.AdvanceTo(epoch)
-	router.Feed(pcap.Packet{
+	router.Feed(&pcap.Packet{
 		Time:  epoch,
-		SrcIP: trafficgen.RouterIP, SrcPort: pcap.DNSPort,
-		DstIP: trafficgen.EchoIP, DstPort: 53211,
+		SrcIP: trafficgen.RouterAddr, SrcPort: pcap.DNSPort,
+		DstIP: trafficgen.EchoAddr, DstPort: 53211,
 		Proto: pcap.UDP, Len: len(payload), Payload: payload,
 	})
 	if addr, ok := rec.Tracker.Current(); !ok || addr != avsAddr {
@@ -188,10 +188,10 @@ func TestRouterDNSResponseFeedsTracker(t *testing.T) {
 			t.Fatal(err)
 		}
 		clock.AdvanceTo(at)
-		router.Feed(pcap.Packet{
+		router.Feed(&pcap.Packet{
 			Time:  at,
-			SrcIP: trafficgen.EchoIP, SrcPort: 49000,
-			DstIP: avsAddr.String(), DstPort: trafficgen.TLSPort,
+			SrcIP: trafficgen.EchoAddr, SrcPort: 49000,
+			DstIP: avsAddr.As4(), DstPort: trafficgen.TLSPort,
 			Proto: pcap.TCP, Len: wireLen, Payload: payload,
 		})
 	}

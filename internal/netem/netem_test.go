@@ -15,8 +15,8 @@ func stream(n int) []pcap.Packet {
 	for i := range out {
 		out[i] = pcap.Packet{
 			Time:  t0.Add(time.Duration(i) * 100 * time.Millisecond),
-			SrcIP: "10.0.0.2", SrcPort: 40000,
-			DstIP: "1.2.3.4", DstPort: 443,
+			SrcIP: pcap.MustParseIPv4("10.0.0.2"), SrcPort: 40000,
+			DstIP: pcap.MustParseIPv4("1.2.3.4"), DstPort: 443,
 			Proto: pcap.TCP, Len: i + 1,
 		}
 	}

@@ -203,7 +203,7 @@ func parseName(b []byte) (string, []byte, error) {
 
 // IsDNSQuery reports whether the packet looks like a DNS query to the
 // resolver port and returns the parsed message.
-func IsDNSQuery(p Packet) (DNSMessage, bool) {
+func IsDNSQuery(p *Packet) (DNSMessage, bool) {
 	if p.Proto != UDP || p.DstPort != DNSPort {
 		return DNSMessage{}, false
 	}
@@ -216,7 +216,7 @@ func IsDNSQuery(p Packet) (DNSMessage, bool) {
 
 // IsDNSResponse reports whether the packet looks like a DNS response
 // from the resolver port and returns the parsed message.
-func IsDNSResponse(p Packet) (DNSMessage, bool) {
+func IsDNSResponse(p *Packet) (DNSMessage, bool) {
 	if p.Proto != UDP || p.SrcPort != DNSPort {
 		return DNSMessage{}, false
 	}

@@ -14,7 +14,7 @@ import (
 func dnsSeeds(t testing.TB) [][]byte {
 	t0 := time.Date(2023, 3, 6, 6, 0, 0, 0, time.UTC)
 	var seeds [][]byte
-	keep := func(p pcap.Packet) {
+	keep := func(p *pcap.Packet) {
 		if p.Proto == pcap.UDP && (p.SrcPort == pcap.DNSPort || p.DstPort == pcap.DNSPort) {
 			seeds = append(seeds, p.Payload)
 		}
@@ -27,7 +27,7 @@ func dnsSeeds(t testing.TB) [][]byte {
 	}
 	reconnect := e.Reconnect(t0.Add(time.Hour), true)
 	for _, p := range append(boot, reconnect...) {
-		keep(p)
+		keep(&p)
 	}
 	return seeds
 }

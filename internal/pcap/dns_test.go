@@ -86,25 +86,25 @@ func TestIsDNSQueryAndResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	query := Packet{Proto: UDP, SrcIP: "10.0.0.2", SrcPort: 5000, DstIP: "10.0.0.1", DstPort: DNSPort, Payload: qBytes}
-	resp := Packet{Proto: UDP, SrcIP: "10.0.0.1", SrcPort: DNSPort, DstIP: "10.0.0.2", DstPort: 5000, Payload: rBytes}
+	query := Packet{Proto: UDP, SrcIP: MustParseIPv4("10.0.0.2"), SrcPort: 5000, DstIP: MustParseIPv4("10.0.0.1"), DstPort: DNSPort, Payload: qBytes}
+	resp := Packet{Proto: UDP, SrcIP: MustParseIPv4("10.0.0.1"), SrcPort: DNSPort, DstIP: MustParseIPv4("10.0.0.2"), DstPort: 5000, Payload: rBytes}
 
-	if msg, ok := IsDNSQuery(query); !ok || msg.Name != avsName {
+	if msg, ok := IsDNSQuery(&query); !ok || msg.Name != avsName {
 		t.Fatalf("IsDNSQuery = %v, %v", msg, ok)
 	}
-	if _, ok := IsDNSQuery(resp); ok {
+	if _, ok := IsDNSQuery(&resp); ok {
 		t.Fatal("response classified as query")
 	}
-	if msg, ok := IsDNSResponse(resp); !ok || msg.Addr != netip.MustParseAddr("52.1.2.3") {
+	if msg, ok := IsDNSResponse(&resp); !ok || msg.Addr != netip.MustParseAddr("52.1.2.3") {
 		t.Fatalf("IsDNSResponse = %v, %v", msg, ok)
 	}
-	if _, ok := IsDNSResponse(query); ok {
+	if _, ok := IsDNSResponse(&query); ok {
 		t.Fatal("query classified as response")
 	}
 
 	tcp := query
 	tcp.Proto = TCP
-	if _, ok := IsDNSQuery(tcp); ok {
+	if _, ok := IsDNSQuery(&tcp); ok {
 		t.Fatal("TCP packet classified as DNS query")
 	}
 }

@@ -18,6 +18,10 @@ import (
 //	        srcIP str | srcPort uint16 | dstIP str | dstPort uint16 |
 //	        len uint32 | payloadLen uint32 | payload bytes
 //	str:    uint8 length-prefixed UTF-8
+//
+// Addresses are written in dotted-decimal form, and the reader accepts
+// only that form (see ParseIPv4), so each packet has exactly one
+// encoding: a capture the reader accepts re-encodes to the same bytes.
 var captureMagic = [4]byte{'V', 'G', 'C', '1'}
 
 // WriteCapture serialises packets to w.
@@ -26,8 +30,8 @@ func WriteCapture(w io.Writer, packets []Packet) error {
 	if _, err := bw.Write(captureMagic[:]); err != nil {
 		return fmt.Errorf("pcap: write magic: %w", err)
 	}
-	for i, p := range packets {
-		if err := writePacket(bw, p); err != nil {
+	for i := range packets {
+		if err := writePacket(bw, &packets[i]); err != nil {
 			return fmt.Errorf("pcap: write packet %d: %w", i, err)
 		}
 	}
@@ -57,23 +61,23 @@ func ReadCapture(r io.Reader) ([]Packet, error) {
 	}
 }
 
-func writePacket(w *bufio.Writer, p Packet) error {
+func writePacket(w *bufio.Writer, p *Packet) error {
 	if err := binary.Write(w, binary.BigEndian, p.Time.UnixNano()); err != nil {
 		return err
 	}
 	if err := w.WriteByte(byte(p.Proto)); err != nil {
 		return err
 	}
-	if err := writeString(w, p.SrcIP); err != nil {
+	if err := writeIPv4(w, p.SrcIP); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.BigEndian, uint16(p.SrcPort)); err != nil {
+	if err := binary.Write(w, binary.BigEndian, p.SrcPort); err != nil {
 		return err
 	}
-	if err := writeString(w, p.DstIP); err != nil {
+	if err := writeIPv4(w, p.DstIP); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.BigEndian, uint16(p.DstPort)); err != nil {
+	if err := binary.Write(w, binary.BigEndian, p.DstPort); err != nil {
 		return err
 	}
 	if err := binary.Write(w, binary.BigEndian, uint32(p.Len)); err != nil {
@@ -100,22 +104,18 @@ func readPacket(r *bufio.Reader) (Packet, error) {
 	}
 	p.Proto = Protocol(proto)
 
-	if p.SrcIP, err = readString(r); err != nil {
+	if p.SrcIP, err = readIPv4(r); err != nil {
 		return p, err
 	}
-	var port16 uint16
-	if err := binary.Read(r, binary.BigEndian, &port16); err != nil {
+	if err := binary.Read(r, binary.BigEndian, &p.SrcPort); err != nil {
 		return p, eofIsTruncated(err)
 	}
-	p.SrcPort = int(port16)
-
-	if p.DstIP, err = readString(r); err != nil {
+	if p.DstIP, err = readIPv4(r); err != nil {
 		return p, err
 	}
-	if err := binary.Read(r, binary.BigEndian, &port16); err != nil {
+	if err := binary.Read(r, binary.BigEndian, &p.DstPort); err != nil {
 		return p, eofIsTruncated(err)
 	}
-	p.DstPort = int(port16)
 
 	var length, payloadLen uint32
 	if err := binary.Read(r, binary.BigEndian, &length); err != nil {
@@ -138,10 +138,9 @@ func readPacket(r *bufio.Reader) (Packet, error) {
 	return p, nil
 }
 
-func writeString(w *bufio.Writer, s string) error {
-	if len(s) > 255 {
-		return fmt.Errorf("string %q too long", s)
-	}
+// writeIPv4 writes an address as a str in dotted-decimal form.
+func writeIPv4(w *bufio.Writer, a IPv4) error {
+	s := a.String()
 	if err := w.WriteByte(byte(len(s))); err != nil {
 		return err
 	}
@@ -149,16 +148,17 @@ func writeString(w *bufio.Writer, s string) error {
 	return err
 }
 
-func readString(r *bufio.Reader) (string, error) {
+// readIPv4 reads one address string and parses it.
+func readIPv4(r *bufio.Reader) (IPv4, error) {
 	n, err := r.ReadByte()
 	if err != nil {
-		return "", eofIsTruncated(err)
+		return IPv4{}, eofIsTruncated(err)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", eofIsTruncated(err)
+		return IPv4{}, eofIsTruncated(err)
 	}
-	return string(buf), nil
+	return ParseIPv4(string(buf))
 }
 
 // eofIsTruncated converts mid-record EOFs into explicit truncation

@@ -3,6 +3,7 @@ package pcap
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -17,20 +18,20 @@ func samplePackets(t *testing.T) []Packet {
 	return []Packet{
 		{
 			Time:  t0,
-			SrcIP: "192.168.1.200", SrcPort: 40001,
-			DstIP: "52.94.233.1", DstPort: 443,
+			SrcIP: MustParseIPv4("192.168.1.200"), SrcPort: 40001,
+			DstIP: MustParseIPv4("52.94.233.1"), DstPort: 443,
 			Proto: TCP, Len: 138, Payload: app,
 		},
 		{
 			Time:  t0.Add(time.Second),
-			SrcIP: "192.168.1.200", SrcPort: 5353,
-			DstIP: "192.168.1.1", DstPort: 53,
+			SrcIP: MustParseIPv4("192.168.1.200"), SrcPort: 5353,
+			DstIP: MustParseIPv4("192.168.1.1"), DstPort: 53,
 			Proto: UDP, Len: 48, Payload: []byte{1, 2, 3},
 		},
 		{
 			Time:  t0.Add(2 * time.Second),
-			SrcIP: "1.2.3.4", SrcPort: 443,
-			DstIP: "192.168.1.200", DstPort: 40001,
+			SrcIP: MustParseIPv4("1.2.3.4"), SrcPort: 443,
+			DstIP: MustParseIPv4("192.168.1.200"), DstPort: 40001,
 			Proto: TCP, Len: 0, // pure ACK: no payload
 		},
 	}
@@ -101,15 +102,27 @@ func TestReadCaptureRejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestWriteCaptureRejectsLongIP(t *testing.T) {
-	long := make([]byte, 300)
-	for i := range long {
-		long[i] = 'a'
-	}
-	p := Packet{SrcIP: string(long)}
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, []Packet{p}); err == nil {
-		t.Fatal("oversized address accepted")
+// TestReadCaptureRejectsNonIPv4 hand-encodes one packet record whose
+// source address is not a dotted-decimal IPv4 address: an oversized
+// string, a hostname, leading zeros, IPv6 and IPv4-in-IPv6. The reader
+// must reject each, since only the canonical form re-encodes to the
+// same bytes.
+func TestReadCaptureRejectsNonIPv4(t *testing.T) {
+	long := strings.Repeat("a", 255)
+	for _, addr := range []string{long, "", "speaker.local", "192.168.001.200", "1.2.3", "::1", "::ffff:1.2.3.4", "1.2.3.4%eth0"} {
+		var rec bytes.Buffer
+		rec.Write(captureMagic[:])
+		rec.Write(make([]byte, 8)) // unixNano
+		rec.WriteByte(byte(TCP))
+		rec.WriteByte(byte(len(addr)))
+		rec.WriteString(addr)
+		rec.Write([]byte{0, 1}) // srcPort
+		rec.Write([]byte{7, '1', '.', '2', '.', '3', '.', '4'})
+		rec.Write([]byte{0, 2})    // dstPort
+		rec.Write(make([]byte, 8)) // len, payloadLen
+		if _, err := ReadCapture(&rec); err == nil {
+			t.Errorf("source address %q accepted", addr)
+		}
 	}
 }
 
@@ -120,8 +133,8 @@ func TestCaptureRoundTripProperty(t *testing.T) {
 		}
 		in := []Packet{{
 			Time:  t0,
-			SrcIP: "10.0.0.1", SrcPort: int(srcPort),
-			DstIP: "10.0.0.2", DstPort: int(dstPort),
+			SrcIP: MustParseIPv4("10.0.0.1"), SrcPort: srcPort,
+			DstIP: MustParseIPv4("10.0.0.2"), DstPort: dstPort,
 			Proto: TCP, Len: int(length), Payload: payload,
 		}}
 		var buf bytes.Buffer
@@ -132,8 +145,8 @@ func TestCaptureRoundTripProperty(t *testing.T) {
 		if err != nil || len(out) != 1 {
 			return false
 		}
-		return out[0].SrcPort == int(srcPort) &&
-			out[0].DstPort == int(dstPort) &&
+		return out[0].SrcPort == srcPort &&
+			out[0].DstPort == dstPort &&
 			out[0].Len == int(length) &&
 			bytes.Equal(out[0].Payload, payload)
 	}

@@ -8,12 +8,48 @@ package pcap
 
 import (
 	"fmt"
+	"net/netip"
 	"sort"
 	"time"
 )
 
+// IPv4 is an IPv4 address in network byte order. It is a comparable
+// 4-byte value, so a packet carries its endpoints without pointers and
+// a flow key hashes without hashing strings.
+type IPv4 [4]byte
+
+// String returns the address in dotted-decimal form, e.g.
+// "192.168.1.200". It allocates; the conversion below also makes it an
+// allocation source to vglint's hotalloc rule, so no per-packet hot
+// path can reach it.
+func (a IPv4) String() string {
+	var buf [len("255.255.255.255")]byte
+	return string(netip.AddrFrom4(a).AppendTo(buf[:0]))
+}
+
+// ParseIPv4 parses a dotted-decimal IPv4 address. It accepts exactly
+// the strings IPv4.String produces (no leading zeros, no IPv6 forms),
+// so every accepted address has one text form.
+func ParseIPv4(s string) (IPv4, error) {
+	addr, err := netip.ParseAddr(s)
+	if err != nil || !addr.Is4() {
+		return IPv4{}, fmt.Errorf("pcap: %q is not an IPv4 address", s)
+	}
+	return addr.As4(), nil
+}
+
+// MustParseIPv4 is ParseIPv4 for addresses fixed in the source; it
+// panics on a malformed one.
+func MustParseIPv4(s string) IPv4 {
+	a, err := ParseIPv4(s)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 // Protocol is the transport protocol of a packet.
-type Protocol int
+type Protocol uint8
 
 // Transport protocols observed on the home network.
 const (
@@ -38,16 +74,21 @@ func (p Protocol) String() string {
 // defined over. Payload optionally carries the bytes themselves (TLS
 // records or DNS messages) for header inspection.
 //
+// A packet is 72 bytes with two pointer words (the time's location and
+// the payload). The packet stream is handed from the generators to the
+// recognizer as *Packet: a callee may read the packet only during the
+// call, and one that keeps it must copy *p.
+//
 // Payload is read-only. The traffic generators share one buffer among
 // every packet with the same bytes (interned TLS records, zero-filled
 // datagrams), so a consumer that needs to modify a payload must copy
 // it first.
 type Packet struct {
 	Time    time.Time
-	SrcIP   string
-	SrcPort int
-	DstIP   string
-	DstPort int
+	SrcIP   IPv4
+	SrcPort uint16
+	DstIP   IPv4
+	DstPort uint16
 	Proto   Protocol
 	Len     int
 	Payload []byte
@@ -63,10 +104,10 @@ func (p Packet) FlowKey() string {
 // FlowID identifies a unidirectional flow as a comparable value, so
 // per-flow state can be keyed without formatting a string per packet.
 type FlowID struct {
-	SrcIP   string
-	SrcPort int
-	DstIP   string
-	DstPort int
+	SrcIP   IPv4
+	SrcPort uint16
+	DstIP   IPv4
+	DstPort uint16
 	Proto   Protocol
 }
 
@@ -111,13 +152,13 @@ func (c *Capture) Filter(keep func(Packet) bool) []Packet {
 
 // FromHost returns packets originating at the given IP — the paper
 // only analyses traffic originating from the smart speaker.
-func (c *Capture) FromHost(ip string) []Packet {
+func (c *Capture) FromHost(ip IPv4) []Packet {
 	return c.Filter(func(p Packet) bool { return p.SrcIP == ip })
 }
 
 // Between returns packets exchanged between the two IPs, either
 // direction.
-func (c *Capture) Between(a, b string) []Packet {
+func (c *Capture) Between(a, b IPv4) []Packet {
 	return c.Filter(func(p Packet) bool {
 		return (p.SrcIP == a && p.DstIP == b) || (p.SrcIP == b && p.DstIP == a)
 	})

@@ -3,6 +3,7 @@ package pcap
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var t0 = time.Date(2023, 3, 1, 9, 0, 0, 0, time.UTC)
@@ -10,8 +11,8 @@ var t0 = time.Date(2023, 3, 1, 9, 0, 0, 0, time.UTC)
 func pkt(at time.Duration, src, dst string, length int) Packet {
 	return Packet{
 		Time:  t0.Add(at),
-		SrcIP: src, SrcPort: 40000,
-		DstIP: dst, DstPort: 443,
+		SrcIP: MustParseIPv4(src), SrcPort: 40000,
+		DstIP: MustParseIPv4(dst), DstPort: 443,
 		Proto: TCP,
 		Len:   length,
 	}
@@ -21,8 +22,8 @@ func TestFlowKeyDistinguishesDirections(t *testing.T) {
 	a := pkt(0, "10.0.0.2", "1.2.3.4", 100)
 	b := Packet{
 		Time:  t0,
-		SrcIP: "1.2.3.4", SrcPort: 443,
-		DstIP: "10.0.0.2", DstPort: 40000,
+		SrcIP: MustParseIPv4("1.2.3.4"), SrcPort: 443,
+		DstIP: MustParseIPv4("10.0.0.2"), DstPort: 40000,
 		Proto: TCP, Len: 100,
 	}
 	if a.FlowKey() == b.FlowKey() {
@@ -34,12 +35,12 @@ func TestCaptureFilters(t *testing.T) {
 	var c Capture
 	c.Add(pkt(0, "10.0.0.2", "1.2.3.4", 10))
 	c.Add(pkt(time.Second, "10.0.0.3", "1.2.3.4", 20))
-	c.Add(Packet{Time: t0, SrcIP: "1.2.3.4", SrcPort: 443, DstIP: "10.0.0.2", DstPort: 40000, Proto: TCP, Len: 30})
+	c.Add(Packet{Time: t0, SrcIP: MustParseIPv4("1.2.3.4"), SrcPort: 443, DstIP: MustParseIPv4("10.0.0.2"), DstPort: 40000, Proto: TCP, Len: 30})
 
-	if got := len(c.FromHost("10.0.0.2")); got != 1 {
+	if got := len(c.FromHost(MustParseIPv4("10.0.0.2"))); got != 1 {
 		t.Fatalf("FromHost = %d packets, want 1", got)
 	}
-	if got := len(c.Between("10.0.0.2", "1.2.3.4")); got != 2 {
+	if got := len(c.Between(MustParseIPv4("10.0.0.2"), MustParseIPv4("1.2.3.4"))); got != 2 {
 		t.Fatalf("Between = %d packets, want 2", got)
 	}
 	if c.Len() != 3 {
@@ -49,7 +50,7 @@ func TestCaptureFilters(t *testing.T) {
 
 func TestCapturePacketsIsACopy(t *testing.T) {
 	var c Capture
-	c.Add(pkt(0, "a", "b", 1))
+	c.Add(pkt(0, "10.0.0.2", "1.2.3.4", 1))
 	got := c.Packets()
 	got[0].Len = 999
 	if c.Packets()[0].Len != 1 {
@@ -59,9 +60,9 @@ func TestCapturePacketsIsACopy(t *testing.T) {
 
 func TestSortByTimeStable(t *testing.T) {
 	packets := []Packet{
-		pkt(2*time.Second, "a", "b", 1),
-		pkt(0, "a", "b", 2),
-		pkt(0, "a", "b", 3),
+		pkt(2*time.Second, "10.0.0.2", "1.2.3.4", 1),
+		pkt(0, "10.0.0.2", "1.2.3.4", 2),
+		pkt(0, "10.0.0.2", "1.2.3.4", 3),
 	}
 	SortByTime(packets)
 	if packets[0].Len != 2 || packets[1].Len != 3 || packets[2].Len != 1 {
@@ -70,7 +71,7 @@ func TestSortByTimeStable(t *testing.T) {
 }
 
 func TestLengths(t *testing.T) {
-	ps := []Packet{pkt(0, "a", "b", 63), pkt(0, "a", "b", 33)}
+	ps := []Packet{pkt(0, "10.0.0.2", "1.2.3.4", 63), pkt(0, "10.0.0.2", "1.2.3.4", 33)}
 	got := Lengths(ps)
 	if len(got) != 2 || got[0] != 63 || got[1] != 33 {
 		t.Fatalf("Lengths = %v", got)
@@ -88,12 +89,12 @@ func TestProtocolString(t *testing.T) {
 
 func TestSpikesSplitOnIdleGap(t *testing.T) {
 	packets := []Packet{
-		pkt(0, "a", "b", 1),
-		pkt(300*time.Millisecond, "a", "b", 2),
-		pkt(600*time.Millisecond, "a", "b", 3),
+		pkt(0, "10.0.0.2", "1.2.3.4", 1),
+		pkt(300*time.Millisecond, "10.0.0.2", "1.2.3.4", 2),
+		pkt(600*time.Millisecond, "10.0.0.2", "1.2.3.4", 3),
 		// 2s gap.
-		pkt(2600*time.Millisecond, "a", "b", 4),
-		pkt(2800*time.Millisecond, "a", "b", 5),
+		pkt(2600*time.Millisecond, "10.0.0.2", "1.2.3.4", 4),
+		pkt(2800*time.Millisecond, "10.0.0.2", "1.2.3.4", 5),
 	}
 	spikes := Spikes(packets, time.Second)
 	if len(spikes) != 2 {
@@ -106,8 +107,8 @@ func TestSpikesSplitOnIdleGap(t *testing.T) {
 
 func TestSpikesExactGapSplits(t *testing.T) {
 	packets := []Packet{
-		pkt(0, "a", "b", 1),
-		pkt(time.Second, "a", "b", 2), // exactly the gap: new spike
+		pkt(0, "10.0.0.2", "1.2.3.4", 1),
+		pkt(time.Second, "10.0.0.2", "1.2.3.4", 2), // exactly the gap: new spike
 	}
 	if got := len(Spikes(packets, time.Second)); got != 2 {
 		t.Fatalf("spikes = %d, want 2", got)
@@ -122,9 +123,9 @@ func TestSpikesEmptyInput(t *testing.T) {
 
 func TestSpikesDefaultGap(t *testing.T) {
 	packets := []Packet{
-		pkt(0, "a", "b", 1),
-		pkt(900*time.Millisecond, "a", "b", 2),
-		pkt(2*time.Second, "a", "b", 3),
+		pkt(0, "10.0.0.2", "1.2.3.4", 1),
+		pkt(900*time.Millisecond, "10.0.0.2", "1.2.3.4", 2),
+		pkt(2*time.Second, "10.0.0.2", "1.2.3.4", 3),
 	}
 	spikes := Spikes(packets, 0)
 	if len(spikes) != 2 {
@@ -134,8 +135,8 @@ func TestSpikesDefaultGap(t *testing.T) {
 
 func TestSpikeAccessors(t *testing.T) {
 	packets := []Packet{
-		pkt(0, "a", "b", 10),
-		pkt(500*time.Millisecond, "a", "b", 20),
+		pkt(0, "10.0.0.2", "1.2.3.4", 10),
+		pkt(500*time.Millisecond, "10.0.0.2", "1.2.3.4", 20),
 	}
 	s := Spikes(packets, time.Second)[0]
 	if !s.Start().Equal(t0) {
@@ -146,5 +147,13 @@ func TestSpikeAccessors(t *testing.T) {
 	}
 	if got := s.Lengths(); got[0] != 10 || got[1] != 20 {
 		t.Fatalf("lengths = %v", got)
+	}
+}
+
+// TestPacketSize pins the packet at 72 bytes: a packet is copied into
+// every spike buffer and capture, so its size is the cost of a copy.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 72 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d bytes, want at most 72", got)
 	}
 }

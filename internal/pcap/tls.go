@@ -149,7 +149,7 @@ func ReadRecord(r io.Reader) (Record, error) {
 // exactly the payloads ParseRecords accepts and rejects, without
 // copying any record body — this runs once per captured packet on the
 // recognizer's hot path.
-func IsAppData(p Packet) bool {
+func IsAppData(p *Packet) bool {
 	b := p.Payload
 	if len(b) < recordHeaderLen || RecordType(b[0]) != RecordApplicationData {
 		return false

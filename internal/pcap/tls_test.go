@@ -115,7 +115,7 @@ func TestIsAppData(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := IsAppData(tt.p); got != tt.want {
+			if got := IsAppData(&tt.p); got != tt.want {
 				t.Fatalf("IsAppData = %v, want %v", got, tt.want)
 			}
 		})

@@ -120,7 +120,7 @@ func hasAdjacent(lengths []int, a, b, limit int) bool {
 // IsHeartbeat reports whether the packet is an Echo Dot keep-alive:
 // an isolated 41-byte application-data packet. Heartbeat traffic is
 // ignored by the spike detector (§IV-B1).
-func IsHeartbeat(p pcap.Packet) bool {
+func IsHeartbeat(p *pcap.Packet) bool {
 	return p.Len == trafficgen.HeartbeatLen && pcap.IsAppData(p)
 }
 

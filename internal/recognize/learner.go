@@ -1,10 +1,6 @@
 package recognize
 
-import (
-	"net/netip"
-
-	"voiceguard/internal/pcap"
-)
+import "voiceguard/internal/pcap"
 
 // SignatureLearner implements the paper's §VII future work: learning
 // a cloud server's connection-establishment packet-level signature
@@ -19,7 +15,7 @@ import (
 // current signature evict the stale ones, so a changed fingerprint is
 // re-learned after MinExamples fresh connections.
 type SignatureLearner struct {
-	SpeakerIP string
+	SpeakerIP pcap.IPv4
 	Domain    string
 
 	// MinExamples connections must agree before a signature is
@@ -32,7 +28,7 @@ type SignatureLearner struct {
 	// the published AVS signature).
 	MaxLength int
 
-	labelled map[string]bool // addresses resolved from Domain
+	labelled map[pcap.IPv4]bool // addresses resolved from Domain
 	flows    map[pcap.FlowID]*learnFlow
 	lastFlow pcap.FlowID // most recent labelled flow, finalised when superseded
 	examples [][]int
@@ -46,14 +42,14 @@ type learnFlow struct {
 }
 
 // NewSignatureLearner returns a learner for the speaker and domain.
-func NewSignatureLearner(speakerIP, domain string) *SignatureLearner {
+func NewSignatureLearner(speakerIP pcap.IPv4, domain string) *SignatureLearner {
 	return &SignatureLearner{
 		SpeakerIP:   speakerIP,
 		Domain:      domain,
 		MinExamples: 3,
 		MinLength:   5,
 		MaxLength:   16,
-		labelled:    make(map[string]bool),
+		labelled:    make(map[pcap.IPv4]bool),
 		flows:       make(map[pcap.FlowID]*learnFlow),
 	}
 }
@@ -67,15 +63,16 @@ func (l *SignatureLearner) Signature() ([]int, bool) {
 }
 
 // Observe feeds one captured packet and reports whether the learned
-// signature changed.
-func (l *SignatureLearner) Observe(p pcap.Packet) bool {
+// signature changed. p is read only during the call.
+func (l *SignatureLearner) Observe(p *pcap.Packet) bool {
 	// A DNS response to another host would fall through to the TCP
 	// test below and be ignored there, so only the speaker's replies
 	// need parsing.
 	if p.DstIP == l.SpeakerIP {
 		if msg, ok := pcap.IsDNSResponse(p); ok {
-			if msg.Name == l.Domain && msg.Addr != (netip.Addr{}) {
-				l.labelled[msg.Addr.String()] = true
+			if msg.Name == l.Domain {
+				// An accepted response always carries an A record.
+				l.labelled[msg.Addr.As4()] = true
 			}
 			return false
 		}
@@ -211,7 +208,7 @@ type AdaptiveTracker struct {
 
 // NewAdaptiveTracker returns an adaptive tracker seeded with the given
 // initial signature (which may be nil — it will be learned).
-func NewAdaptiveTracker(speakerIP, domain string, initial []int) *AdaptiveTracker {
+func NewAdaptiveTracker(speakerIP pcap.IPv4, domain string, initial []int) *AdaptiveTracker {
 	return &AdaptiveTracker{
 		AVSTracker: NewAVSTracker(speakerIP, domain, initial),
 		Learner:    NewSignatureLearner(speakerIP, domain),
@@ -220,8 +217,8 @@ func NewAdaptiveTracker(speakerIP, domain string, initial []int) *AdaptiveTracke
 
 // Observe feeds the packet to both the learner and the tracker,
 // adopting newly learned signatures, and reports whether the tracked
-// address changed.
-func (t *AdaptiveTracker) Observe(p pcap.Packet) bool {
+// address changed. p is read only during the call.
+func (t *AdaptiveTracker) Observe(p *pcap.Packet) bool {
 	if t.Learner.Observe(p) {
 		if sig, ok := t.Learner.Signature(); ok {
 			t.AVSTracker.Signature = sig

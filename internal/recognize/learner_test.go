@@ -14,7 +14,7 @@ import (
 func feedLearner(l *SignatureLearner, packets []pcap.Packet) bool {
 	changed := false
 	for _, p := range packets {
-		if l.Observe(p) {
+		if l.Observe(&p) {
 			changed = true
 		}
 	}
@@ -35,7 +35,7 @@ func observeConnections(t *testing.T, l *SignatureLearner, e *trafficgen.Echo, n
 
 func TestLearnerLearnsPublishedSignature(t *testing.T) {
 	e := trafficgen.NewEcho(rng.New(1))
-	l := NewSignatureLearner(trafficgen.EchoIP, trafficgen.AVSDomain)
+	l := NewSignatureLearner(trafficgen.EchoAddr, trafficgen.AVSDomain)
 	boot, err := e.Boot(t0)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestLearnerLearnsPublishedSignature(t *testing.T) {
 
 func TestLearnerNeedsMinimumExamples(t *testing.T) {
 	e := trafficgen.NewEcho(rng.New(2))
-	l := NewSignatureLearner(trafficgen.EchoIP, trafficgen.AVSDomain)
+	l := NewSignatureLearner(trafficgen.EchoAddr, trafficgen.AVSDomain)
 	boot, err := e.Boot(t0)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestLearnerNeedsMinimumExamples(t *testing.T) {
 
 func TestLearnerIgnoresUnlabelledFlows(t *testing.T) {
 	e := trafficgen.NewEcho(rng.New(3))
-	l := NewSignatureLearner(trafficgen.EchoIP, trafficgen.AVSDomain)
+	l := NewSignatureLearner(trafficgen.EchoAddr, trafficgen.AVSDomain)
 	// Reconnects without DNS: the destination is never labelled.
 	at := t0
 	for i := 0; i < 5; i++ {
@@ -89,7 +89,7 @@ func TestLearnerIgnoresUnlabelledFlows(t *testing.T) {
 
 func TestLearnerRelearnsAfterFirmwareUpdate(t *testing.T) {
 	e := trafficgen.NewEcho(rng.New(4))
-	l := NewSignatureLearner(trafficgen.EchoIP, trafficgen.AVSDomain)
+	l := NewSignatureLearner(trafficgen.EchoAddr, trafficgen.AVSDomain)
 	boot, err := e.Boot(t0)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestLearnerRelearnsAfterFirmwareUpdate(t *testing.T) {
 
 func TestLearnerForget(t *testing.T) {
 	e := trafficgen.NewEcho(rng.New(5))
-	l := NewSignatureLearner(trafficgen.EchoIP, trafficgen.AVSDomain)
+	l := NewSignatureLearner(trafficgen.EchoAddr, trafficgen.AVSDomain)
 	boot, err := e.Boot(t0)
 	if err != nil {
 		t.Fatal(err)
@@ -137,14 +137,14 @@ func TestLearnerForget(t *testing.T) {
 
 func TestAdaptiveTrackerSurvivesSignatureChange(t *testing.T) {
 	e := trafficgen.NewEcho(rng.New(6))
-	tr := NewAdaptiveTracker(trafficgen.EchoIP, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
+	tr := NewAdaptiveTracker(trafficgen.EchoAddr, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
 
 	boot, err := e.Boot(t0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range boot {
-		tr.Observe(p)
+		tr.Observe(&p)
 	}
 
 	// Firmware update; several DNS-visible reconnects let the learner
@@ -155,7 +155,7 @@ func TestAdaptiveTrackerSurvivesSignatureChange(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		packets := e.Reconnect(at, true)
 		for _, p := range packets {
-			tr.Observe(p)
+			tr.Observe(&p)
 		}
 		at = at.Add(time.Minute)
 	}
@@ -164,7 +164,7 @@ func TestAdaptiveTrackerSurvivesSignatureChange(t *testing.T) {
 	// signature can follow it.
 	packets := e.Reconnect(at, false)
 	for _, p := range packets {
-		tr.Observe(p)
+		tr.Observe(&p)
 	}
 	addr, ok := tr.Current()
 	if !ok || addr != e.AVSAddr() {
@@ -176,7 +176,7 @@ func TestStaticTrackerLosesChangedSignature(t *testing.T) {
 	// The counterpart: a static-signature tracker cannot follow
 	// cached reconnects once the fingerprint changed.
 	e := trafficgen.NewEcho(rng.New(7))
-	tr := NewAVSTracker(trafficgen.EchoIP, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
+	tr := NewAVSTracker(trafficgen.EchoAddr, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
 	tr.UseDNS = false // isolate signature matching
 
 	boot, err := e.Boot(t0)
@@ -184,14 +184,14 @@ func TestStaticTrackerLosesChangedSignature(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range boot {
-		tr.Observe(p)
+		tr.Observe(&p)
 	}
 	old, _ := tr.Current()
 
 	e.SetConnectSignature([]int{88, 42, 700, 140, 77, 140, 200, 81})
 	packets := e.Reconnect(t0.Add(time.Hour), false)
 	for _, p := range packets {
-		tr.Observe(p)
+		tr.Observe(&p)
 	}
 	if addr, _ := tr.Current(); addr != old {
 		t.Fatal("static tracker unexpectedly followed a changed signature")

@@ -86,14 +86,14 @@ func TestIsHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pcap.Packet{Len: trafficgen.HeartbeatLen, Payload: hb}
-	if !IsHeartbeat(p) {
+	if !IsHeartbeat(&p) {
 		t.Fatal("41-byte app data not recognized as heartbeat")
 	}
 	big, err := pcap.AppData(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsHeartbeat(pcap.Packet{Len: 100, Payload: big}) {
+	if IsHeartbeat(&pcap.Packet{Len: 100, Payload: big}) {
 		t.Fatal("100-byte packet recognized as heartbeat")
 	}
 }
@@ -104,9 +104,9 @@ func TestTrackerLearnsFromDNS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewAVSTracker(trafficgen.EchoIP, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
+	tr := NewAVSTracker(trafficgen.EchoAddr, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
 	for _, p := range boot {
-		tr.Observe(p)
+		tr.Observe(&p)
 	}
 	addr, ok := tr.Current()
 	if !ok || addr != e.AVSAddr() {
@@ -122,8 +122,8 @@ func TestTrackerLearnsFromDNS(t *testing.T) {
 func TestTrackerIgnoresNonAAnswers(t *testing.T) {
 	avs := netip.MustParseAddr("52.94.233.7")
 	bogus := netip.MustParseAddr("6.6.6.6")
-	tr := NewAVSTracker(trafficgen.EchoIP, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
-	response := func(addr netip.Addr, patch func(answer []byte)) pcap.Packet {
+	tr := NewAVSTracker(trafficgen.EchoAddr, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
+	response := func(addr netip.Addr, patch func(answer []byte)) *pcap.Packet {
 		b, err := pcap.EncodeDNSResponse(9, trafficgen.AVSDomain, addr)
 		if err != nil {
 			t.Fatal(err)
@@ -131,10 +131,10 @@ func TestTrackerIgnoresNonAAnswers(t *testing.T) {
 		// The answer is the last 16 bytes: name pointer, TYPE, CLASS,
 		// TTL, RDLENGTH, RDATA.
 		patch(b[len(b)-16:])
-		return pcap.Packet{
+		return &pcap.Packet{
 			Time:  t0,
-			SrcIP: trafficgen.RouterIP, SrcPort: pcap.DNSPort,
-			DstIP: trafficgen.EchoIP, DstPort: 40001,
+			SrcIP: trafficgen.RouterAddr, SrcPort: pcap.DNSPort,
+			DstIP: trafficgen.EchoAddr, DstPort: 40001,
 			Proto: pcap.UDP, Len: len(b), Payload: b,
 		}
 	}
@@ -162,13 +162,13 @@ func TestTrackerFollowsCachedReconnectViaSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewAVSTracker(trafficgen.EchoIP, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
+	tr := NewAVSTracker(trafficgen.EchoAddr, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
 	for _, p := range boot {
-		tr.Observe(p)
+		tr.Observe(&p)
 	}
 	reconnect := e.Reconnect(t0.Add(time.Hour), false /* no DNS */)
 	for _, p := range reconnect {
-		tr.Observe(p)
+		tr.Observe(&p)
 	}
 	addr, ok := tr.Current()
 	if !ok || addr != e.AVSAddr() {
@@ -182,15 +182,15 @@ func TestDNSOnlyTrackerMissesCachedReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewAVSTracker(trafficgen.EchoIP, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
+	tr := NewAVSTracker(trafficgen.EchoAddr, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
 	tr.UseSignature = false
 	for _, p := range boot {
-		tr.Observe(p)
+		tr.Observe(&p)
 	}
 	old, _ := tr.Current()
 	reconnect := e.Reconnect(t0.Add(time.Hour), false)
 	for _, p := range reconnect {
-		tr.Observe(p)
+		tr.Observe(&p)
 	}
 	addr, _ := tr.Current()
 	if addr != old {
@@ -207,10 +207,10 @@ func TestTrackerIgnoresOtherServerSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewAVSTracker(trafficgen.EchoIP, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
+	tr := NewAVSTracker(trafficgen.EchoAddr, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
 	tr.UseDNS = false
 	for _, p := range boot {
-		tr.Observe(p)
+		tr.Observe(&p)
 	}
 	addr, ok := tr.Current()
 	if !ok {
@@ -222,15 +222,15 @@ func TestTrackerIgnoresOtherServerSignatures(t *testing.T) {
 }
 
 func TestTrackerForgetKeepsLiveFlows(t *testing.T) {
-	tr := NewAVSTracker(trafficgen.EchoIP, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
+	tr := NewAVSTracker(trafficgen.EchoAddr, trafficgen.AVSDomain, trafficgen.AVSConnectSignature)
 	payload, err := pcap.AppData(trafficgen.AVSConnectSignature[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Observe(pcap.Packet{
+	tr.Observe(&pcap.Packet{
 		Time:  t0,
-		SrcIP: trafficgen.EchoIP, SrcPort: 45000,
-		DstIP: "52.94.233.7", DstPort: 443,
+		SrcIP: trafficgen.EchoAddr, SrcPort: 45000,
+		DstIP: pcap.MustParseIPv4("52.94.233.7"), DstPort: 443,
 		Proto: pcap.TCP, Len: trafficgen.AVSConnectSignature[0], Payload: payload,
 	})
 	tr.Forget()
@@ -242,10 +242,10 @@ func TestTrackerForgetKeepsLiveFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Observe(pcap.Packet{
+	tr.Observe(&pcap.Packet{
 		Time:  t0,
-		SrcIP: trafficgen.EchoIP, SrcPort: 45000,
-		DstIP: "52.94.233.7", DstPort: 443,
+		SrcIP: trafficgen.EchoAddr, SrcPort: 45000,
+		DstIP: pcap.MustParseIPv4("52.94.233.7"), DstPort: 443,
 		Proto: pcap.TCP, Len: len(bad), Payload: bad,
 	})
 	tr.Forget()
@@ -255,11 +255,11 @@ func TestTrackerForgetKeepsLiveFlows(t *testing.T) {
 }
 
 // feedAll pushes packets through the recognizer, returning the actions
-// with the packet index they occurred at.
+// that change a spike's handling (hold, command, release).
 func feedAll(r *Recognizer, packets []pcap.Packet) []Action {
 	var actions []Action
 	for _, p := range packets {
-		if a := r.Feed(p); a != ActionNone {
+		if a := r.Feed(&p); a != ActionNone && a != ActionExtend {
 			actions = append(actions, a)
 		}
 	}
@@ -273,13 +273,13 @@ func TestRecognizerEchoEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewEcho(trafficgen.EchoIP)
+	r := NewEcho(trafficgen.EchoAddr)
 	for _, p := range boot {
-		r.Feed(p)
+		r.Feed(&p)
 	}
 	hb := e.Heartbeats(t0, 2*time.Minute)
 	for _, p := range hb {
-		if a := r.Feed(p); a != ActionNone {
+		if a := r.Feed(&p); a != ActionNone {
 			t.Fatalf("heartbeat triggered action %v", a)
 		}
 	}
@@ -306,9 +306,9 @@ func TestRecognizerEchoAnomalousCommandReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewEcho(trafficgen.EchoIP)
+	r := NewEcho(trafficgen.EchoAddr)
 	for _, p := range boot {
-		r.Feed(p)
+		r.Feed(&p)
 	}
 	inv := e.Invocation(t0.Add(time.Minute), 0)
 	actions := feedAll(r, inv.All())
@@ -324,13 +324,13 @@ func TestRecognizerEchoFollowsReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewEcho(trafficgen.EchoIP)
+	r := NewEcho(trafficgen.EchoAddr)
 	for _, p := range boot {
-		r.Feed(p)
+		r.Feed(&p)
 	}
 	reconnect := e.Reconnect(t0.Add(10*time.Minute), false)
 	for _, p := range reconnect {
-		r.Feed(p)
+		r.Feed(&p)
 	}
 	inv := e.Invocation(t0.Add(20*time.Minute), 0)
 	actions := feedAll(r, inv.All())
@@ -345,20 +345,20 @@ func TestRecognizerEndSpikeReleasesShortSpike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewEcho(trafficgen.EchoIP)
+	r := NewEcho(trafficgen.EchoAddr)
 	for _, p := range boot {
-		r.Feed(p)
+		r.Feed(&p)
 	}
 	// Hand-craft a 2-packet spike (below the decision window).
-	mk := func(at time.Time, l int) pcap.Packet {
+	mk := func(at time.Time, l int) *pcap.Packet {
 		payload, err := pcap.AppData(l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pcap.Packet{
+		return &pcap.Packet{
 			Time:  at,
-			SrcIP: trafficgen.EchoIP, SrcPort: 40001,
-			DstIP: e.AVSAddr().String(), DstPort: 443,
+			SrcIP: trafficgen.EchoAddr, SrcPort: 40001,
+			DstIP: e.AVSAddr().As4(), DstPort: 443,
 			Proto: pcap.TCP, Len: l, Payload: payload,
 		}
 	}
@@ -366,7 +366,7 @@ func TestRecognizerEndSpikeReleasesShortSpike(t *testing.T) {
 	if a := r.Feed(mk(start, 90)); a != ActionHold {
 		t.Fatalf("first packet action = %v", a)
 	}
-	if a := r.Feed(mk(start.Add(100*time.Millisecond), 101)); a != ActionNone {
+	if a := r.Feed(mk(start.Add(100*time.Millisecond), 101)); a != ActionExtend {
 		t.Fatalf("second packet action = %v", a)
 	}
 	if a := r.EndSpike(); a != ActionRelease {
@@ -379,12 +379,12 @@ func TestRecognizerEndSpikeReleasesShortSpike(t *testing.T) {
 
 func TestRecognizerGHM(t *testing.T) {
 	g := trafficgen.NewGHM(rng.New(11))
-	r := NewGHM(trafficgen.GHMIP)
+	r := NewGHM(trafficgen.GHMAddr)
 	for i := 0; i < 20; i++ {
 		inv := g.Invocation(t0.Add(time.Duration(i) * 5 * time.Minute))
 		commands := 0
 		for _, p := range inv.All() {
-			if a := r.Feed(p); a == ActionCommand {
+			if a := r.Feed(&p); a == ActionCommand {
 				commands++
 			}
 		}
@@ -395,18 +395,18 @@ func TestRecognizerGHM(t *testing.T) {
 }
 
 func TestRecognizerGHMIgnoresDNS(t *testing.T) {
-	r := NewGHM(trafficgen.GHMIP)
+	r := NewGHM(trafficgen.GHMAddr)
 	q, err := pcap.EncodeDNSQuery(1, trafficgen.GoogleDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := pcap.Packet{
 		Time:  t0,
-		SrcIP: trafficgen.GHMIP, SrcPort: 5353,
-		DstIP: trafficgen.RouterIP, DstPort: pcap.DNSPort,
+		SrcIP: trafficgen.GHMAddr, SrcPort: 5353,
+		DstIP: trafficgen.RouterAddr, DstPort: pcap.DNSPort,
 		Proto: pcap.UDP, Len: len(q), Payload: q,
 	}
-	if a := r.Feed(p); a != ActionNone {
+	if a := r.Feed(&p); a != ActionNone {
 		t.Fatalf("DNS packet triggered %v", a)
 	}
 }
@@ -428,10 +428,10 @@ func TestRecognizerIgnoresBackgroundChatter(t *testing.T) {
 	merged := append(append(boot, background...), inv.All()...)
 	pcap.SortByTime(merged)
 
-	r := NewEcho(trafficgen.EchoIP)
+	r := NewEcho(trafficgen.EchoAddr)
 	var commands, holds int
 	for _, p := range merged {
-		switch r.Feed(p) {
+		switch r.Feed(&p) {
 		case ActionCommand:
 			commands++
 		case ActionHold:
@@ -453,25 +453,25 @@ func TestBackgroundTrafficNeverFromSpeaker(t *testing.T) {
 		t.Fatal("no background traffic generated")
 	}
 	for _, p := range bg {
-		if p.SrcIP == trafficgen.EchoIP || p.SrcIP == trafficgen.GHMIP {
+		if p.SrcIP == trafficgen.EchoAddr || p.SrcIP == trafficgen.GHMAddr {
 			t.Fatalf("background packet claims a speaker IP: %v", p.Src())
 		}
 	}
 }
 
 func TestRecognizerIgnoresOtherHosts(t *testing.T) {
-	r := NewEcho(trafficgen.EchoIP)
+	r := NewEcho(trafficgen.EchoAddr)
 	payload, err := pcap.AppData(500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := pcap.Packet{
 		Time:  t0,
-		SrcIP: "192.168.1.50", SrcPort: 40000,
-		DstIP: "52.94.233.1", DstPort: 443,
+		SrcIP: pcap.MustParseIPv4("192.168.1.50"), SrcPort: 40000,
+		DstIP: pcap.MustParseIPv4("52.94.233.1"), DstPort: 443,
 		Proto: pcap.TCP, Len: 500, Payload: payload,
 	}
-	if a := r.Feed(p); a != ActionNone {
+	if a := r.Feed(&p); a != ActionNone {
 		t.Fatalf("other host's packet triggered %v", a)
 	}
 }

@@ -39,7 +39,8 @@ type Action int
 
 // Streaming actions.
 const (
-	// ActionNone: the packet needs no traffic-handling change.
+	// ActionNone: the packet is not part of the spike being held
+	// (another host's, a DNS message, a heartbeat) and changes nothing.
 	ActionNone Action = iota
 	// ActionHold: a spike began on the voice flow; hold its traffic
 	// while classification completes.
@@ -50,6 +51,10 @@ const (
 	// ActionRelease: the held spike is not a voice command; release
 	// it immediately.
 	ActionRelease
+	// ActionExtend: the packet joined the spike being held without
+	// settling it; it is held with the spike and pushes the spike's
+	// idle deadline out.
+	ActionExtend
 )
 
 // String names the action.
@@ -63,6 +68,8 @@ func (a Action) String() string {
 		return "command"
 	case ActionRelease:
 		return "release"
+	case ActionExtend:
+		return "extend"
 	default:
 		return "invalid"
 	}
@@ -75,7 +82,7 @@ func (a Action) String() string {
 // a cloud flow as a command (§IV-B1).
 type Recognizer struct {
 	Kind      Kind
-	SpeakerIP string
+	SpeakerIP pcap.IPv4
 	Tracker   *AVSTracker
 	IdleGap   time.Duration
 
@@ -102,7 +109,7 @@ func (r *Recognizer) traceMarker(name string, at time.Time) {
 }
 
 // NewEcho returns a streaming recognizer for an Amazon Echo Dot.
-func NewEcho(speakerIP string) *Recognizer {
+func NewEcho(speakerIP pcap.IPv4) *Recognizer {
 	return &Recognizer{
 		Kind:      KindEcho,
 		SpeakerIP: speakerIP,
@@ -112,7 +119,7 @@ func NewEcho(speakerIP string) *Recognizer {
 }
 
 // NewGHM returns a streaming recognizer for a Google Home Mini.
-func NewGHM(speakerIP string) *Recognizer {
+func NewGHM(speakerIP pcap.IPv4) *Recognizer {
 	return &Recognizer{
 		Kind:      KindGHM,
 		SpeakerIP: speakerIP,
@@ -120,14 +127,10 @@ func NewGHM(speakerIP string) *Recognizer {
 	}
 }
 
-// CurrentSpike returns the packets of the spike being classified.
-func (r *Recognizer) CurrentSpike() []pcap.Packet {
-	return append([]pcap.Packet(nil), r.buf...)
-}
-
 // Feed processes one captured packet and returns the traffic-handling
-// action it implies.
-func (r *Recognizer) Feed(p pcap.Packet) Action {
+// action it implies. p is read only during the call; the spike buffer
+// keeps a copy.
+func (r *Recognizer) Feed(p *pcap.Packet) Action {
 	if r.Tracker != nil {
 		//vglint:allow hotalloc DNS parsing allocates the name string, but only runs on the rare resolver packets behind Observe's port check, never on the per-packet voice path
 		r.Tracker.Observe(p)
@@ -141,7 +144,7 @@ func (r *Recognizer) Feed(p pcap.Packet) Action {
 }
 
 // feedEcho handles the Echo Dot's long-lived AVS connection.
-func (r *Recognizer) feedEcho(p pcap.Packet) Action {
+func (r *Recognizer) feedEcho(p *pcap.Packet) Action {
 	if !r.isVoiceFlow(p) {
 		return ActionNone
 	}
@@ -154,13 +157,13 @@ func (r *Recognizer) feedEcho(p pcap.Packet) Action {
 	r.lastVoice = p.Time
 	if newSpike {
 		r.buf = r.buf[:0]
-		r.buf = append(r.buf, p)
+		r.buf = append(r.buf, *p)
 		r.decided = false
 		return ActionHold
 	}
-	r.buf = append(r.buf, p)
+	r.buf = append(r.buf, *p)
 	if r.decided {
-		return ActionNone
+		return ActionExtend
 	}
 	return r.tryDecide()
 }
@@ -182,7 +185,7 @@ func (r *Recognizer) tryDecide() Action {
 		return ActionCommand
 	}
 	if len(lengths) < commandWindow {
-		return ActionNone // not enough evidence yet
+		return ActionExtend // not enough evidence yet
 	}
 	if matchesCommandFallback(lengths) {
 		mFallbackMatches.Inc()
@@ -197,7 +200,7 @@ func (r *Recognizer) tryDecide() Action {
 }
 
 // feedGHM handles the Google Home Mini's on-demand connections.
-func (r *Recognizer) feedGHM(p pcap.Packet) Action {
+func (r *Recognizer) feedGHM(p *pcap.Packet) Action {
 	if p.SrcIP != r.SpeakerIP || p.DstPort != trafficgen.TLSPort {
 		return ActionNone
 	}
@@ -205,13 +208,13 @@ func (r *Recognizer) feedGHM(p pcap.Packet) Action {
 	r.lastVoice = p.Time
 	if newSpike {
 		r.buf = r.buf[:0]
-		r.buf = append(r.buf, p)
+		r.buf = append(r.buf, *p)
 		r.decided = true
 		// Any traffic spike after an idle period is a voice command.
 		return ActionCommand
 	}
-	r.buf = append(r.buf, p)
-	return ActionNone
+	r.buf = append(r.buf, *p)
+	return ActionExtend
 }
 
 // EndSpike finalises the current spike when the guard's idle timer
@@ -228,7 +231,7 @@ func (r *Recognizer) EndSpike() Action {
 // isVoiceFlow reports whether the packet belongs to the
 // speaker-to-cloud voice flow (speaker-originated TCP application
 // data to the tracked AVS address).
-func (r *Recognizer) isVoiceFlow(p pcap.Packet) bool {
+func (r *Recognizer) isVoiceFlow(p *pcap.Packet) bool {
 	if p.SrcIP != r.SpeakerIP || p.Proto != pcap.TCP {
 		return false
 	}

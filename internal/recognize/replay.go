@@ -22,7 +22,8 @@ type ReplayStats struct {
 // timestamps. It is the offline-analysis counterpart of the live
 // pipeline (cmd/vgreplay wraps it). Each spike gets its own command
 // ID, so a -trace-out export of a replay carries one classify span
-// per spike.
+// per spike. As in the guard, only packets the recognizer adds to its
+// spike push the idle deadline out; other hosts' chatter does not.
 func Replay(rec *Recognizer, packets []pcap.Packet) ReplayStats {
 	var stats ReplayStats
 	if len(packets) == 0 {
@@ -47,7 +48,8 @@ func Replay(rec *Recognizer, packets []pcap.Packet) ReplayStats {
 			Attrs:   []trace.Attr{trace.String("action", action)},
 		})
 	}
-	for _, p := range packets {
+	for i := range packets {
+		p := &packets[i]
 		// Close spikes that ended before this packet, as the guard's
 		// idle timer would have.
 		if !lastVoice.IsZero() && p.Time.Sub(lastVoice) >= rec.IdleGap {
@@ -78,10 +80,8 @@ func Replay(rec *Recognizer, packets []pcap.Packet) ReplayStats {
 			stats.Releases++
 			classify("release", p.Time)
 			lastVoice = p.Time
-		case ActionNone:
-			if len(rec.CurrentSpike()) > 0 {
-				lastVoice = p.Time
-			}
+		case ActionExtend:
+			lastVoice = p.Time
 		}
 	}
 	if rec.EndSpike() == ActionRelease {

@@ -7,11 +7,12 @@ import (
 
 	"voiceguard/internal/pcap"
 	"voiceguard/internal/rng"
+	"voiceguard/internal/trace"
 	"voiceguard/internal/trafficgen"
 )
 
 func TestReplayEmptyCapture(t *testing.T) {
-	stats := Replay(NewEcho(trafficgen.EchoIP), nil)
+	stats := Replay(NewEcho(trafficgen.EchoAddr), nil)
 	if stats != (ReplayStats{}) {
 		t.Fatalf("empty replay produced %+v", stats)
 	}
@@ -40,7 +41,7 @@ func TestReplayCountsInvocations(t *testing.T) {
 		at = at.Add(3 * time.Minute)
 	}
 
-	stats := Replay(NewEcho(trafficgen.EchoIP), capture)
+	stats := Replay(NewEcho(trafficgen.EchoAddr), capture)
 	if stats.Commands != invocations {
 		t.Fatalf("commands = %d, want %d", stats.Commands, invocations)
 	}
@@ -72,7 +73,7 @@ func TestReplayMatchesFileRoundTrip(t *testing.T) {
 	}
 	capture := append(boot, echo.Invocation(t0.Add(time.Minute), 2).All()...)
 
-	direct := Replay(NewEcho(trafficgen.EchoIP), capture)
+	direct := Replay(NewEcho(trafficgen.EchoAddr), capture)
 
 	var buf bytes.Buffer
 	if err := pcap.WriteCapture(&buf, capture); err != nil {
@@ -82,8 +83,55 @@ func TestReplayMatchesFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := Replay(NewEcho(trafficgen.EchoIP), parsed)
+	replayed := Replay(NewEcho(trafficgen.EchoAddr), parsed)
 	if direct != replayed {
 		t.Fatalf("replay diverged: %+v vs %+v", direct, replayed)
+	}
+}
+
+// TestReplayIgnoresChatter replays 20 minutes of Echo traffic with and
+// without the LAN's other hosts mixed in. Chatter is not part of any
+// spike, so it must neither move a spike's release nor cost the replay
+// an allocation.
+func TestReplayIgnoresChatter(t *testing.T) {
+	src := rng.New(52)
+	echo := trafficgen.NewEcho(src.Split("echo"))
+	echo.AnomalyRate = 0
+	speaker, err := echo.Boot(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	speaker = append(speaker, echo.Heartbeats(t0, 20*time.Minute)...)
+	for at := t0.Add(2 * time.Minute); at.Before(t0.Add(18 * time.Minute)); at = at.Add(4 * time.Minute) {
+		speaker = append(speaker, echo.Invocation(at, 2).All()...)
+	}
+	pcap.SortByTime(speaker)
+	chatter := trafficgen.Background(src.Split("bg"), t0, 20*time.Minute)
+	merged := append(append([]pcap.Packet(nil), speaker...), chatter...)
+	pcap.SortByTime(merged)
+
+	replay := func(packets []pcap.Packet) (ReplayStats, []trace.Span) {
+		rec := NewEcho(trafficgen.EchoAddr)
+		rec.Tracer = trace.New(256)
+		return Replay(rec, packets), rec.Tracer.Snapshot()
+	}
+	alone, aloneSpans := replay(speaker)
+	mixed, mixedSpans := replay(merged)
+	if alone.Holds != mixed.Holds || alone.Commands != mixed.Commands || alone.Releases != mixed.Releases {
+		t.Fatalf("chatter changed the replay: alone %+v, mixed %+v", alone, mixed)
+	}
+	if len(aloneSpans) != len(mixedSpans) {
+		t.Fatalf("classify spans: alone %d, mixed %d", len(aloneSpans), len(mixedSpans))
+	}
+	for i := range aloneSpans {
+		if !aloneSpans[i].End.Equal(mixedSpans[i].End) {
+			t.Errorf("spike %d classified at %v with chatter, %v without", i, mixedSpans[i].End, aloneSpans[i].End)
+		}
+	}
+
+	aloneAllocs := testing.AllocsPerRun(20, func() { replay(speaker) })
+	mixedAllocs := testing.AllocsPerRun(20, func() { replay(merged) })
+	if mixedAllocs > aloneAllocs {
+		t.Errorf("replay with %d chatter packets allocates %.0f times, %.0f without", len(chatter), mixedAllocs, aloneAllocs)
 	}
 }

@@ -31,29 +31,27 @@ var (
 // Either mechanism can be disabled to reproduce the paper's ablation
 // (DNS-only tracking loses the server after a cached reconnect).
 type AVSTracker struct {
-	SpeakerIP string
+	SpeakerIP pcap.IPv4
 	Domain    string
 	Signature []int
 
 	UseDNS       bool
 	UseSignature bool
 
-	current    netip.Addr
-	currentStr string
-	ok         bool
-	flows      map[pcap.FlowID]*sigFlow
+	current pcap.IPv4
+	ok      bool
+	flows   map[pcap.FlowID]*sigFlow
 }
 
 // sigFlow is the per-flow signature matching state.
 type sigFlow struct {
-	dst     string
 	matched int
 	dead    bool
 }
 
 // NewAVSTracker returns a tracker for the speaker's cloud server with
 // both mechanisms enabled.
-func NewAVSTracker(speakerIP, domain string, signature []int) *AVSTracker {
+func NewAVSTracker(speakerIP pcap.IPv4, domain string, signature []int) *AVSTracker {
 	return &AVSTracker{
 		SpeakerIP:    speakerIP,
 		Domain:       domain,
@@ -65,27 +63,32 @@ func NewAVSTracker(speakerIP, domain string, signature []int) *AVSTracker {
 }
 
 // Current returns the tracked server address, if known.
-func (t *AVSTracker) Current() (netip.Addr, bool) { return t.current, t.ok }
+func (t *AVSTracker) Current() (netip.Addr, bool) {
+	if !t.ok {
+		return netip.Addr{}, false
+	}
+	return netip.AddrFrom4(t.current), true
+}
 
-// CurrentIP returns the tracked server address in the capture's
-// string form, if known. The string is cached when the address is
-// learned, so per-packet flow checks avoid re-formatting it.
-func (t *AVSTracker) CurrentIP() (string, bool) { return t.currentStr, t.ok }
+// CurrentIP returns the tracked server address as a packet address,
+// if known: the per-packet flow check compares it with DstIP.
+func (t *AVSTracker) CurrentIP() (pcap.IPv4, bool) { return t.current, t.ok }
 
 // ForceAddress pins the tracked server address. The wire-plane guard
 // sits inline between one speaker and its cloud endpoint, so the
 // server's identity is known by construction rather than learned from
 // DNS or signatures.
-func (t *AVSTracker) ForceAddress(addr netip.Addr) { t.set(addr) }
+func (t *AVSTracker) ForceAddress(addr pcap.IPv4) { t.set(addr) }
 
 // Observe feeds one captured packet to the tracker and reports
-// whether the tracked address changed.
-func (t *AVSTracker) Observe(p pcap.Packet) bool {
-	// The destination test comes first: it is a string compare, and it
-	// spares parsing every other host's DNS replies.
+// whether the tracked address changed. p is read only during the call.
+func (t *AVSTracker) Observe(p *pcap.Packet) bool {
+	// The destination test comes first: it spares parsing every other
+	// host's DNS replies.
 	if t.UseDNS && p.DstIP == t.SpeakerIP {
 		if msg, ok := pcap.IsDNSResponse(p); ok && msg.Response && msg.Name == t.Domain {
-			if t.set(msg.Addr) {
+			// An accepted response always carries an A record.
+			if t.set(msg.Addr.As4()) {
 				mTrackerDNSUpdates.Inc()
 				return true
 			}
@@ -101,11 +104,11 @@ func (t *AVSTracker) Observe(p pcap.Packet) bool {
 }
 
 // observeSignature advances per-flow signature matching.
-func (t *AVSTracker) observeSignature(p pcap.Packet) bool {
+func (t *AVSTracker) observeSignature(p *pcap.Packet) bool {
 	key := p.Flow()
 	f, exists := t.flows[key]
 	if !exists {
-		f = &sigFlow{dst: p.DstIP}
+		f = &sigFlow{}
 		t.flows[key] = f
 	}
 	if f.dead {
@@ -122,20 +125,15 @@ func (t *AVSTracker) observeSignature(p pcap.Packet) bool {
 	// Full signature observed: this flow talks to the cloud server.
 	f.dead = true // stop matching further traffic on this flow
 	mTrackerSigMatches.Inc()
-	addr, err := netip.ParseAddr(f.dst)
-	if err != nil {
-		return false
-	}
-	return t.set(addr)
+	return t.set(key.DstIP)
 }
 
 // set updates the tracked address.
-func (t *AVSTracker) set(addr netip.Addr) bool {
+func (t *AVSTracker) set(addr pcap.IPv4) bool {
 	if t.ok && t.current == addr {
 		return false
 	}
 	t.current = addr
-	t.currentStr = addr.String()
 	t.ok = true
 	return true
 }

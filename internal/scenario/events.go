@@ -6,24 +6,22 @@ import (
 	"voiceguard/internal/trafficgen"
 )
 
-// This file is the event-driven day core. The reference loop in
-// scenario.go (runDayReference) walks a pre-sorted slot slice point by
-// point; here the same slots live on a binary min-heap keyed
-// (time, sequence) — the agenda — and the day executes by repeatedly
-// popping the earliest event and jumping the simulated clock straight
-// to it. Sub-event machinery (push wake-ups, retries, fault windows,
+// This file is the event-driven day core. A day's command slots live
+// on a binary min-heap keyed (time, sequence) — the agenda — and the
+// day executes by repeatedly popping the earliest event and jumping
+// the simulated clock straight to it. Sub-event machinery (push wake-ups, retries, fault windows,
 // idle timers, dispatch delays) already runs on simtime.Sim's own
 // heap, so the two heaps together make the whole run discrete-event.
 //
-// Determinism rules (pinned by TestEventLoopMatchesReference):
+// Determinism rules (pinned by TestEventLoopMatchesReference's golden
+// outcome digests):
 //   - Agenda ordering is (at, seq); seq is assigned in slot-draw order,
-//     so ties pop FIFO — exactly the reference loop's stable sort.
+//     so ties pop FIFO.
 //   - RNG draw order is untouched: slot times are drawn from daySrc in
 //     the same sequence before any event executes, and command events
 //     draw from daySrc strictly in pop order.
 //   - A popped event whose time has fallen behind the clock (the
-//     previous command overran its slot) is clamped to now + 1 minute,
-//     identical to the reference walk.
+//     previous command overran its slot) is clamped to now + 1 minute.
 //   - Background chatter is streamed from the day's own Split("bg")
 //     child, burst by burst as the clock reaches it. Split never
 //     advances daySrc, so when a burst is generated moves no draw.
@@ -94,8 +92,8 @@ func (a *agenda) pop() agendaEvent {
 }
 
 // runDay simulates one day on the event scheduler: command slots are
-// drawn exactly as in the reference loop, pushed onto the agenda, and
-// executed in pop order with the clock jumping event to event.
+// drawn up front, pushed onto the agenda, and executed in pop order
+// with the clock jumping event to event.
 func (r *run) runDay(day int) {
 	daySrc := r.root.SplitN("day", day)
 	r.agenda.reset()

@@ -10,6 +10,7 @@ import (
 	"voiceguard/internal/netem"
 	"voiceguard/internal/pcap"
 	"voiceguard/internal/radio"
+	"voiceguard/internal/trafficgen"
 )
 
 func TestAttackVectorStudyBlocksAllVectors(t *testing.T) {
@@ -139,7 +140,7 @@ func TestBackgroundTrafficAppearsInCapture(t *testing.T) {
 	}
 	foreign := 0
 	for _, p := range out.Capture {
-		if p.SrcIP != "" && p.SrcIP != "192.168.1.200" && p.SrcIP != "192.168.1.1" {
+		if p.SrcIP != (pcap.IPv4{}) && p.SrcIP != trafficgen.EchoAddr && p.SrcIP != trafficgen.RouterAddr {
 			foreign++
 		}
 	}

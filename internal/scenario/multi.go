@@ -71,8 +71,12 @@ func RunMulti(cfg Config) (*MultiOutcome, error) {
 	echoRun, ghmRun := runs[0], runs[1]
 
 	router := guard.NewRouter()
-	router.Add(trafficgen.EchoIP, echoRun.guard)
-	router.Add(trafficgen.GHMIP, ghmRun.guard)
+	if err := router.Add(trafficgen.EchoIP, echoRun.guard); err != nil {
+		return nil, err
+	}
+	if err := router.Add(trafficgen.GHMIP, ghmRun.guard); err != nil {
+		return nil, err
+	}
 
 	out := &MultiOutcome{PerSpeaker: make(map[string]stats.Confusion, 2)}
 	src := rng.New(cfg.Seed).Split("multi")
@@ -140,10 +144,10 @@ func RunSeeds(cfg Config, seeds []int64) ([]*Outcome, error) {
 // router — the multi-speaker analysis entry point for replayed
 // captures.
 func RouterFeedAll(router *guard.Router, packets []pcap.Packet, advance func(t time.Time)) {
-	for _, p := range packets {
+	for i := range packets {
 		if advance != nil {
-			advance(p.Time)
+			advance(packets[i].Time)
 		}
-		router.Feed(p)
+		router.Feed(&packets[i])
 	}
 }

@@ -236,22 +236,6 @@ func Run(cfg Config) (*Outcome, error) {
 	return h.RunRemaining(), nil
 }
 
-// RunReference executes the experiment with the retained pre-scheduler
-// reference loop: command slots walked in sorted order through the
-// same per-slot clamp and background-stream semantics. It exists as the
-// bit-identity oracle for the event-driven path — same seed, same
-// config must produce a deep-equal Outcome from both entry points.
-func RunReference(cfg Config) (*Outcome, error) {
-	r, err := newRun(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for day := 0; day < r.cfg.Days; day++ {
-		r.runDayReference(day)
-	}
-	return r.outcome, nil
-}
-
 // newRun builds a fully initialised experiment (owners calibrated,
 // guard wired, sensors installed) without executing the day loop.
 func newRun(cfg Config) (*run, error) {
@@ -521,12 +505,12 @@ func (r *run) setupGuard() error {
 	switch r.cfg.Speaker {
 	case GHM:
 		r.ghm = trafficgen.NewGHM(r.root.Split("traffic"))
-		r.guard = guard.New(r.clock, recognize.NewGHM(trafficgen.GHMIP), method, "ghm")
+		r.guard = guard.New(r.clock, recognize.NewGHM(trafficgen.GHMAddr), method, "ghm")
 		r.guard.DispatchDelay = GHMDispatchDelay
 	default:
 		r.echo = trafficgen.NewEcho(r.root.Split("traffic"))
 		r.echo.AnomalyRate = 0 // recognition robustness is Table I's experiment
-		r.guard = guard.New(r.clock, recognize.NewEcho(trafficgen.EchoIP), method, "echo")
+		r.guard = guard.New(r.clock, recognize.NewEcho(trafficgen.EchoAddr), method, "echo")
 		boot, err := r.echo.Boot(r.clock.Now())
 		if err != nil {
 			return err
@@ -550,16 +534,16 @@ func (r *run) setupMotion() {
 
 // feed advances the clock and delivers packets to the guard.
 func (r *run) feed(packets []pcap.Packet) {
-	for _, p := range packets {
-		r.feedPacket(p)
+	for i := range packets {
+		r.feedPacket(&packets[i])
 	}
 }
 
 // feedPacket advances the clock to one packet and delivers it to the
-// guard.
-func (r *run) feedPacket(p pcap.Packet) {
+// guard. p is read only during the call.
+func (r *run) feedPacket(p *pcap.Packet) {
 	if r.cfg.RecordCapture {
-		r.outcome.Capture = append(r.outcome.Capture, p)
+		r.outcome.Capture = append(r.outcome.Capture, *p)
 	}
 	r.clock.AdvanceTo(p.Time)
 	r.guard.Feed(p)
@@ -568,64 +552,6 @@ func (r *run) feedPacket(p pcap.Packet) {
 // locPos returns the position of a location ID.
 func (r *run) locPos(id int) floorplan.Position {
 	return r.cfg.Plan.MustLocation(id).Pos
-}
-
-// runDayReference simulates one day with the pre-scheduler reference
-// loop: a sorted schedule of legitimate and malicious commands at
-// random times in a 16-hour window, walked point by point. Kept (and
-// exercised by RunReference) purely as the determinism oracle for the
-// event-driven runDay in events.go — the two must stay bit-identical.
-func (r *run) runDayReference(day int) {
-	daySrc := r.root.SplitN("day", day)
-	type slot struct {
-		at        time.Duration
-		malicious bool
-	}
-	var slots []slot
-	for i := 0; i < r.cfg.LegitPerDay; i++ {
-		slots = append(slots, slot{at: time.Duration(daySrc.Uniform(0, 16*3600)) * time.Second})
-	}
-	for i := 0; i < r.cfg.AttackPerDay; i++ {
-		slots = append(slots, slot{at: time.Duration(daySrc.Uniform(0, 16*3600)) * time.Second, malicious: true})
-	}
-	// Sort by time.
-	for i := 1; i < len(slots); i++ {
-		for j := i; j > 0 && slots[j].at < slots[j-1].at; j-- {
-			slots[j], slots[j-1] = slots[j-1], slots[j]
-		}
-	}
-
-	dayStart := r.clock.Now().Add(6 * time.Hour) // 06:00
-
-	// Background chatter for the day, fed to the guard in
-	// chronological order between commands.
-	var bg *trafficgen.BackgroundStream
-	if r.cfg.BackgroundTraffic {
-		bg = trafficgen.NewBackgroundStream(daySrc.Split("bg"), dayStart, 16*time.Hour)
-	}
-
-	for _, s := range slots {
-		at := dayStart.Add(s.at)
-		if at.Before(r.clock.Now()) {
-			at = r.clock.Now().Add(time.Minute)
-		}
-		// Deliver the background packets that precede this command.
-		if bg != nil {
-			bg.EmitBefore(at, r.feedPacket)
-		}
-
-		r.clock.AdvanceTo(at)
-		if s.malicious {
-			r.attackCommand(day, daySrc)
-		} else {
-			r.legitCommand(day, daySrc)
-		}
-	}
-	if bg != nil {
-		bg.Drain(r.feedPacket)
-	}
-	// Advance to next midnight.
-	r.clock.AdvanceTo(r.clock.Now().Truncate(24 * time.Hour).Add(24 * time.Hour))
 }
 
 // legitCommand moves one owner to the speaker and issues a command.

@@ -2,7 +2,6 @@ package trafficgen
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 
 	"voiceguard/internal/pcap"
@@ -10,11 +9,14 @@ import (
 )
 
 // backgroundHosts are the LAN's other hosts.
-var backgroundHosts = []string{
-	"192.168.1.50", // laptop
-	"192.168.1.51", // smart TV
-	"192.168.1.52", // tablet
+var backgroundHosts = []pcap.IPv4{
+	{192, 168, 1, 50}, // laptop
+	{192, 168, 1, 51}, // smart TV
+	{192, 168, 1, 52}, // tablet
 }
+
+// backgroundPortBase is where the chatter's source-port counter starts.
+const backgroundPortBase = 52000
 
 // backgroundLens are the other hosts' application-data lengths. They
 // deliberately include marker-valued lengths — other hosts may emit
@@ -46,12 +48,13 @@ const maxBurstPackets = 2 + 1 + 10
 // handshake and a few data packets) at a time into a reused buffer, as
 // the consumer asks for packets: a 16-hour day is ~30,000 packets, of
 // which only the current burst is ever held. Packets come out in
-// time order.
+// time order, by pointer into that buffer: an emitted packet is valid
+// only during the emit call.
 type BackgroundStream struct {
 	src   *rng.Source
 	at    time.Time // start of the next burst
 	end   time.Time
-	port  int
+	port  uint16
 	burst []pcap.Packet // the current burst
 	next  int           // first packet of burst not yet emitted
 }
@@ -63,29 +66,29 @@ func NewBackgroundStream(src *rng.Source, start time.Time, dur time.Duration) *B
 		src:   src,
 		at:    start,
 		end:   start.Add(dur),
-		port:  52000,
+		port:  backgroundPortBase,
 		burst: make([]pcap.Packet, 0, maxBurstPackets),
 	}
 }
 
 // EmitBefore passes every not yet emitted packet timestamped strictly
 // before t to emit, in time order.
-func (s *BackgroundStream) EmitBefore(t time.Time, emit func(pcap.Packet)) {
+func (s *BackgroundStream) EmitBefore(t time.Time, emit func(*pcap.Packet)) {
 	for s.next < len(s.burst) || s.fill() {
 		p := &s.burst[s.next]
 		if !p.Time.Before(t) {
 			return
 		}
 		s.next++
-		emit(*p)
+		emit(p)
 	}
 }
 
 // Drain passes every remaining packet to emit, in time order.
-func (s *BackgroundStream) Drain(emit func(pcap.Packet)) {
+func (s *BackgroundStream) Drain(emit func(*pcap.Packet)) {
 	for s.next < len(s.burst) || s.fill() {
 		s.next++
-		emit(s.burst[s.next-1])
+		emit(&s.burst[s.next-1])
 	}
 }
 
@@ -99,12 +102,10 @@ func (s *BackgroundStream) fill() bool {
 	src := s.src
 	s.burst, s.next = s.burst[:0], 0
 	host := rng.Pick(src, backgroundHosts)
-	s.port++
-	port := s.port
+	port := nextPort(&s.port, backgroundPortBase)
 	a := 1 + src.IntN(250)
 	b := 1 + src.IntN(250)
-	dst := netip.AddrFrom4([4]byte{93, 184, byte(a), byte(b)})
-	dstIP := dst.String()
+	dst := pcap.IPv4{93, 184, byte(a), byte(b)}
 
 	at := s.at
 	// Occasional DNS lookup for an unrelated domain.
@@ -114,10 +115,10 @@ func (s *BackgroundStream) fill() bool {
 		at = dns[1].Time.Add(intraSpikeGap(src))
 	}
 	// A short TLS burst: handshake + a few data packets.
-	s.burst = append(s.burst, handshakePacket(at, host, port, dstIP, TLSPort, 200+src.IntN(120)))
+	s.burst = append(s.burst, handshakePacket(at, host, port, dst, TLSPort, 200+src.IntN(120)))
 	at = at.Add(intraSpikeGap(src))
 	for i, n := 0, 3+src.IntN(8); i < n; i++ {
-		s.burst = append(s.burst, appDataPacket(at, host, port, dstIP, TLSPort, rng.Pick(src, backgroundLens)))
+		s.burst = append(s.burst, appDataPacket(at, host, port, dst, TLSPort, rng.Pick(src, backgroundLens)))
 		at = at.Add(intraSpikeGap(src))
 	}
 	s.at = at.Add(time.Duration(src.Uniform(2, 30)) * time.Second)
@@ -128,6 +129,6 @@ func (s *BackgroundStream) fill() bool {
 // one slice, for tests and offline captures.
 func Background(src *rng.Source, start time.Time, dur time.Duration) []pcap.Packet {
 	var out []pcap.Packet
-	NewBackgroundStream(src, start, dur).Drain(func(p pcap.Packet) { out = append(out, p) })
+	NewBackgroundStream(src, start, dur).Drain(func(p *pcap.Packet) { out = append(out, *p) })
 	return out
 }

@@ -48,12 +48,14 @@ type Echo struct {
 
 	src       *rng.Source
 	signature []int // current AVS connect signature
-	avsAddr   netip.Addr
-	avsIP     string // avsAddr.String(), cached per reconnect
-	avsPort   int    // speaker source port of the live AVS connection
-	nextPort  int
+	avsAddr   pcap.IPv4
+	avsPort   uint16 // speaker source port of the live AVS connection
+	port      uint16 // source-port counter (see nextPort)
 	nextIP    int
 }
+
+// echoPortBase is where the Echo's source-port counter starts.
+const echoPortBase = 40000
 
 // NewEcho returns an Echo Dot traffic generator drawing from src.
 func NewEcho(src *rng.Source) *Echo {
@@ -62,17 +64,16 @@ func NewEcho(src *rng.Source) *Echo {
 		MarkerRate:  0.9,
 		src:         src,
 		signature:   append([]int(nil), AVSConnectSignature...),
-		nextPort:    40000,
+		port:        echoPortBase,
 		nextIP:      1,
 	}
 	e.avsAddr = e.newAVSAddr()
-	e.avsIP = e.avsAddr.String()
 	e.avsPort = e.newPort()
 	return e
 }
 
 // AVSAddr returns the current AVS server address.
-func (e *Echo) AVSAddr() netip.Addr { return e.avsAddr }
+func (e *Echo) AVSAddr() netip.Addr { return netip.AddrFrom4(e.avsAddr) }
 
 // ConnectSignature returns the signature the speaker currently emits
 // when establishing AVS connections.
@@ -87,13 +88,10 @@ func (e *Echo) SetConnectSignature(signature []int) {
 	e.signature = append([]int(nil), signature...)
 }
 
-func (e *Echo) newPort() int {
-	e.nextPort++
-	return e.nextPort
-}
+func (e *Echo) newPort() uint16 { return nextPort(&e.port, echoPortBase) }
 
-func (e *Echo) newAVSAddr() netip.Addr {
-	addr := netip.AddrFrom4([4]byte{52, 94, 233, byte(e.nextIP)})
+func (e *Echo) newAVSAddr() pcap.IPv4 {
+	addr := pcap.IPv4{52, 94, 233, byte(e.nextIP)}
 	e.nextIP++
 	if e.nextIP > 254 {
 		e.nextIP = 1
@@ -104,13 +102,12 @@ func (e *Echo) newAVSAddr() netip.Addr {
 // connectPackets emits a TLS connection establishment from the given
 // source port to addr: a ClientHello followed by the signature's
 // Application Data lengths.
-func (e *Echo) connectPackets(t time.Time, port int, addr netip.Addr, signature []int) ([]pcap.Packet, time.Time) {
-	dstIP := addr.String()
+func (e *Echo) connectPackets(t time.Time, port uint16, addr pcap.IPv4, signature []int) ([]pcap.Packet, time.Time) {
 	out := make([]pcap.Packet, 0, 1+len(signature))
-	out = append(out, handshakePacket(t, EchoIP, port, dstIP, TLSPort, 180+e.src.IntN(80)))
+	out = append(out, handshakePacket(t, EchoAddr, port, addr, TLSPort, 180+e.src.IntN(80)))
 	t = t.Add(intraSpikeGap(e.src))
 	for _, l := range signature {
-		out = append(out, appDataPacket(t, EchoIP, port, dstIP, TLSPort, l))
+		out = append(out, appDataPacket(t, EchoAddr, port, addr, TLSPort, l))
 		t = t.Add(intraSpikeGap(e.src))
 	}
 	return out, t
@@ -122,7 +119,7 @@ func (e *Echo) connectPackets(t time.Time, port int, addr netip.Addr, signature 
 func (e *Echo) Boot(t time.Time) ([]pcap.Packet, error) {
 	var out []pcap.Packet
 
-	dns := dnsExchange(t, EchoIP, e.newPort(), avsQuestion, e.avsAddr, e.src)
+	dns := dnsExchange(t, EchoAddr, e.newPort(), avsQuestion, e.avsAddr, e.src)
 	out = append(out, dns[:]...)
 	conn, next := e.connectPackets(dns[1].Time.Add(intraSpikeGap(e.src)), e.avsPort, e.avsAddr, e.signature)
 	out = append(out, conn...)
@@ -135,8 +132,8 @@ func (e *Echo) Boot(t time.Time) ([]pcap.Packet, error) {
 		}
 		a := 20 + e.src.IntN(60)
 		b := 1 + e.src.IntN(250)
-		addr := netip.AddrFrom4([4]byte{54, 239, byte(a), byte(b)})
-		dns := dnsExchange(t, EchoIP, e.newPort(), q, addr, e.src)
+		addr := pcap.IPv4{54, 239, byte(a), byte(b)}
+		dns := dnsExchange(t, EchoAddr, e.newPort(), q, addr, e.src)
 		out = append(out, dns[:]...)
 		conn, next := e.connectPackets(dns[1].Time.Add(intraSpikeGap(e.src)), e.newPort(), addr, srv.Signature)
 		out = append(out, conn...)
@@ -151,11 +148,10 @@ func (e *Echo) Boot(t time.Time) ([]pcap.Packet, error) {
 // the case that defeats DNS-only tracking.
 func (e *Echo) Reconnect(t time.Time, withDNS bool) []pcap.Packet {
 	e.avsAddr = e.newAVSAddr()
-	e.avsIP = e.avsAddr.String()
 	e.avsPort = e.newPort()
 	var out []pcap.Packet
 	if withDNS {
-		dns := dnsExchange(t, EchoIP, e.newPort(), avsQuestion, e.avsAddr, e.src)
+		dns := dnsExchange(t, EchoAddr, e.newPort(), avsQuestion, e.avsAddr, e.src)
 		out = append(out, dns[:]...)
 		t = dns[1].Time.Add(intraSpikeGap(e.src))
 	}
@@ -168,7 +164,7 @@ func (e *Echo) Reconnect(t time.Time, withDNS bool) []pcap.Packet {
 func (e *Echo) Heartbeats(t time.Time, dur time.Duration) []pcap.Packet {
 	var out []pcap.Packet
 	for off := HeartbeatInterval; off <= dur; off += HeartbeatInterval {
-		out = append(out, appDataPacket(t.Add(off), EchoIP, e.avsPort, e.avsIP, TLSPort, HeartbeatLen))
+		out = append(out, appDataPacket(t.Add(off), EchoAddr, e.avsPort, e.avsAddr, TLSPort, HeartbeatLen))
 	}
 	return out
 }
@@ -292,7 +288,7 @@ func (e *Echo) responseSpike(t time.Time) ([]pcap.Packet, time.Time) {
 func (e *Echo) emitSpike(t time.Time, lengths []int) ([]pcap.Packet, time.Time) {
 	out := make([]pcap.Packet, 0, len(lengths))
 	for _, l := range lengths {
-		out = append(out, appDataPacket(t, EchoIP, e.avsPort, e.avsIP, TLSPort, l))
+		out = append(out, appDataPacket(t, EchoAddr, e.avsPort, e.avsAddr, TLSPort, l))
 		t = t.Add(intraSpikeGap(e.src))
 	}
 	return out, out[len(out)-1].Time

@@ -21,12 +21,14 @@ type GHM struct {
 	// cached resolution and performs no DNS exchange.
 	CachedDNSProb float64
 
-	src      *rng.Source
-	addr     netip.Addr
-	ip       string // addr.String(), cached per address
-	nextPort int
-	nextIP   int
+	src    *rng.Source
+	addr   pcap.IPv4
+	port   uint16 // source-port counter (see nextPort)
+	nextIP int
 }
+
+// ghmPortBase is where the GHM's source-port counter starts.
+const ghmPortBase = 50000
 
 // NewGHM returns a Google Home Mini traffic generator drawing from
 // src.
@@ -35,34 +37,25 @@ func NewGHM(src *rng.Source) *GHM {
 		QUICProb:      0.5,
 		CachedDNSProb: 0.5,
 		src:           src,
-		nextPort:      50000,
+		port:          ghmPortBase,
 		nextIP:        1,
 	}
-	g.setAddr(g.newAddr())
+	g.addr = g.newAddr()
 	return g
 }
 
 // Addr returns the current Google cloud address.
-func (g *GHM) Addr() netip.Addr { return g.addr }
+func (g *GHM) Addr() netip.Addr { return netip.AddrFrom4(g.addr) }
 
-func (g *GHM) newPort() int {
-	g.nextPort++
-	return g.nextPort
-}
+func (g *GHM) newPort() uint16 { return nextPort(&g.port, ghmPortBase) }
 
-func (g *GHM) newAddr() netip.Addr {
-	addr := netip.AddrFrom4([4]byte{142, 250, 65, byte(g.nextIP)})
+func (g *GHM) newAddr() pcap.IPv4 {
+	addr := pcap.IPv4{142, 250, 65, byte(g.nextIP)}
 	g.nextIP++
 	if g.nextIP > 254 {
 		g.nextIP = 1
 	}
 	return addr
-}
-
-// setAddr moves the speaker to a new cloud address.
-func (g *GHM) setAddr(addr netip.Addr) {
-	g.addr = addr
-	g.ip = addr.String()
 }
 
 // Invocation generates one on-demand voice-command invocation
@@ -77,9 +70,9 @@ func (g *GHM) Invocation(t time.Time) Invocation {
 	if !g.src.Bool(g.CachedDNSProb) {
 		// Fresh resolution; the cloud address may rotate.
 		if g.src.Bool(0.3) {
-			g.setAddr(g.newAddr())
+			g.addr = g.newAddr()
 		}
-		dns := dnsExchange(t, GHMIP, g.newPort(), googleQuestion, g.addr, g.src)
+		dns := dnsExchange(t, GHMAddr, g.newPort(), googleQuestion, g.addr, g.src)
 		inv.Setup = append(inv.Setup, dns[:]...)
 		t = dns[1].Time.Add(intraSpikeGap(g.src))
 	}
@@ -90,7 +83,7 @@ func (g *GHM) Invocation(t time.Time) Invocation {
 		inv.Setup = append(inv.Setup, g.quicPacket(t, port, 1200+g.src.IntN(52)))
 		t = t.Add(intraSpikeGap(g.src))
 	} else {
-		inv.Setup = append(inv.Setup, handshakePacket(t, GHMIP, port, g.ip, TLSPort, 230+g.src.IntN(80)))
+		inv.Setup = append(inv.Setup, handshakePacket(t, GHMAddr, port, g.addr, TLSPort, 230+g.src.IntN(80)))
 		t = t.Add(intraSpikeGap(g.src))
 	}
 
@@ -101,7 +94,7 @@ func (g *GHM) Invocation(t time.Time) Invocation {
 		if quic {
 			packets = append(packets, g.quicPacket(t, port, length))
 		} else {
-			packets = append(packets, appDataPacket(t, GHMIP, port, g.ip, TLSPort, length))
+			packets = append(packets, appDataPacket(t, GHMAddr, port, g.addr, TLSPort, length))
 		}
 		t = t.Add(intraSpikeGap(g.src))
 	}
@@ -115,11 +108,11 @@ func (g *GHM) Invocation(t time.Time) Invocation {
 var quicZeros [1350]byte
 
 // quicPacket builds a QUIC/UDP datagram of the given payload length.
-func (g *GHM) quicPacket(t time.Time, port, length int) pcap.Packet {
+func (g *GHM) quicPacket(t time.Time, port uint16, length int) pcap.Packet {
 	return pcap.Packet{
 		Time:  t,
-		SrcIP: GHMIP, SrcPort: port,
-		DstIP: g.ip, DstPort: QUICPort,
+		SrcIP: GHMAddr, SrcPort: port,
+		DstIP: g.addr, DstPort: QUICPort,
 		Proto:   pcap.UDP,
 		Len:     length,
 		Payload: quicZeros[:length:length],

@@ -46,9 +46,9 @@ func hashPackets(h hash.Hash, packets []pcap.Packet) {
 	num(int64(len(packets)))
 	for _, p := range packets {
 		num(p.Time.UnixNano())
-		bytes([]byte(p.SrcIP))
+		bytes([]byte(p.SrcIP.String()))
 		num(int64(p.SrcPort))
-		bytes([]byte(p.DstIP))
+		bytes([]byte(p.DstIP.String()))
 		num(int64(p.DstPort))
 		num(int64(p.Proto))
 		num(int64(p.Len))

@@ -20,7 +20,7 @@ package trafficgen
 
 import (
 	"fmt"
-	"net/netip"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +45,25 @@ const (
 	// QUICPort is the cloud servers' QUIC port.
 	QUICPort = 443
 )
+
+// The LAN addresses above as packet addresses, parsed once.
+var (
+	EchoAddr   = pcap.MustParseIPv4(EchoIP)
+	GHMAddr    = pcap.MustParseIPv4(GHMIP)
+	RouterAddr = pcap.MustParseIPv4(RouterIP)
+)
+
+// nextPort advances a generator's source-port counter, which starts at
+// base, and returns the new port. A counter at 65,535 wraps back to
+// base, so the ports handed out stay in (base, 65535] and every port a
+// packet carries is the one the recognizer's flow keys see.
+func nextPort(counter *uint16, base uint16) uint16 {
+	if *counter == math.MaxUint16 {
+		*counter = base
+	}
+	*counter++
+	return *counter
+}
 
 // HeartbeatInterval and HeartbeatLen describe the Echo Dot's
 // keep-alive: a 41-byte packet every 30 seconds.
@@ -210,7 +229,7 @@ func mustAppData(wireLen int) []byte {
 }
 
 // appDataPacket builds a client-to-server application-data packet.
-func appDataPacket(t time.Time, srcIP string, srcPort int, dstIP string, dstPort int, wireLen int) pcap.Packet {
+func appDataPacket(t time.Time, srcIP pcap.IPv4, srcPort uint16, dstIP pcap.IPv4, dstPort uint16, wireLen int) pcap.Packet {
 	payload := mustAppData(wireLen)
 	return pcap.Packet{
 		Time:  t,
@@ -223,7 +242,7 @@ func appDataPacket(t time.Time, srcIP string, srcPort int, dstIP string, dstPort
 }
 
 // handshakePacket builds a TLS handshake packet (ClientHello etc.).
-func handshakePacket(t time.Time, srcIP string, srcPort int, dstIP string, dstPort int, payloadLen int) pcap.Packet {
+func handshakePacket(t time.Time, srcIP pcap.IPv4, srcPort uint16, dstIP pcap.IPv4, dstPort uint16, payloadLen int) pcap.Packet {
 	payload := mustRecord(pcap.RecordHandshake, recordHeaderLen+payloadLen)
 	return pcap.Packet{
 		Time:  t,
@@ -251,23 +270,23 @@ var (
 	googleQuestion = mustQuestion(GoogleDomain)
 )
 
-// dnsExchange builds a query/response pair for q resolving to the
-// IPv4 address addr. The response arrives 10-40 ms after the query.
-func dnsExchange(t time.Time, clientIP string, clientPort int, q pcap.DNSQuestion, addr netip.Addr, src *rng.Source) [2]pcap.Packet {
+// dnsExchange builds a query/response pair for q resolving to addr.
+// The response arrives 10-40 ms after the query.
+func dnsExchange(t time.Time, clientIP pcap.IPv4, clientPort uint16, q pcap.DNSQuestion, addr pcap.IPv4, src *rng.Source) [2]pcap.Packet {
 	id := uint16(src.IntN(1 << 16))
 	query := q.Query(id)
-	resp := q.Response(id, addr.As4())
+	resp := q.Response(id, addr)
 	latency := time.Duration(src.Uniform(10, 40)) * time.Millisecond
 	return [2]pcap.Packet{
 		{
 			Time:  t,
 			SrcIP: clientIP, SrcPort: clientPort,
-			DstIP: RouterIP, DstPort: pcap.DNSPort,
+			DstIP: RouterAddr, DstPort: pcap.DNSPort,
 			Proto: pcap.UDP, Len: len(query), Payload: query,
 		},
 		{
 			Time:  t.Add(latency),
-			SrcIP: RouterIP, SrcPort: pcap.DNSPort,
+			SrcIP: RouterAddr, SrcPort: pcap.DNSPort,
 			DstIP: clientIP, DstPort: clientPort,
 			Proto: pcap.UDP, Len: len(resp), Payload: resp,
 		},

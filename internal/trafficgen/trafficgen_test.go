@@ -1,6 +1,7 @@
 package trafficgen
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -18,10 +19,10 @@ func TestEchoBootContainsAVSSignature(t *testing.T) {
 	}
 	// The AVS connection's application-data lengths must begin with
 	// the published signature.
-	avs := e.AVSAddr().String()
+	avs := pcap.IPv4(e.AVSAddr().As4())
 	var lens []int
 	for _, p := range packets {
-		if p.DstIP == avs && pcap.IsAppData(p) {
+		if p.DstIP == avs && pcap.IsAppData(&p) {
 			lens = append(lens, p.Len)
 		}
 	}
@@ -43,7 +44,7 @@ func TestEchoBootIncludesDNSForAVS(t *testing.T) {
 	}
 	found := false
 	for _, p := range packets {
-		if msg, ok := pcap.IsDNSResponse(p); ok && msg.Name == AVSDomain {
+		if msg, ok := pcap.IsDNSResponse(&p); ok && msg.Name == AVSDomain {
 			if msg.Addr.String() != e.AVSAddr().String() {
 				t.Fatalf("DNS answer %v != generator AVS addr %v", msg.Addr, e.AVSAddr())
 			}
@@ -101,7 +102,7 @@ func TestEchoHeartbeats(t *testing.T) {
 		if !p.Time.Equal(want) {
 			t.Fatalf("heartbeat %d at %v, want %v", i, p.Time, want)
 		}
-		if !pcap.IsAppData(p) {
+		if !pcap.IsAppData(&p) {
 			t.Fatalf("heartbeat %d is not application data", i)
 		}
 	}
@@ -116,14 +117,14 @@ func TestEchoReconnectChangesAddr(t *testing.T) {
 	}
 	// Without DNS, no DNS packets appear.
 	for _, p := range packets {
-		if _, ok := pcap.IsDNSQuery(p); ok {
+		if _, ok := pcap.IsDNSQuery(&p); ok {
 			t.Fatal("reconnect(withDNS=false) emitted a DNS query")
 		}
 	}
 	// The new connection still carries the signature.
 	var lens []int
 	for _, p := range packets {
-		if pcap.IsAppData(p) {
+		if pcap.IsAppData(&p) {
 			lens = append(lens, p.Len)
 		}
 	}
@@ -289,7 +290,7 @@ func TestGHMSometimesSkipsDNS(t *testing.T) {
 		inv := g.Invocation(t0.Add(time.Duration(i) * time.Minute))
 		hasDNS := false
 		for _, p := range inv.Setup {
-			if _, ok := pcap.IsDNSQuery(p); ok {
+			if _, ok := pcap.IsDNSQuery(&p); ok {
 				hasDNS = true
 			}
 		}
@@ -322,4 +323,46 @@ func TestLabeledSpikeLengthsHelper(t *testing.T) {
 	if len(s.Lengths()) != len(s.Packets) {
 		t.Fatal("Lengths() size mismatch")
 	}
+}
+
+// TestPortCountersWrapToStart drives each generator's source-port
+// counter to 65,535: the next port handed out is the counter's start
+// port plus one, the first port the generator ever uses, so a packet
+// never carries a port the counter did not hand out.
+func TestPortCountersWrapToStart(t *testing.T) {
+	counter := uint16(math.MaxUint16 - 1)
+	for _, want := range []uint16{math.MaxUint16, 40001, 40002} {
+		if got := nextPort(&counter, echoPortBase); got != want {
+			t.Fatalf("nextPort = %d, want %d", got, want)
+		}
+	}
+
+	e := NewEcho(rng.New(1))
+	e.port = math.MaxUint16
+	re := e.Reconnect(t0, true)
+	if e.avsPort != echoPortBase+1 {
+		t.Errorf("Echo AVS port after wrap = %d, want %d", e.avsPort, echoPortBase+1)
+	}
+	if q := re[0]; q.DstPort != pcap.DNSPort || q.SrcPort != echoPortBase+2 {
+		t.Errorf("Echo DNS query %d>%d, want source port %d", q.SrcPort, q.DstPort, echoPortBase+2)
+	}
+
+	g := NewGHM(rng.New(2))
+	g.port = math.MaxUint16
+	if p := g.Invocation(t0).CommandSpike().Packets[0]; p.SrcPort != ghmPortBase+1 {
+		t.Errorf("GHM command port after wrap = %d, want %d", p.SrcPort, ghmPortBase+1)
+	}
+
+	s := NewBackgroundStream(rng.New(3), t0, time.Hour)
+	s.port = math.MaxUint16
+	first := true
+	s.EmitBefore(t0.Add(time.Hour), func(p *pcap.Packet) {
+		if !first {
+			return
+		}
+		first = false
+		if p.SrcPort != backgroundPortBase+1 && p.DstPort != backgroundPortBase+1 {
+			t.Errorf("chatter's first packet %d>%d after wrap, want host port %d", p.SrcPort, p.DstPort, backgroundPortBase+1)
+		}
+	})
 }

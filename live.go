@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,12 +145,10 @@ func (o liveOptions) proxyOpts() []proxy.Option {
 // The wire plane sits inline on a single speaker-to-cloud path, so
 // the endpoints of the packets it builds for the recognizer are fixed
 // by construction.
-const (
-	speakerWireIP = "10.99.0.2"
-	cloudWireIP   = "10.99.0.1"
+var (
+	speakerWireIP = pcap.IPv4{10, 99, 0, 2}
+	cloudWireIP   = pcap.IPv4{10, 99, 0, 1}
 )
-
-var cloudWireAddr = netip.MustParseAddr(cloudWireIP)
 
 // LiveGuard is VoiceGuard's Traffic Processing Module on real sockets:
 // a transparent TCP proxy whose every connection runs its own
@@ -260,7 +257,8 @@ func (g *LiveGuard) tap(s *proxy.Session, data []byte) {
 // or as the whole TLS records it completes. Callers hold c.mu.
 func (c *liveConn) feed(now time.Time, data []byte, records bool) {
 	if !records {
-		c.guard.Feed(wirePacket(now, nil, len(data)))
+		p := wirePacket(now, nil, len(data))
+		c.guard.Feed(&p)
 		return
 	}
 	c.buf = append(c.buf, data...)
@@ -270,7 +268,8 @@ func (c *liveConn) feed(now time.Time, data []byte, records bool) {
 			return
 		}
 		c.buf = rest
-		c.guard.Feed(wirePacket(now, record, len(record)))
+		p := wirePacket(now, record, len(record))
+		c.guard.Feed(&p)
 	}
 }
 
@@ -296,7 +295,7 @@ func (g *LiveGuard) newConn(s *proxy.Session) *liveConn {
 	rec, speaker := recognize.NewGHM(speakerWireIP), "ghm"
 	if g.records {
 		rec, speaker = recognize.NewEcho(speakerWireIP), "echo"
-		rec.Tracker.ForceAddress(cloudWireAddr)
+		rec.Tracker.ForceAddress(cloudWireIP)
 	}
 	rec.IdleGap = g.idle
 	c.guard = guard.New(wallClock{mu: &c.mu, done: s.Done()}, rec, liveDecide{g: g, s: s, c: c}, speaker)
