@@ -551,18 +551,19 @@ func fleetThroughput(homes, days int, seed int64) error {
 }
 
 // wireLoad is the wire-plane load experiment: a scaled-down vgload
-// run (a real StartLiveProxy plane, real sockets, TCP + UDP, stall
-// flood against a deliberately small global budget) sized to finish
-// in seconds so it can ride the bench gate. The structural outcomes —
-// budget enforced, backpressure observed, every held burst resolved —
-// are recorded as exact-match pct_* metrics; setup rate and latency
-// ride the banded fields.
+// run (Echo sessions through a real StartLiveGuard into the cloud
+// emulator, GHM-profile UDP through a real UDPForwarder, stall floods
+// against a deliberately small global budget) sized to finish in
+// seconds so it can ride the bench gate. The structural outcomes —
+// budget enforced, backpressure observed, every held command
+// resolved — are recorded as exact-match pct_* metrics, and a broken
+// invariant (wireload.Outcome.Check) fails the experiment; setup rate
+// and latency ride the banded fields.
 func wireLoad(tcp, udp int, seed int64) error {
 	out, err := wireload.Run(wireload.Config{
 		TCPSessions:     tcp,
 		UDPSessions:     udp,
 		IdleGap:         40 * time.Millisecond,
-		BurstBytes:      2048,
 		BurstEvery:      150 * time.Millisecond,
 		BaselineBursts:  3,
 		MeasureBursts:   4,
@@ -601,7 +602,7 @@ func wireLoad(tcp, udp int, seed int64) error {
 	}
 	recordMetric("pct_bursts_resolved", resolvedPct)
 	fmt.Print(out.Text())
-	return nil
+	return out.Check()
 }
 
 // bool100 renders a structural pass/fail as an exact-match metric.

@@ -33,7 +33,7 @@ func TestRunFig4(t *testing.T) {
 	}
 }
 
-// The wire experiment drives real sockets through a live proxy; like
+// The wire experiment drives real sockets through a live guard; like
 // fig4 it stays out of -short.
 func TestRunWire(t *testing.T) {
 	if testing.Short() {

@@ -1,16 +1,16 @@
 // Command vgload is the wire-plane load generator: it drives N
-// thousand concurrent emulated speaker sessions — TCP through a real
-// StartLiveProxy or StartLiveGuard plane, plus the Google Home Mini
-// UDP profile — with mixed hold/release/drop verdicts, a configurable
-// decision-latency distribution, hold deadlines, and fault profiles,
-// and reports session setup rate, p99 added latency against a
-// no-proxy baseline, and the hold-memory ceiling under the global
-// HoldBudget.
+// thousand concurrent emulated speaker sessions — Echo sessions
+// through a real StartLiveGuard into the cloud emulator, plus the
+// Google Home Mini UDP profile through a UDPForwarder — with mixed
+// hold/release/drop verdicts, a configurable decision-latency
+// distribution, hold deadlines, and fault profiles, and reports
+// session setup rate, p99 added latency against a no-guard baseline,
+// and the hold-memory ceiling under the global HoldBudget. It exits 1
+// when the run breaks a structural invariant (wireload.Outcome.Check).
 //
 // Usage:
 //
 //	vgload -tcp-sessions 3000 -udp-sessions 2000 -budget-bytes 1048576
-//	vgload -plane guard -tcp-sessions 200
 //	vgload -tcp-sessions 64 -fault delay-spike -json wire.json
 package main
 
@@ -28,11 +28,9 @@ import (
 
 // config carries the parsed command-line flags through run.
 type config struct {
-	plane        string
 	tcpSessions  int
 	udpSessions  int
 	idleGap      time.Duration
-	burstBytes   int
 	burstEvery   time.Duration
 	baseline     int
 	bursts       int
@@ -54,14 +52,12 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.plane, "plane", wireload.PlaneProxy, "wire plane under load: proxy|guard")
-	flag.IntVar(&cfg.tcpSessions, "tcp-sessions", 256, "concurrent TCP speaker sessions")
-	flag.IntVar(&cfg.udpSessions, "udp-sessions", 0, "concurrent UDP (GHM-profile) speaker sockets (proxy plane only)")
-	flag.DurationVar(&cfg.idleGap, "idle-gap", 50*time.Millisecond, "burst separator gap")
-	flag.IntVar(&cfg.burstBytes, "burst-bytes", 2048, "payload bytes per TCP burst")
-	flag.DurationVar(&cfg.burstEvery, "burst-every", 150*time.Millisecond, "pause between a session's bursts")
-	flag.IntVar(&cfg.baseline, "baseline-bursts", 3, "per-session no-proxy baseline bursts (0 skips the baseline)")
-	flag.IntVar(&cfg.bursts, "measure-bursts", 3, "per-session proxied bursts sampled for latency")
+	flag.IntVar(&cfg.tcpSessions, "tcp-sessions", 256, "concurrent Echo speaker sessions through the guard")
+	flag.IntVar(&cfg.udpSessions, "udp-sessions", 0, "concurrent UDP (GHM-profile) speaker sockets through the forwarder")
+	flag.DurationVar(&cfg.idleGap, "idle-gap", 50*time.Millisecond, "spike separator gap")
+	flag.DurationVar(&cfg.burstEvery, "burst-every", 150*time.Millisecond, "pause between a session's commands")
+	flag.IntVar(&cfg.baseline, "baseline-bursts", 3, "per-session no-guard baseline commands (0 skips the baseline)")
+	flag.IntVar(&cfg.bursts, "measure-bursts", 3, "per-session guarded commands sampled for latency")
 	flag.DurationVar(&cfg.decisionMean, "decision-mean", 25*time.Millisecond, "mean decision latency")
 	flag.DurationVar(&cfg.decisionJit, "decision-jitter", 10*time.Millisecond, "uniform +/- jitter around the decision mean")
 	flag.DurationVar(&cfg.holdDeadline, "hold-deadline", 400*time.Millisecond, "transport hold deadline (0 disables)")
@@ -102,9 +98,7 @@ func faultNames() string {
 // validate rejects bad flag combinations before any socket opens.
 func validate(cfg config) error {
 	if err := cliutil.FirstError(
-		cliutil.OneOf("plane", cfg.plane, wireload.PlaneProxy, wireload.PlaneGuard),
 		cliutil.OneOf("fault", cfg.fault, append([]string{"none"}, faults.ProfileNames()...)...),
-		cliutil.Positive("burst-bytes", cfg.burstBytes),
 		cliutil.Positive("measure-bursts", cfg.bursts),
 		cliutil.Positive("dial-concurrency", cfg.dialConc),
 	); err != nil {
@@ -124,10 +118,10 @@ func validate(cfg config) error {
 	return nil
 }
 
-// fdBudget estimates the run's descriptor demand: a TCP session costs
-// four (client conn, proxy's two sides, sink conn), a UDP session two
-// (client socket, forwarder peer socket), plus slack for listeners,
-// baseline churn, and the runtime.
+// fdBudget estimates the run's descriptor demand: an Echo session
+// costs four (speaker conn, the guard's two sides, the cloud
+// emulator's conn), a UDP session two (speaker socket, forwarder peer
+// socket), plus slack for listeners, baseline churn, and the runtime.
 func fdBudget(cfg config) (need, limit uint64, ok bool) {
 	limit, ok = fdSoftLimit()
 	if !ok {
@@ -139,11 +133,9 @@ func fdBudget(cfg config) (need, limit uint64, ok bool) {
 
 func run(cfg config) error {
 	out, err := wireload.Run(wireload.Config{
-		Plane:            cfg.plane,
 		TCPSessions:      cfg.tcpSessions,
 		UDPSessions:      cfg.udpSessions,
 		IdleGap:          cfg.idleGap,
-		BurstBytes:       cfg.burstBytes,
 		BurstEvery:       cfg.burstEvery,
 		BaselineBursts:   cfg.baseline,
 		MeasureBursts:    cfg.bursts,
@@ -173,6 +165,9 @@ func run(cfg config) error {
 		if err := os.WriteFile(cfg.jsonOut, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
+	}
+	if err := out.Check(); err != nil {
+		return fmt.Errorf("check failed: %w", err)
 	}
 	return nil
 }

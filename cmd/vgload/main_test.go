@@ -1,12 +1,16 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+)
 
 func base() config {
 	return config{
-		plane:       "proxy",
 		tcpSessions: 16,
-		burstBytes:  1024,
 		bursts:      2,
 		dialConc:    8,
 		fault:       "none",
@@ -23,7 +27,6 @@ func TestValidate(t *testing.T) {
 		name   string
 		mutate func(*config)
 	}{
-		{"bad plane", func(c *config) { c.plane = "warp" }},
 		{"bad fault", func(c *config) { c.fault = "gremlins" }},
 		{"no sessions", func(c *config) { c.tcpSessions = 0; c.udpSessions = 0 }},
 		{"negative drop frac", func(c *config) { c.dropFrac = -0.1 }},
@@ -51,5 +54,25 @@ func TestFDBudget(t *testing.T) {
 	}
 	if want := uint64(4*3000 + 2*2000 + 256); need != want {
 		t.Fatalf("fd need = %d, want %d", need, want)
+	}
+}
+
+// TestRunFailsBrokenCheck drives a real run whose outcome breaks an
+// invariant: stall floods against a budget far too large to fill
+// never backpressure. run must still print and write the outcome, and
+// then fail, which main turns into exit status 1.
+func TestRunFailsBrokenCheck(t *testing.T) {
+	cfg := base()
+	cfg.tcpSessions, cfg.stallFrac, cfg.dropFrac = 2, 1, 0
+	cfg.idleGap, cfg.burstEvery = 20*time.Millisecond, 60*time.Millisecond
+	cfg.decisionMean, cfg.budgetBytes, cfg.stallWindow = 5*time.Millisecond, 1<<40, 50*time.Millisecond
+	cfg.seed = 1
+	cfg.jsonOut = filepath.Join(t.TempDir(), "wire.json")
+	err := run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "no backpressure") {
+		t.Fatalf("run = %v, want a failed backpressure check", err)
+	}
+	if _, statErr := os.Stat(cfg.jsonOut); statErr != nil {
+		t.Fatalf("outcome not written before the failure: %v", statErr)
 	}
 }

@@ -36,8 +36,9 @@ type Fact struct {
 // FuncFacts summarizes the direct (intra-procedural) behavior of one
 // function body. Each field holds the first observed instance, or nil.
 type FuncFacts struct {
-	// Alloc is a hot-path allocation source: a fmt call, string
-	// concatenation, or string<->[]byte conversion.
+	// Alloc is a hot-path allocation source: a fmt call, a call on
+	// hotalloc's allocStd list, string concatenation, or
+	// string<->[]byte conversion.
 	Alloc *Fact
 	// Block is a blocking operation: a channel send/receive/select,
 	// ranging over a channel, sync.WaitGroup.Wait, time.Sleep, or a
@@ -340,10 +341,11 @@ func (b *graphBuilder) visitCall(pkg *Package, fn *types.Func, facts *FuncFacts,
 	if callee == nil {
 		return
 	}
+	if what := stdAlloc(callee); what != "" {
+		record(&facts.Alloc, call.Pos(), what)
+	}
 	if cp := callee.Pkg(); cp != nil {
 		switch cp.Path() {
-		case "fmt":
-			record(&facts.Alloc, call.Pos(), "fmt."+callee.Name())
 		case "time":
 			if callee.Name() == "Sleep" && !inGo {
 				record(&facts.Block, call.Pos(), "time.Sleep")

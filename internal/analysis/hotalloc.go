@@ -55,16 +55,51 @@ var hotFuncs = map[string]map[string]bool{
 	},
 }
 
+// allocStd names the standard-library calls outside fmt that return a
+// freshly allocated string or slice, by types.Func.FullName. A call to
+// one is an allocation source like a fmt call. The list is short on
+// purpose: it holds the calls a hot path is likely to pick up for a
+// key, a label or an address, not every allocating function.
+var allocStd = map[string]bool{
+	"strconv.Itoa": true, "strconv.FormatInt": true, "strconv.FormatUint": true,
+	"strconv.FormatFloat": true, "strconv.Quote": true,
+	"strings.Join": true, "strings.Repeat": true, "strings.Split": true,
+	"strings.Fields": true, "strings.ReplaceAll": true,
+	"strings.ToLower": true, "strings.ToUpper": true,
+	"errors.New":                  true,
+	"encoding/hex.EncodeToString": true,
+	"(net/netip.Addr).String":     true,
+	"(net/netip.AddrPort).String": true,
+	"(net.IP).String":             true,
+	"(time.Time).String":          true,
+	"(time.Time).Format":          true,
+	"(time.Duration).String":      true,
+	"(*bytes.Buffer).String":      true,
+}
+
+// stdAlloc names the allocation a call to the standard-library
+// function fn makes — any fmt call, or one on allocStd — or returns
+// "" when it makes none the rule tracks.
+func stdAlloc(fn *types.Func) string {
+	if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+		return "fmt." + fn.Name()
+	}
+	if allocStd[fn.FullName()] {
+		return fn.FullName()
+	}
+	return ""
+}
+
 // HotAlloc flags the easy-to-miss allocation sources inside the
-// designated hot functions: any fmt call, string concatenation, and
-// string<->[]byte conversions — directly in the body, and (via the
-// module call graph) in any non-hot helper the function reaches
-// within hotAllocDepth calls. Helpers that are themselves designated
-// hot are skipped: their own direct findings (and suppressions)
-// govern them.
+// designated hot functions: any fmt call, a call on the allocStd
+// list, string concatenation, and string<->[]byte conversions —
+// directly in the body, and (via the module call graph) in any
+// non-hot helper the function reaches within hotAllocDepth calls.
+// Helpers that are themselves designated hot are skipped: their own
+// direct findings (and suppressions) govern them.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "designated hot functions must stay allocation-free: no fmt, string concatenation, or string<->[]byte conversion, directly or through reachable helpers",
+	Doc:  "designated hot functions must stay allocation-free: no fmt, allocating standard-library call, string concatenation, or string<->[]byte conversion, directly or through reachable helpers",
 	Run:  runHotAlloc,
 }
 
@@ -148,9 +183,9 @@ func checkHotBody(pass *Pass, fn string, n ast.Node, inConcat bool) {
 				"string += in hot function %s allocates; use a preallocated buffer", fn)
 		}
 	case *ast.CallExpr:
-		if fnObj := callee(pass.Info, n); fnObj != nil && fnObj.Pkg() != nil && fnObj.Pkg().Path() == "fmt" {
+		if fnObj := callee(pass.Info, n); fnObj != nil && stdAlloc(fnObj) != "" {
 			pass.Reportf(n.Pos(),
-				"fmt.%s in hot function %s allocates (formatting escapes its arguments); keep formatting off the hot path", fnObj.Name(), fn)
+				"%s in hot function %s allocates; keep formatting and fresh strings off the hot path", stdAlloc(fnObj), fn)
 		} else if conv, from := conversionKind(pass.Info, n); conv != "" {
 			pass.Reportf(n.Pos(),
 				"%s(%s) conversion in hot function %s copies and allocates; keep one representation end to end", conv, from, fn)

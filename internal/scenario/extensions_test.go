@@ -7,6 +7,8 @@ import (
 
 	"voiceguard/internal/attack"
 	"voiceguard/internal/floorplan"
+	"voiceguard/internal/guard"
+	"voiceguard/internal/metrics"
 	"voiceguard/internal/netem"
 	"voiceguard/internal/pcap"
 	"voiceguard/internal/radio"
@@ -182,6 +184,50 @@ func TestRunMultiProtectsBothSpeakers(t *testing.T) {
 	}
 	if rec := overall.Recall(); rec < 0.9 {
 		t.Errorf("overall recall %.3f below 0.9", rec)
+	}
+}
+
+// TestRunMultiFeedsThroughRouter leaves the Echo out of the router:
+// its packets must then reach no guard, so its commands go unguarded
+// (none recognized, none blocked) and the router counts the unknown
+// speaker, while the registered GHM stays guarded.
+func TestRunMultiFeedsThroughRouter(t *testing.T) {
+	cfg := Config{
+		Plan:    floorplan.House(),
+		Devices: []DeviceSpec{{ID: "pixel5", Hardware: radio.Pixel5}},
+		Days:    2,
+		Seed:    81,
+	}.withDefaults()
+	echoRun, ghmRun, err := newMultiRuns(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := guard.NewRouter()
+	if err := router.Add(trafficgen.GHMIP, ghmRun.guard); err != nil {
+		t.Fatal(err)
+	}
+	unknown := metrics.Default.Counter("guard_router_unknown_speaker_total")
+	before := unknown.Value()
+	out := runMulti(cfg, router, echoRun, ghmRun)
+	if out.PerSpeaker["A"].Total() == 0 {
+		t.Fatal("the Echo issued no commands")
+	}
+	for _, rec := range echoRun.outcome.Records {
+		if rec.Recognized || rec.Blocked {
+			t.Fatalf("unrouted Echo command was guarded: %+v", rec)
+		}
+	}
+	recognized := 0
+	for _, rec := range ghmRun.outcome.Records {
+		if rec.Recognized {
+			recognized++
+		}
+	}
+	if recognized == 0 {
+		t.Fatal("the routed GHM recognized no command")
+	}
+	if unknown.Value() == before {
+		t.Fatal("guard_router_unknown_speaker_total did not move")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"voiceguard/internal/guard"
 	"voiceguard/internal/parallel"
-	"voiceguard/internal/pcap"
 	"voiceguard/internal/rng"
 	"voiceguard/internal/stats"
 	"voiceguard/internal/trafficgen"
@@ -43,7 +42,23 @@ func RunMulti(cfg Config) (*MultiOutcome, error) {
 	if len(cfg.Devices) == 0 {
 		return nil, fmt.Errorf("scenario: config needs at least one device")
 	}
+	echoRun, ghmRun, err := newMultiRuns(cfg)
+	if err != nil {
+		return nil, err
+	}
+	router := guard.NewRouter()
+	if err := router.Add(trafficgen.EchoIP, echoRun.guard); err != nil {
+		return nil, err
+	}
+	if err := router.Add(trafficgen.GHMIP, ghmRun.guard); err != nil {
+		return nil, err
+	}
+	return runMulti(cfg, router, echoRun, ghmRun), nil
+}
 
+// newMultiRuns builds the Echo run at spot A and the GHM run at spot
+// B, fully initialised, without executing their day loops.
+func newMultiRuns(cfg Config) (echoRun, ghmRun *run, err error) {
 	// Two independent single-speaker runs share nothing; the
 	// multi-speaker property under test is the *routing*: one merged
 	// packet stream must reach the right recognizer. Build both runs'
@@ -63,21 +78,20 @@ func RunMulti(cfg Config) (*MultiOutcome, error) {
 		{cfg: ghmCfg, spot: "B", speaker: GHM},
 	}
 	runs, err := parallel.MapErr(len(setups), func(i int) (*run, error) {
-		return newRunForMulti(setups[i].cfg, setups[i].spot, setups[i].speaker)
+		c := setups[i].cfg
+		c.Spot, c.Speaker = setups[i].spot, setups[i].speaker
+		return newRun(c)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	echoRun, ghmRun := runs[0], runs[1]
+	return runs[0], runs[1], nil
+}
 
-	router := guard.NewRouter()
-	if err := router.Add(trafficgen.EchoIP, echoRun.guard); err != nil {
-		return nil, err
-	}
-	if err := router.Add(trafficgen.GHMIP, ghmRun.guard); err != nil {
-		return nil, err
-	}
-
+// runMulti alternates commands between the two runs, feeding every
+// packet of both through router.
+func runMulti(cfg Config, router *guard.Router, echoRun, ghmRun *run) *MultiOutcome {
+	echoRun.router, ghmRun.router = router, router
 	out := &MultiOutcome{PerSpeaker: make(map[string]stats.Confusion, 2)}
 	src := rng.New(cfg.Seed).Split("multi")
 
@@ -112,15 +126,7 @@ func RunMulti(cfg Config) (*MultiOutcome, error) {
 
 	out.PerSpeaker["A"] = echoRun.outcome.Confusion
 	out.PerSpeaker["B"] = ghmRun.outcome.Confusion
-	return out, nil
-}
-
-// newRunForMulti builds a fully initialised single-speaker run
-// without executing its day loop.
-func newRunForMulti(cfg Config, spot string, speaker SpeakerKind) (*run, error) {
-	cfg.Spot = spot
-	cfg.Speaker = speaker
-	return newRun(cfg)
+	return out
 }
 
 // RunSeeds executes the same experiment configuration once per seed
@@ -138,16 +144,4 @@ func RunSeeds(cfg Config, seeds []int64) ([]*Outcome, error) {
 		c.Seed = seeds[i]
 		return Run(c)
 	})
-}
-
-// RouterFeedAll drives a merged, time-sorted capture through a guard
-// router — the multi-speaker analysis entry point for replayed
-// captures.
-func RouterFeedAll(router *guard.Router, packets []pcap.Packet, advance func(t time.Time)) {
-	for i := range packets {
-		if advance != nil {
-			advance(packets[i].Time)
-		}
-		router.Feed(&packets[i])
-	}
 }

@@ -204,6 +204,7 @@ type run struct {
 	adv    ble.Advertiser
 	owners []*owner
 	guard  *guard.Guard
+	router *guard.Router // when set, packets reach the guard through it (RunMulti)
 	echo   *trafficgen.Echo
 	ghm    *trafficgen.GHM
 	motion *sensor.Motion
@@ -214,7 +215,7 @@ type run struct {
 	dwellLocs    []int
 	bleedCeiling float64 // strongest off-floor survey reading + margin
 
-	agenda agenda // event-driven day schedule (events.go)
+	agenda []agendaEvent // the day's command slots, reused day to day (events.go)
 
 	// cmdEvent is the first command event since the current issue
 	// began (haveCmd), collected through the guard's OnEvent.
@@ -225,9 +226,8 @@ type run struct {
 }
 
 // Run executes the experiment on the event-driven scheduler: each
-// day's command slots live on a binary heap keyed (time, sequence) and
-// the simulated clock jumps straight from event to event (see
-// events.go).
+// day's command slots are sorted by time and the simulated clock
+// jumps straight from event to event (see events.go).
 func Run(cfg Config) (*Outcome, error) {
 	h, err := NewHome(cfg)
 	if err != nil {
@@ -546,7 +546,11 @@ func (r *run) feedPacket(p *pcap.Packet) {
 		r.outcome.Capture = append(r.outcome.Capture, *p)
 	}
 	r.clock.AdvanceTo(p.Time)
-	r.guard.Feed(p)
+	if r.router != nil {
+		r.router.Feed(p)
+	} else {
+		r.guard.Feed(p)
+	}
 }
 
 // locPos returns the position of a location ID.

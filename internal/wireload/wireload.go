@@ -1,24 +1,25 @@
 // Package wireload is the wire-plane load harness: it drives
-// thousands of concurrent emulated speaker sessions — TCP through a
-// real StartLiveProxy (or StartLiveGuard) plane and the Google Home
-// Mini UDP profile through a real UDPForwarder — with mixed
-// hold/release/drop verdicts, a configurable decision-latency
-// distribution, hold deadlines, and internal/faults profiles, and
-// measures what the ROADMAP asks every wire-plane claim to carry:
-// session setup rate, per-burst p99 added latency against a no-proxy
-// baseline, and the hold-memory ceiling under a global HoldBudget with
-// observable backpressure.
+// thousands of concurrent emulated speaker sessions — Echo sessions
+// (emul.SpeakerClient) through a real StartLiveGuard into the cloud
+// emulator, and the Google Home Mini UDP profile through a real
+// UDPForwarder — with mixed hold/release/drop verdicts, a
+// configurable decision-latency distribution, hold deadlines, and
+// internal/faults profiles, and measures what the ROADMAP asks every
+// wire-plane claim to carry: session setup rate, per-command p99
+// added latency against a no-guard baseline, and the hold-memory
+// ceiling under a global HoldBudget with observable backpressure.
 //
 // The run has up to four phases:
 //
-//  1. baseline — the same burst loop straight at the sink, no proxy,
-//     sampling the floor the proxy's latency is compared against;
+//  1. baseline — the same command loop straight at the cloud
+//     emulator, no guard, sampling the floor the guard's latency is
+//     compared against;
 //  2. ramp — every session dials in (bounded concurrency), which is
 //     where sessions/sec comes from;
-//  3. measure — legitimate sessions exchange bursts and sample
+//  3. measure — legitimate sessions exchange commands and sample
 //     round-trip latency while drop-class sessions churn through
 //     verdict-drop reconnects;
-//  4. stall — stall-class sessions flood bursts whose decisions
+//  4. stall — stall-class sessions flood commands whose decisions
 //     wedge, pushing held bytes against the global budget until the
 //     transport backpressure (TCP pump stalls, UDP shedding) is
 //     observable in the metrics.
@@ -26,14 +27,16 @@ package wireload
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"voiceguard"
+	"voiceguard/internal/emul"
 	"voiceguard/internal/faults"
 	"voiceguard/internal/guard"
 	"voiceguard/internal/metrics"
@@ -43,24 +46,16 @@ import (
 	"voiceguard/internal/simtime"
 )
 
-// Plane names the wire plane under load.
-const (
-	PlaneProxy = "proxy" // StartLiveProxy: every burst is a command
-	PlaneGuard = "guard" // StartLiveGuard: the Echo recognizer over emulated TLS
-)
-
 // Config parameterises one load run.
 type Config struct {
-	Plane       string // PlaneProxy (default) or PlaneGuard
-	TCPSessions int    // concurrent TCP speaker sessions
-	UDPSessions int    // concurrent UDP (GHM-profile) speaker sockets
+	TCPSessions int // concurrent Echo speaker sessions through the guard
+	UDPSessions int // concurrent UDP (GHM-profile) speaker sockets
 
-	IdleGap    time.Duration // burst separator the live plane uses
-	BurstBytes int           // payload bytes per TCP burst
-	BurstEvery time.Duration // pause between a session's bursts (> IdleGap)
+	IdleGap    time.Duration // spike separator the guard uses
+	BurstEvery time.Duration // pause between a session's commands (> IdleGap)
 
-	BaselineBursts int // per-session no-proxy bursts (0 skips the baseline)
-	MeasureBursts  int // per-session proxied bursts sampled for latency
+	BaselineBursts int // per-session no-guard commands (0 skips the baseline)
+	MeasureBursts  int // per-session guarded commands sampled for latency
 
 	DecisionMean   time.Duration // mean decision latency
 	DecisionJitter time.Duration // uniform +/- jitter around the mean
@@ -83,17 +78,8 @@ type Config struct {
 
 // withDefaults fills the zero fields of a Config.
 func (c Config) withDefaults() Config {
-	if c.Plane == "" {
-		c.Plane = PlaneProxy
-	}
-	if c.TCPSessions <= 0 && c.UDPSessions <= 0 {
-		c.TCPSessions = 64
-	}
 	if c.IdleGap <= 0 {
 		c.IdleGap = 50 * time.Millisecond
-	}
-	if c.BurstBytes <= 0 {
-		c.BurstBytes = 2048
 	}
 	if c.BurstEvery <= c.IdleGap {
 		c.BurstEvery = 3 * c.IdleGap
@@ -115,9 +101,12 @@ func (c Config) withDefaults() Config {
 
 // Outcome is one run's measurements.
 type Outcome struct {
-	Plane       string
 	TCPSessions int
 	UDPSessions int
+	// Legit, Drop and Stall count the TCP sessions of each verdict
+	// class.
+	Legit, Drop, Stall int
+	StallWindow        time.Duration
 
 	PeakConcurrent int // max simultaneous transport sessions observed
 
@@ -128,8 +117,8 @@ type Outcome struct {
 	BaselineP99Ms float64
 	ProxiedP50Ms  float64
 	ProxiedP99Ms  float64
-	// AddedP99Ms is the proxy's own p99 latency tax: proxied p99 minus
-	// the no-proxy baseline p99 minus the configured mean decision
+	// AddedP99Ms is the guard's own p99 latency tax: guarded p99 minus
+	// the no-guard baseline p99 minus the configured mean decision
 	// latency (the hold is policy, not overhead), floored at zero.
 	AddedP99Ms float64
 
@@ -152,12 +141,12 @@ type Outcome struct {
 // Text renders the outcome as a human-readable report.
 func (o Outcome) Text() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "wire-plane load (%s plane): %d TCP + %d UDP sessions, peak concurrent %d\n",
-		o.Plane, o.TCPSessions, o.UDPSessions, o.PeakConcurrent)
+	fmt.Fprintf(&b, "wire-plane load: %d TCP (%d legit, %d drop, %d stall) + %d UDP sessions, peak concurrent %d\n",
+		o.TCPSessions, o.Legit, o.Drop, o.Stall, o.UDPSessions, o.PeakConcurrent)
 	fmt.Fprintf(&b, "  setup        %.2fs (%.0f sessions/sec)\n", o.SetupSeconds, o.SessionsPerSec)
-	fmt.Fprintf(&b, "  latency      baseline p50/p99 %.2f/%.2f ms, proxied %.2f/%.2f ms, added p99 %.2f ms\n",
+	fmt.Fprintf(&b, "  latency      baseline p50/p99 %.2f/%.2f ms, guarded %.2f/%.2f ms, added p99 %.2f ms\n",
 		o.BaselineP50Ms, o.BaselineP99Ms, o.ProxiedP50Ms, o.ProxiedP99Ms, o.AddedP99Ms)
-	fmt.Fprintf(&b, "  bursts       held %d, released %d, dropped %d, reconnects %d\n",
+	fmt.Fprintf(&b, "  commands     held %d, released %d, dropped %d, reconnects %d\n",
 		o.BurstsHeld, o.BurstsReleased, o.BurstsDropped, o.Reconnects)
 	fmt.Fprintf(&b, "  hold memory  queue peak %d B, budget peak %d/%d B, waits %d, udp shed %d\n",
 		o.HoldBytesPeak, o.BudgetUsedPeak, o.BudgetMax, o.BudgetWaits, o.UDPShed)
@@ -165,6 +154,41 @@ func (o Outcome) Text() string {
 	fmt.Fprintf(&b, "  within budget %v, backpressure observed %v, leftover session state %d\n",
 		o.WithinBudget, o.Backpressured, o.TrackedLeftover)
 	return b.String()
+}
+
+// Check reports every structural invariant the run broke: a held
+// command left unresolved, the budget overrun, session state left
+// after close, no backpressure from a stall flood against a budget,
+// and a class that never did its part (no session set up, no command
+// held, no legit command released, no drop-class reconnect).
+func (o Outcome) Check() error {
+	var errs []error
+	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	if o.SessionsPerSec <= 0 {
+		fail("no session was set up")
+	}
+	if o.TCPSessions > 0 && o.BurstsHeld == 0 {
+		fail("no command was held")
+	}
+	if resolved := o.BurstsReleased + o.BurstsDropped; resolved != o.BurstsHeld {
+		fail("resolved %d of %d held commands", resolved, o.BurstsHeld)
+	}
+	if !o.WithinBudget {
+		fail("budget exceeded: peak %d > max %d", o.BudgetUsedPeak, o.BudgetMax)
+	}
+	if o.TrackedLeftover != 0 {
+		fail("%d sessions' state left after close", o.TrackedLeftover)
+	}
+	if o.Stall > 0 && o.StallWindow > 0 && o.BudgetMax > 0 && !o.Backpressured {
+		fail("stall flood produced no backpressure (waits %d, shed %d)", o.BudgetWaits, o.UDPShed)
+	}
+	if o.Legit > 0 && o.BurstsReleased == 0 {
+		fail("no legit command was released")
+	}
+	if o.Drop > 0 && o.Reconnects == 0 {
+		fail("drop-class sessions never reconnected")
+	}
+	return errors.Join(errs...)
 }
 
 // sessionClass is a session's scripted verdict behaviour.
@@ -209,29 +233,14 @@ func newHarness(cfg Config) (*harness, error) {
 	return h, nil
 }
 
-// classFor assigns a session class from a seeded stream, so the mix
-// is reproducible for a given seed.
-func classFor(src *rng.Source, cfg Config) sessionClass {
-	r := src.Float64()
-	if r < cfg.StallFrac {
-		return classStall
-	}
-	if r < cfg.StallFrac+cfg.DropFrac {
-		return classDrop
-	}
-	return classLegit
-}
-
 // decide is the DecisionFunc under load: look up the session's class
 // by speaker address, draw the decision latency (plus any fault
 // delay), and verdict accordingly. Stall-class sessions — and any
 // decision the fault plan "loses" — wedge until the hold deadline or
 // teardown resolves them.
 func (h *harness) decide(ctx context.Context) bool {
-	class := classLegit
-	if v, ok := h.classes.Load(voiceguard.SpeakerAddr(ctx)); ok {
-		class = v.(sessionClass)
-	}
+	v, _ := h.classes.Load(voiceguard.SpeakerAddr(ctx))
+	class, _ := v.(sessionClass) // an unknown speaker is legit
 	h.decMu.Lock()
 	d := h.cfg.DecisionMean
 	if j := h.cfg.DecisionJitter; j > 0 {
@@ -240,26 +249,19 @@ func (h *harness) decide(ctx context.Context) bool {
 	wedged := h.plan.DropPush()
 	d += h.plan.ExtraDelay()
 	h.decMu.Unlock()
-	if d < 0 {
-		d = 0
+	var fire <-chan time.Time
+	if class != classStall && !wedged {
+		t := time.NewTimer(max(d, 0))
+		defer t.Stop()
+		fire = t.C
 	}
-	if class == classStall || wedged {
-		select {
-		case <-ctx.Done():
-		case <-h.stop:
-		}
-		return false
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-fire:
+		return class != classDrop
 	case <-ctx.Done():
-		return false
 	case <-h.stop:
-		return false
 	}
-	return class != classDrop
+	return false
 }
 
 // Run executes one load run and reports its measurements.
@@ -269,10 +271,117 @@ func Run(cfg Config) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	if cfg.Plane == PlaneGuard {
-		return h.runGuard()
+	out := Outcome{
+		TCPSessions: cfg.TCPSessions,
+		UDPSessions: cfg.UDPSessions,
+		StallWindow: cfg.StallWindow,
+		BudgetMax:   cfg.BudgetBytes,
 	}
-	return h.runProxy()
+	// The class mix is a seeded draw, reproducible for a given seed.
+	classSrc := rng.New(cfg.Seed).Split("class")
+	classes := make([]sessionClass, cfg.TCPSessions)
+	var count [3]int
+	for i := range classes {
+		switch r := classSrc.Float64(); {
+		case r < cfg.StallFrac:
+			classes[i] = classStall
+		case r < cfg.StallFrac+cfg.DropFrac:
+			classes[i] = classDrop
+		}
+		count[classes[i]]++
+	}
+	out.Legit, out.Drop, out.Stall = count[classLegit], count[classDrop], count[classStall]
+
+	cloud, err := emul.NewCloudServer("127.0.0.1:0")
+	if err != nil {
+		return out, err
+	}
+	defer cloud.Close()
+	var baseline []time.Duration
+	if cfg.BaselineBursts > 0 {
+		baseline = h.baseline(cloud.Addr(), classes)
+	}
+
+	budget := proxy.NewHoldBudget(cfg.BudgetBytes)
+	g, err := voiceguard.StartLiveGuard("127.0.0.1:0", cloud.Addr(), h.decide, cfg.IdleGap, h.liveOpts(budget)...)
+	if err != nil {
+		return out, err
+	}
+
+	// Ramp: every session dials in.
+	rampStart := time.Now()
+	var udp *udpLoad
+	setup := 0
+	if cfg.UDPSessions > 0 {
+		if udp, setup, err = h.startUDP(budget, cfg.UDPSessions); err != nil {
+			_ = g.Close()
+			return out, err
+		}
+	}
+	sampled := h.startSampler(&out, budget, func() int {
+		if udp == nil {
+			return g.TrackedSessions()
+		}
+		return g.TrackedSessions() + udp.fwd.ActivePeers()
+	})
+	clients := h.dialAll(g.Addr(), classes)
+	for _, sp := range clients {
+		if sp != nil {
+			setup++
+		}
+	}
+	out.SetupSeconds = time.Since(rampStart).Seconds()
+	if out.SetupSeconds > 0 {
+		out.SessionsPerSec = float64(setup) / out.SetupSeconds
+	}
+
+	// Measure phase: legit sessions sample latency, drop sessions
+	// churn; stall sessions wait for their window.
+	rtts := make([][]time.Duration, len(clients))
+	var wg sync.WaitGroup
+	for i, sp := range clients {
+		if sp != nil && classes[i] != classStall {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				clients[i] = h.session(clients[i], classes[i], i, g.Addr(), &rtts[i])
+			}(i)
+		}
+	}
+	wg.Wait()
+
+	// Stall window: wedged-decision floods drive the global budget to
+	// its ceiling so backpressure is observable.
+	if cfg.StallWindow > 0 {
+		for i, sp := range clients {
+			if sp != nil && classes[i] == classStall {
+				wg.Add(1)
+				go func(sp *emul.SpeakerClient) {
+					defer wg.Done()
+					h.stallFlood(sp)
+				}(sp)
+			}
+		}
+		time.Sleep(cfg.StallWindow)
+	}
+
+	// Teardown: stop unwedges every decision, and closing the speakers
+	// ends any flood write the stalled pump left blocked.
+	close(h.stop)
+	for _, sp := range clients {
+		if sp != nil {
+			_ = sp.Close()
+		}
+	}
+	wg.Wait()
+	if udp != nil {
+		out.UDPShed = udp.close()
+	}
+	closeErr := g.Close()
+	sampled()
+
+	h.fillMeasurements(&out, g, budget, baseline, slices.Concat(rtts...))
+	return out, closeErr
 }
 
 // liveOpts renders the config into live-plane options.
@@ -297,102 +406,65 @@ func (h *harness) liveOpts(budget *proxy.HoldBudget) []voiceguard.LiveOption {
 	return opts
 }
 
-// sampler polls the hold gauges, the global budget, the live heap,
-// and the concurrent-session count, keeping peaks.
-type sampler struct {
-	budget  *proxy.HoldBudget
-	rt      *obs.Runtime
-	heap    *metrics.Gauge
-	conc    func() int
-	stop    chan struct{}
-	stopped chan struct{}
-
-	mu             sync.Mutex
-	holdPeak       int64
-	budgetPeak     int64
-	heapPeak       int64
-	concurrentPeak int
-}
-
-func startSampler(budget *proxy.HoldBudget, conc func() int) *sampler {
-	s := &sampler{
-		budget:  budget,
-		rt:      obs.NewRuntime(metrics.Default),
-		heap:    metrics.Default.Gauge(obs.MetricHeapBytes),
-		conc:    conc,
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
-	go s.loop()
-	return s
-}
-
-func (s *sampler) loop() {
-	defer close(s.stopped)
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		s.sample()
-		select {
-		case <-tick.C:
-		case <-s.stop:
-			return
+// startSampler raises the outcome's peaks (hold-queue bytes, budget
+// use, live heap, concurrent sessions) every 20 ms until the run
+// stops; the returned wait blocks until it has. Until then only its
+// goroutine writes those fields.
+func (h *harness) startSampler(out *Outcome, budget *proxy.HoldBudget, conc func() int) (wait func()) {
+	rt, heap := obs.NewRuntime(metrics.Default), metrics.Default.Gauge(obs.MetricHeapBytes)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			rt.Collect()
+			out.HoldBytesPeak = max(out.HoldBytesPeak, proxy.HeldBytes())
+			if budget != nil {
+				out.BudgetUsedPeak = max(out.BudgetUsedPeak, budget.Used())
+			}
+			out.HeapPeakBytes = max(out.HeapPeakBytes, heap.Value())
+			out.PeakConcurrent = max(out.PeakConcurrent, conc())
+			select {
+			case <-tick.C:
+			case <-h.stop:
+				return
+			}
 		}
-	}
+	}()
+	return func() { <-done }
 }
 
-func (s *sampler) sample() {
-	s.rt.Collect()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v := proxy.HeldBytes(); v > s.holdPeak {
-		s.holdPeak = v
-	}
-	if s.budget != nil {
-		if v := s.budget.Used(); v > s.budgetPeak {
-			s.budgetPeak = v
-		}
-	}
-	if v := s.heap.Value(); v > s.heapPeak {
-		s.heapPeak = v
-	}
-	if s.conc != nil {
-		if v := s.conc(); v > s.concurrentPeak {
-			s.concurrentPeak = v
-		}
-	}
-}
-
-func (s *sampler) close() {
-	close(s.stop)
-	<-s.stopped
-	s.sample()
-}
-
-// percentile reads the p-quantile (0..1) from an unsorted sample set,
-// in milliseconds.
+// percentileMs reads the p-quantile (0..1) of a sample set in
+// milliseconds, sorting the samples in place.
 func percentileMs(samples []time.Duration, p float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	ms := make([]float64, len(samples))
-	for i, d := range samples {
-		ms[i] = float64(d) / float64(time.Millisecond)
+	slices.Sort(samples)
+	return float64(samples[int(p*float64(len(samples)-1))]) / float64(time.Millisecond)
+}
+
+// fillMeasurements folds the guard's final counters, the budget
+// state, and the latency percentiles into the outcome.
+func (h *harness) fillMeasurements(out *Outcome, g *voiceguard.LiveGuard, budget *proxy.HoldBudget, baseline, guarded []time.Duration) {
+	st := g.Stats()
+	out.BurstsHeld, out.BurstsReleased, out.BurstsDropped = st.CommandsHeld, st.CommandsReleased, st.CommandsDropped
+	out.Reconnects = int(h.reconnects.Load())
+	out.TrackedLeftover = g.TrackedSessions()
+
+	if budget != nil {
+		out.BudgetWaits = budget.Waits()
 	}
-	sort.Float64s(ms)
-	idx := int(p * float64(len(ms)-1))
-	return ms[idx]
-}
+	out.WithinBudget = out.BudgetMax <= 0 || out.BudgetUsedPeak <= out.BudgetMax
+	out.Backpressured = out.BudgetWaits > 0 || out.UDPShed > 0
 
-// latencyRecorder collects burst round-trip samples from many client
-// goroutines.
-type latencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-func (r *latencyRecorder) add(d time.Duration) {
-	r.mu.Lock()
-	r.samples = append(r.samples, d)
-	r.mu.Unlock()
+	out.BaselineP50Ms = percentileMs(baseline, 0.50)
+	out.BaselineP99Ms = percentileMs(baseline, 0.99)
+	out.ProxiedP50Ms = percentileMs(guarded, 0.50)
+	out.ProxiedP99Ms = percentileMs(guarded, 0.99)
+	if len(guarded) > 0 {
+		decision := float64(h.cfg.DecisionMean) / float64(time.Millisecond)
+		out.AddedP99Ms = max(out.ProxiedP99Ms-out.BaselineP99Ms-decision, 0)
+	}
 }

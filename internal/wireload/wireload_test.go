@@ -5,25 +5,26 @@ import (
 	"time"
 )
 
-// TestProxyPlaneSmoke runs a small mixed TCP+UDP proxy-plane load and
-// checks the harness's structural invariants: every held burst
-// resolves, the global budget is never exceeded, the stall flood
-// makes backpressure observable, and no session state is leaked.
-func TestProxyPlaneSmoke(t *testing.T) {
+// TestLoadSmoke runs a small load with all four classes (legit, drop
+// churn, stall flood, UDP) through the guard and checks the run's
+// structural invariants: a command held on every class, every held
+// command resolved, the budget enforced, the stall flood's
+// backpressure observed, legit commands released, drop sessions
+// reconnected, and no session state left after close.
+func TestLoadSmoke(t *testing.T) {
 	out, err := Run(Config{
 		TCPSessions:     24,
 		UDPSessions:     8,
-		IdleGap:         30 * time.Millisecond,
-		BurstBytes:      1024,
-		BurstEvery:      90 * time.Millisecond,
-		BaselineBursts:  2,
+		IdleGap:         40 * time.Millisecond,
+		BurstEvery:      150 * time.Millisecond,
+		BaselineBursts:  1,
 		MeasureBursts:   2,
 		DecisionMean:    5 * time.Millisecond,
-		HoldDeadline:    150 * time.Millisecond,
+		HoldDeadline:    300 * time.Millisecond,
 		BudgetBytes:     64 << 10,
 		DropFrac:        0.2,
 		StallFrac:       0.25,
-		StallWindow:     400 * time.Millisecond,
+		StallWindow:     600 * time.Millisecond,
 		Seed:            7,
 		DialConcurrency: 16,
 	})
@@ -31,58 +32,48 @@ func TestProxyPlaneSmoke(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	t.Logf("\n%s", out.Text())
-	if out.SessionsPerSec <= 0 {
-		t.Fatalf("sessions/sec = %v, want > 0", out.SessionsPerSec)
+	if out.Legit == 0 || out.Drop == 0 || out.Stall == 0 {
+		t.Fatalf("class mix %d/%d/%d leaves a TCP class out", out.Legit, out.Drop, out.Stall)
 	}
-	if out.BurstsHeld == 0 {
-		t.Fatal("no bursts were held")
-	}
-	if resolved := out.BurstsReleased + out.BurstsDropped; resolved != out.BurstsHeld {
-		t.Fatalf("resolved %d of %d held bursts", resolved, out.BurstsHeld)
-	}
-	if !out.WithinBudget {
-		t.Fatalf("budget exceeded: peak %d > max %d", out.BudgetUsedPeak, out.BudgetMax)
-	}
-	if !out.Backpressured {
-		t.Fatalf("stall flood produced no observable backpressure (waits %d, shed %d)",
-			out.BudgetWaits, out.UDPShed)
-	}
-	if out.TrackedLeftover != 0 {
-		t.Fatalf("leftover session state after close: %d", out.TrackedLeftover)
-	}
-	if out.Reconnects == 0 {
-		t.Fatal("drop-class sessions never churned")
+	if err := out.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestGuardPlaneSmoke runs a small guard-plane load: the full
-// recognizer pipeline on every session.
-func TestGuardPlaneSmoke(t *testing.T) {
-	out, err := Run(Config{
-		Plane:           PlaneGuard,
-		TCPSessions:     12,
-		IdleGap:         60 * time.Millisecond,
-		BurstEvery:      200 * time.Millisecond,
-		BaselineBursts:  1,
-		MeasureBursts:   2,
-		DecisionMean:    5 * time.Millisecond,
-		HoldDeadline:    300 * time.Millisecond,
-		BudgetBytes:     256 << 10,
-		DropFrac:        0.2,
-		Seed:            3,
-		DialConcurrency: 8,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+// TestCheckNamesEveryBrokenInvariant feeds Check outcomes that break
+// one invariant each.
+func TestCheckNamesEveryBrokenInvariant(t *testing.T) {
+	good := Outcome{
+		TCPSessions: 3, Legit: 1, Drop: 1, Stall: 1,
+		StallWindow:    time.Second,
+		SessionsPerSec: 100,
+		BurstsHeld:     4, BurstsReleased: 2, BurstsDropped: 2,
+		Reconnects: 1,
+		BudgetMax:  1 << 10, BudgetUsedPeak: 1 << 10, BudgetWaits: 3,
+		WithinBudget: true, Backpressured: true,
 	}
-	t.Logf("\n%s", out.Text())
-	if out.BurstsHeld == 0 {
-		t.Fatal("no commands were held")
+	if err := good.Check(); err != nil {
+		t.Fatalf("good outcome: %v", err)
 	}
-	if out.BurstsReleased == 0 {
-		t.Fatal("no commands were released")
+	for name, mutate := range map[string]func(*Outcome){
+		"no setup":        func(o *Outcome) { o.SessionsPerSec = 0 },
+		"nothing held":    func(o *Outcome) { o.BurstsHeld, o.BurstsReleased, o.BurstsDropped = 0, 0, 0 },
+		"unresolved hold": func(o *Outcome) { o.BurstsHeld++ },
+		"over budget":     func(o *Outcome) { o.BudgetUsedPeak, o.WithinBudget = 2<<10, false },
+		"leftover state":  func(o *Outcome) { o.TrackedLeftover = 1 },
+		"no backpressure": func(o *Outcome) { o.BudgetWaits, o.Backpressured = 0, false },
+		"none released":   func(o *Outcome) { o.BurstsReleased, o.BurstsDropped = 0, 4 },
+		"no reconnects":   func(o *Outcome) { o.Reconnects = 0 },
+	} {
+		o := good
+		mutate(&o)
+		if o.Check() == nil {
+			t.Errorf("%s: Check passed", name)
+		}
 	}
-	if out.TrackedLeftover != 0 {
-		t.Fatalf("leftover session state after close: %d", out.TrackedLeftover)
+	quiet := good
+	quiet.BudgetWaits, quiet.Backpressured, quiet.StallWindow = 0, false, 0
+	if err := quiet.Check(); err != nil {
+		t.Errorf("no stall window, no backpressure expected: %v", err)
 	}
 }
