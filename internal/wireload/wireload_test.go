@@ -5,13 +5,14 @@ import (
 	"time"
 )
 
-// TestLoadSmoke runs a small load with all four classes (legit, drop
-// churn, stall flood, UDP) through the guard and checks the run's
+// TestProxyPlaneSmoke runs a small load with all four classes (legit,
+// drop churn, stall flood, UDP) on the wire plane, TCP through the
+// guard and UDP through the proxy forwarder, and checks the run's
 // structural invariants: a command held on every class, every held
 // command resolved, the budget enforced, the stall flood's
 // backpressure observed, legit commands released, drop sessions
 // reconnected, and no session state left after close.
-func TestLoadSmoke(t *testing.T) {
+func TestProxyPlaneSmoke(t *testing.T) {
 	out, err := Run(Config{
 		TCPSessions:     24,
 		UDPSessions:     8,
@@ -34,6 +35,45 @@ func TestLoadSmoke(t *testing.T) {
 	t.Logf("\n%s", out.Text())
 	if out.Legit == 0 || out.Drop == 0 || out.Stall == 0 {
 		t.Fatalf("class mix %d/%d/%d leaves a TCP class out", out.Legit, out.Drop, out.Stall)
+	}
+	if err := out.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGuardPlaneSmoke runs a small TCP-only load through the guard
+// with no stall flood and no UDP: the full recognizer pipeline on
+// every session, with commands held, released and dropped and no
+// session state left after close.
+func TestGuardPlaneSmoke(t *testing.T) {
+	out, err := Run(Config{
+		TCPSessions:     12,
+		IdleGap:         60 * time.Millisecond,
+		BurstEvery:      200 * time.Millisecond,
+		BaselineBursts:  1,
+		MeasureBursts:   2,
+		DecisionMean:    5 * time.Millisecond,
+		HoldDeadline:    300 * time.Millisecond,
+		BudgetBytes:     256 << 10,
+		DropFrac:        0.2,
+		Seed:            3,
+		DialConcurrency: 8,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	t.Logf("\n%s", out.Text())
+	if out.Stall != 0 || out.UDPSessions != 0 {
+		t.Fatalf("stall %d, UDP %d: want a guard-only load", out.Stall, out.UDPSessions)
+	}
+	if out.BurstsHeld == 0 {
+		t.Fatal("no commands were held")
+	}
+	if out.BurstsReleased == 0 {
+		t.Fatal("no commands were released")
+	}
+	if out.TrackedLeftover != 0 {
+		t.Fatalf("leftover session state after close: %d", out.TrackedLeftover)
 	}
 	if err := out.Check(); err != nil {
 		t.Fatal(err)
