@@ -99,30 +99,6 @@ func TestEvidenceVerdictIgnoresDegradedPolicy(t *testing.T) {
 	}
 }
 
-// Router.SetDegraded overrides the policy per speaker; the others
-// keep theirs.
-func TestRouterPerSpeakerDegradedOverride(t *testing.T) {
-	clock := simtime.NewSim(epoch)
-	mkGuard := func(ip string) *Guard {
-		return New(clock, recognize.NewEcho(pcap.MustParseIPv4(ip)), pathDeadMethod{}, ip)
-	}
-	r := NewRouter()
-	a, b := mkGuard("10.0.0.2"), mkGuard("10.0.0.3")
-	mustAdd(t, r, "10.0.0.2", a)
-	mustAdd(t, r, "10.0.0.3", b)
-
-	r.SetDegradedAll(DegradedFailClosed)
-	if !r.SetDegraded("10.0.0.3", DegradedFailOpen) {
-		t.Fatal("SetDegraded rejected a registered speaker")
-	}
-	if r.SetDegraded("10.0.0.99", DegradedFailOpen) {
-		t.Fatal("SetDegraded accepted an unknown speaker")
-	}
-	if a.Degraded != DegradedFailClosed || b.Degraded != DegradedFailOpen {
-		t.Fatalf("policies = %v/%v, want fail-closed/fail-open", a.Degraded, b.Degraded)
-	}
-}
-
 // Packets from unknown source IPs are counted instead of silently
 // vanishing, and each new unknown IP traces exactly once.
 func TestRouterCountsUnknownSpeakers(t *testing.T) {

@@ -18,6 +18,7 @@ package guard
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"voiceguard/internal/decision"
@@ -41,6 +42,7 @@ const (
 	metricQueriesQueued  = "guard_queries_queued_total"
 	metricDegraded       = "guard_degraded_verdicts_total"
 	metricUnknownSpeaker = "guard_router_unknown_speaker_total"
+	metricHoldExpired    = "guard_hold_deadline_expired_total"
 
 	// MetricVerdicts counts command verdicts per label set (the
 	// Verdict label carries allow/block).
@@ -73,6 +75,7 @@ var (
 	mQueriesQueued  = metrics.NewCounter(metricQueriesQueued)
 	mDegraded       = metrics.NewCounter(metricDegraded)
 	mUnknownSpeaker = metrics.NewCounter(metricUnknownSpeaker)
+	mHoldExpired    = metrics.NewCounter(metricHoldExpired)
 	mVerdictsVec    = metrics.NewCounterVec(MetricVerdicts)
 	mHoldVec        = metrics.NewHistogramVec(MetricHoldLatency)
 	mDegradedVec    = metrics.NewCounterVec(MetricDegraded)
@@ -161,13 +164,14 @@ type Scheduler interface {
 // bookkeeping). The guard releases held bytes only once every episode
 // they belong to has a release verdict, in stream order, and drops the
 // whole hold on any drop verdict — so a command can never ride out on
-// an earlier command's or a response spike's release.
+// an earlier command's or a response spike's release. The sink keeps
+// no timer: a hold ends only when the guard calls Release or Drop,
+// whether on a verdict or at the guard's HoldDeadline.
 type HoldSink interface {
 	// HoldCommand holds traffic from here on for command id: it starts
 	// a hold, or extends the active one. It returns the stream offset
-	// at which the command's held bytes begin, and whether a new hold
-	// began (the previous one, if any, was resolved by the transport).
-	HoldCommand(id trace.CommandID) (mark int, started bool)
+	// at which the command's held bytes begin.
+	HoldCommand(id trace.CommandID) (mark int)
 	// ReleaseTo forwards the held bytes before mark and keeps holding.
 	ReleaseTo(mark int) error
 	// Release ends the hold, forwarding every held byte.
@@ -213,8 +217,15 @@ type Guard struct {
 	DispatchDelay time.Duration
 
 	// Degraded decides held traffic when the Decision Module reports
-	// the query path dead (zero value: fail-closed).
+	// the query path dead, and when a hold outlives HoldDeadline (zero
+	// value: fail-closed).
 	Degraded DegradedPolicy
+
+	// HoldDeadline bounds each hold on the Sink, from the first
+	// episode that starts it: a hold still unresolved that long after —
+	// a wedged or crashed decision — is ended by the Degraded policy,
+	// and its episodes' verdicts move no bytes. Zero means no deadline.
+	HoldDeadline time.Duration
 
 	speaker     string
 	speakerAttr trace.Attr // boxed once: every spike's spans carry it
@@ -233,7 +244,8 @@ type Guard struct {
 	queue     []*episode // recognized commands awaiting the in-flight query
 	held      []*episode // episodes in the sink's current hold, oldest first
 	idleTimer simtime.Timer
-	idleFire  func() // reusable idle-timer callback (see armIdleTimer)
+	idleFire  func()        // reusable idle-timer callback (see armIdleTimer)
+	holdTimer simtime.Timer // HoldDeadline timer, kept and rescheduled per hold
 
 	onEvent func(Event)
 }
@@ -345,19 +357,37 @@ func (g *Guard) startEpisode(at time.Time, held int) {
 	g.tracer().Record(trace.Event(id, g.Stage, "spike_start", at, g.speakerAttr))
 }
 
-// holdEpisode puts an episode's traffic on hold in the sink.
+// holdEpisode puts an episode's traffic on hold in the sink. The first
+// episode of a hold arms the hold's deadline on the guard's one hold
+// timer.
 func (g *Guard) holdEpisode(ep *episode) {
 	if g.Sink == nil {
 		return
 	}
-	mark, started := g.Sink.HoldCommand(ep.id)
-	if started {
-		// The transport resolved the previous hold itself (its hold
-		// deadline): those episodes' verdicts no longer move bytes.
-		g.detachHeld()
+	if len(g.held) == 0 && g.HoldDeadline > 0 {
+		at := ep.spikeStart.Add(g.HoldDeadline)
+		if g.holdTimer == nil {
+			g.holdTimer = g.clock.ScheduleTimer(at, g.expireHold)
+		} else {
+			g.holdTimer = g.clock.RescheduleTimer(g.holdTimer, at)
+		}
 	}
-	ep.inHold, ep.mark = true, mark
+	ep.inHold, ep.mark = true, g.Sink.HoldCommand(ep.id)
 	g.held = append(g.held, ep)
+}
+
+// expireHold ends a hold that outlived HoldDeadline with a verdict
+// still missing, by the Degraded policy: fail-open releases every held
+// byte, fail-closed drops them. The timer is armed only while a hold
+// is, so g.held is not empty.
+func (g *Guard) expireHold() {
+	mHoldExpired.Inc()
+	released := g.Degraded == DegradedFailOpen
+	g.tracer().Record(trace.Event(g.held[0].id, g.Stage, "hold_deadline", g.clock.Now(),
+		trace.Duration("deadline", g.HoldDeadline),
+		trace.String("policy", g.Degraded.String()),
+		trace.Bool("released", released)))
+	g.endHold(released)
 }
 
 // resolveHold applies one episode's outcome to the sink: a drop
@@ -368,33 +398,39 @@ func (g *Guard) resolveHold(ep *episode, released bool) {
 		return
 	}
 	if !released {
-		g.detachHeld()
-		g.Sink.Drop()
+		g.endHold(false)
 		return
 	}
 	ep.inHold = false
-	i := 0
-	for g.held[i] != ep {
-		i++
-	}
-	g.held = append(g.held[:i], g.held[i+1:]...)
-	// A failed write means the cloud side is gone; the transport
-	// tears the session down itself, so there is nothing to undo here.
+	i := slices.Index(g.held, ep)
+	g.held = slices.Delete(g.held, i, i+1)
 	switch {
 	case len(g.held) == 0:
-		_ = g.Sink.Release()
+		g.endHold(true)
 	case i == 0:
+		// A failed write means the cloud side is gone; the transport
+		// tears the session down itself, so there is nothing to undo.
 		_ = g.Sink.ReleaseTo(g.held[0].mark)
 	}
 }
 
-// detachHeld forgets the sink's current hold.
-func (g *Guard) detachHeld() {
+// endHold ends the sink's hold, forwarding or discarding every held
+// byte, and disarms its deadline. The held episodes' verdicts, if any
+// are still to come, no longer move bytes.
+func (g *Guard) endHold(release bool) {
 	for _, ep := range g.held {
 		ep.inHold = false
 	}
 	clear(g.held)
 	g.held = g.held[:0]
+	if g.holdTimer != nil {
+		g.holdTimer.Cancel()
+	}
+	if release {
+		_ = g.Sink.Release() // a failed write tears the session down
+		return
+	}
+	g.Sink.Drop()
 }
 
 // The classify span's action attributes, boxed once: the flight
@@ -623,36 +659,6 @@ func (r *Router) Add(speakerIP string, g *Guard) error {
 	}
 	r.guards[ip] = g
 	return nil
-}
-
-// Guard returns the guard for a dotted-decimal speaker IP; a
-// malformed address has none.
-func (r *Router) Guard(speakerIP string) (*Guard, bool) {
-	ip, err := pcap.ParseIPv4(speakerIP)
-	if err != nil {
-		return nil, false
-	}
-	g, ok := r.guards[ip]
-	return g, ok
-}
-
-// SetDegraded overrides the degraded policy for one speaker — the
-// per-speaker knob of the deployment-wide fail-open/fail-closed
-// choice. Reports whether the speaker IP is registered.
-func (r *Router) SetDegraded(speakerIP string, p DegradedPolicy) bool {
-	g, ok := r.Guard(speakerIP)
-	if ok {
-		g.Degraded = p
-	}
-	return ok
-}
-
-// SetDegradedAll sets the degraded policy on every registered guard;
-// follow with SetDegraded for per-speaker overrides.
-func (r *Router) SetDegradedAll(p DegradedPolicy) {
-	for _, g := range r.guards {
-		g.Degraded = p
-	}
 }
 
 // Feed routes one packet to the guard of its source speaker, if any.

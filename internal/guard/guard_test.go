@@ -293,11 +293,8 @@ func TestRouterRoutesBySpeakerIP(t *testing.T) {
 	router := NewRouter()
 	mustAdd(t, router, trafficgen.EchoIP, f.guard)
 
-	if _, ok := router.Guard(trafficgen.EchoIP); !ok {
-		t.Fatal("registered guard not found")
-	}
-	if _, ok := router.Guard("10.0.0.9"); ok {
-		t.Fatal("unknown guard found")
+	if router.guards[trafficgen.EchoAddr] != f.guard || len(router.guards) != 1 {
+		t.Fatalf("router guards = %v, want only the Echo's", router.guards)
 	}
 
 	inv := f.echo.Invocation(f.clock.Now().Add(time.Minute), 0)
@@ -322,20 +319,14 @@ func mustAdd(t *testing.T, r *Router, speakerIP string, g *Guard) {
 	}
 }
 
-// A malformed speaker address is an error on Add and an unknown
-// speaker on lookup, never a panic.
+// A malformed speaker address is an error on Add that registers
+// nothing, never a panic.
 func TestRouterRejectsMalformedAddress(t *testing.T) {
 	f := newFixture(t, 9)
 	router := NewRouter()
 	for _, ip := range []string{"", "echo", "192.168.1.2OO", "192.168.001.200", "::1"} {
 		if err := router.Add(ip, f.guard); err == nil {
 			t.Errorf("Add(%q) accepted a malformed address", ip)
-		}
-		if _, ok := router.Guard(ip); ok {
-			t.Errorf("Guard(%q) found a guard", ip)
-		}
-		if router.SetDegraded(ip, DegradedFailOpen) {
-			t.Errorf("SetDegraded(%q) reported a registered speaker", ip)
 		}
 	}
 	if len(router.guards) != 0 {

@@ -45,7 +45,7 @@ func TestTapState(t *testing.T) {
 func TestReleaseToKeepsHoldingTheRest(t *testing.T) {
 	marks := make(chan int, 4)
 	p := newProxy(t, startEchoServer(t), WithTap(func(s *Session, data []byte) {
-		mark, _ := s.HoldCommand(0)
+		mark := s.HoldCommand(0)
 		marks <- mark
 	}))
 	client := dialClient(t, p.Addr())
@@ -86,34 +86,37 @@ func TestReleaseToKeepsHoldingTheRest(t *testing.T) {
 	}
 }
 
-// A verdict that arrives after the hold deadline already resolved the
-// hold is not a second outcome: holds stay equal to releases + drops.
-func TestLateVerdictAfterDeadlineCountedOnce(t *testing.T) {
-	p := newProxy(t, startEchoServer(t),
-		WithTap(func(s *Session, data []byte) { s.Hold() }),
-		WithHoldDeadline(50*time.Millisecond, DeadlineDrop))
-	holds, releases, drops := mHolds.Value(), mReleases.Value(), mDrops.Value()
-
-	s := holdOneChunk(t, p, []byte("wedged"))
+// holdOneChunk proxies one write through a hold-on-first-chunk tap and
+// returns the session.
+func holdOneChunk(t *testing.T, p *TCP, msg []byte) *Session {
+	t.Helper()
+	client := dialClient(t, p.Addr())
+	if _, err := client.Write(msg); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(3 * time.Second)
-	for s.Holding() && time.Now().Before(deadline) {
+	for time.Now().Before(deadline) {
+		for _, s := range p.Sessions() {
+			if s.Holding() {
+				return s
+			}
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if s.Holding() {
-		t.Fatal("hold deadline never fired")
-	}
-	if err := s.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Drop(); n != 0 {
-		t.Fatalf("late drop discarded %d bytes", n)
-	}
-	if err := s.ReleaseTo(1 << 20); err != nil {
-		t.Fatal(err)
-	}
+	t.Fatal("no session entered a hold")
+	return nil
+}
 
-	dh, dr, dd := mHolds.Value()-holds, mReleases.Value()-releases, mDrops.Value()-drops
-	if dh != 1 || dr+dd != dh {
-		t.Fatalf("holds %d, releases %d, drops %d: want one hold resolved once", dh, dr, dd)
+// The session keeps no timer: a hold persists until an explicit
+// Release or Drop (the guard owns the hold deadline).
+func TestNoDeadlineHoldsIndefinitely(t *testing.T) {
+	upstream := startEchoServer(t)
+	p := newProxy(t, upstream, WithTap(func(s *Session, data []byte) { s.Hold() }))
+
+	s := holdOneChunk(t, p, []byte("held"))
+	time.Sleep(250 * time.Millisecond)
+	if !s.Holding() {
+		t.Fatal("hold resolved without a verdict")
 	}
+	_ = s.Drop()
 }

@@ -39,13 +39,13 @@ const (
 	metricBytesOut        = "proxy_bytes_out_total"
 	metricQueueOverflows  = "proxy_hold_queue_overflows_total"
 	metricUpstreamDialErr = "proxy_upstream_dial_errors_total"
-	metricHoldExpired     = "proxy_hold_deadline_expired_total"
 
 	// MetricHoldQueueBytes is the aggregate held-byte gauge; exported
 	// so SLO ceilings can reference it by constant.
 	MetricHoldQueueBytes = "proxy_hold_queue_bytes"
 	// MetricOutcomes counts hold resolutions on the wire plane,
-	// labeled {stage="proxy", verdict=release|drop|expired}.
+	// labeled {stage="proxy", verdict=release|drop}: every hold ends
+	// in exactly one of them.
 	MetricOutcomes = "proxy_outcomes"
 )
 
@@ -54,7 +54,6 @@ const (
 	stageProxy     = "proxy"
 	verdictRelease = "release"
 	verdictDrop    = "drop"
-	verdictExpired = "expired"
 )
 
 // Transport metrics: session lifecycle, hold outcomes, byte volume in
@@ -74,11 +73,9 @@ var (
 	mHoldQueueBytes  = metrics.NewGauge(MetricHoldQueueBytes)
 	mQueueOverflows  = metrics.NewCounter(metricQueueOverflows)
 	mUpstreamDialErr = metrics.NewCounter(metricUpstreamDialErr)
-	mHoldExpired     = metrics.NewCounter(metricHoldExpired)
 	mOutcomesVec     = metrics.NewCounterVec(MetricOutcomes)
 	lvRelease        = mOutcomesVec.With(metrics.Labels{Stage: stageProxy, Verdict: verdictRelease})
 	lvDrop           = mOutcomesVec.With(metrics.Labels{Stage: stageProxy, Verdict: verdictDrop})
-	lvExpired        = mOutcomesVec.With(metrics.Labels{Stage: stageProxy, Verdict: verdictExpired})
 )
 
 // ErrQueueOverflow is returned when a hold accumulates more bytes
@@ -146,12 +143,10 @@ type Option interface {
 }
 
 type options struct {
-	tap            Tap
-	maxHoldBytes   int
-	holdDeadline   time.Duration
-	deadlineAction DeadlineAction
-	budget         *HoldBudget
-	acceptShards   int
+	tap          Tap
+	maxHoldBytes int
+	budget       *HoldBudget
+	acceptShards int
 }
 
 type tapOption Tap
@@ -202,46 +197,6 @@ func defaultAcceptShards() int {
 		n = 1
 	}
 	return n
-}
-
-// DeadlineAction selects what happens to a session's held bytes when
-// the hold deadline expires without a verdict.
-type DeadlineAction int
-
-const (
-	// DeadlineRelease forwards the held bytes upstream — fail-open:
-	// the command goes through rather than wedging the speaker.
-	DeadlineRelease DeadlineAction = iota
-	// DeadlineDrop discards the held bytes — fail-closed: an attacker
-	// who can wedge the decision path gets a broken session, not a
-	// free pass.
-	DeadlineDrop
-)
-
-// String names the action for traces and reports.
-func (a DeadlineAction) String() string {
-	if a == DeadlineDrop {
-		return "drop"
-	}
-	return "release"
-}
-
-type holdDeadlineOption struct {
-	d      time.Duration
-	action DeadlineAction
-}
-
-func (h holdDeadlineOption) apply(o *options) {
-	o.holdDeadline = h.d
-	o.deadlineAction = h.action
-}
-
-// WithHoldDeadline bounds every hold to d of wall-clock time: if no
-// Release or Drop arrives by then — a crashed or wedged decision
-// callback — the session takes the given action itself, so held
-// traffic can never be stuck forever. d <= 0 disables the deadline.
-func WithHoldDeadline(d time.Duration, action DeadlineAction) Option {
-	return holdDeadlineOption{d: d, action: action}
 }
 
 // NewTCP starts a transparent proxy listening on listenAddr (use
@@ -336,13 +291,11 @@ func (p *TCP) startSession(client net.Conn, o options) {
 		return
 	}
 	s := &Session{
-		client:         client,
-		server:         server,
-		maxHoldBytes:   o.maxHoldBytes,
-		holdDeadline:   o.holdDeadline,
-		deadlineAction: o.deadlineAction,
-		budget:         o.budget,
-		done:           make(chan struct{}),
+		client:       client,
+		server:       server,
+		maxHoldBytes: o.maxHoldBytes,
+		budget:       o.budget,
+		done:         make(chan struct{}),
 	}
 	p.mu.Lock()
 	if p.closed {
@@ -379,10 +332,8 @@ type Session struct {
 	client net.Conn
 	server net.Conn
 
-	maxHoldBytes   int
-	holdDeadline   time.Duration
-	deadlineAction DeadlineAction
-	budget         *HoldBudget
+	maxHoldBytes int
+	budget       *HoldBudget
 
 	// tapState is the Tap's per-connection state (see TapState). It
 	// is touched only by the session's own read pump, so it needs no
@@ -393,13 +344,11 @@ type Session struct {
 	mu         sync.Mutex
 	holding    bool
 	holdStart  time.Time // wall-clock moment the active hold began
-	holdTimer  *time.Timer
 	cmd        trace.CommandID
 	queue      [][]byte
 	queued     int
 	budgetHeld int // bytes currently charged against the global budget
 	heldTotal  int // lifetime bytes that passed through a hold
-	dropped    int // lifetime bytes discarded by Drop
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -438,50 +387,24 @@ func (s *Session) Done() <-chan struct{} { return s.done }
 
 // Hold starts buffering client-to-server bytes. If called from a Tap,
 // the chunk being observed is the first held chunk. Hold during an
-// existing hold is a no-op (the deadline stays anchored at the first
-// Hold).
+// existing hold is a no-op. The session keeps no timer: only Release
+// or Drop ends a hold.
 func (s *Session) Hold() { s.HoldCommand(0) }
 
 // HoldCommand is Hold for the traffic of command id, which names the
 // hold's trace span if this call starts the hold. It returns the
 // stream offset of the next byte the hold will take (an argument for
-// ReleaseTo) and whether a new hold began.
-func (s *Session) HoldCommand(id trace.CommandID) (mark int, started bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.holding {
-		return s.heldTotal, false
-	}
-	mHolds.Inc()
-	s.holding = true
-	s.holdStart = time.Now()
-	s.cmd = id
-	if s.holdDeadline > 0 {
-		s.holdTimer = time.AfterFunc(s.holdDeadline, s.expireHold)
-	}
-	return s.heldTotal, true
-}
-
-// expireHold fires when a hold outlives the deadline with no verdict:
-// the decision callback crashed, wedged, or was never going to come.
-// The session resolves the hold itself with the configured action.
-func (s *Session) expireHold() {
+// ReleaseTo).
+func (s *Session) HoldCommand(id trace.CommandID) (mark int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.holding {
-		return // the verdict won the race; nothing to expire
+		mHolds.Inc()
+		s.holding = true
+		s.holdStart = time.Now()
+		s.cmd = id
 	}
-	mHoldExpired.Inc()
-	lvExpired.Inc()
-	trace.Default.Record(trace.Event(s.cmd, trace.StageProxy, "hold_deadline", time.Now(),
-		trace.Duration("deadline", s.holdDeadline),
-		trace.String("action", s.deadlineAction.String()),
-		trace.Int("bytes", s.queued)))
-	if s.deadlineAction == DeadlineDrop {
-		s.dropLocked()
-		return
-	}
-	_ = s.releaseLocked()
+	return s.heldTotal
 }
 
 // Holding reports whether a hold is active.
@@ -506,28 +429,14 @@ func (s *Session) HeldTotal() int {
 	return s.heldTotal
 }
 
-// DroppedTotal returns the lifetime number of bytes discarded by
-// Drop.
-func (s *Session) DroppedTotal() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
 // Release ends the hold, flushing all queued bytes to the cloud in
 // order; it returns the cloud-side write error, if any. Fig. 4 case
 // II: the held voice command reaches the server and the interaction
-// completes normally.
+// completes normally. With no hold active it does nothing, so every
+// hold is counted resolved exactly once.
 func (s *Session) Release() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.releaseLocked()
-}
-
-// releaseLocked ends an active hold, flushing its queue. With no hold
-// active (a verdict arriving after the hold deadline resolved it) it
-// does nothing, so every hold is counted resolved exactly once.
-func (s *Session) releaseLocked() error {
 	if !s.holding {
 		return nil
 	}
@@ -597,10 +506,6 @@ func (s *Session) recycleQueueLocked() {
 	s.queue = s.queue[:0]
 	s.queued = 0
 	s.holding = false
-	if s.holdTimer != nil {
-		s.holdTimer.Stop()
-		s.holdTimer = nil
-	}
 	if s.budget != nil && s.budgetHeld > 0 {
 		s.budget.credit(s.budgetHeld)
 		s.budgetHeld = 0
@@ -610,16 +515,11 @@ func (s *Session) recycleQueueLocked() {
 // Drop ends the hold, discarding the queued bytes. Fig. 4 case III:
 // the cloud never sees the voice command; its TLS record sequence
 // breaks on the next forwarded record and it closes the session.
-// Drop returns the number of bytes discarded.
+// Drop returns the number of bytes discarded; like Release it does
+// nothing with no hold active.
 func (s *Session) Drop() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dropLocked()
-}
-
-// dropLocked ends an active hold, discarding its queue; like
-// releaseLocked it does nothing with no hold active.
-func (s *Session) dropLocked() int {
 	if !s.holding {
 		return 0
 	}
@@ -627,7 +527,6 @@ func (s *Session) dropLocked() int {
 	lvDrop.Inc()
 	mHoldQueueBytes.Add(-int64(s.queued))
 	n := s.queued
-	s.dropped += n
 	s.recycleQueueLocked()
 	s.traceHoldLocked(trace.OutcomeDrop, n)
 	return n

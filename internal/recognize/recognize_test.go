@@ -475,3 +475,35 @@ func TestRecognizerIgnoresOtherHosts(t *testing.T) {
 		t.Fatalf("other host's packet triggered %v", a)
 	}
 }
+
+// The recognizer keeps no packets: once its state is warm, a whole
+// Echo command spike — hold, the classifying marker, and every packet
+// that extends the decided spike — allocates nothing beyond the one
+// marker event the flight recorder retains.
+func TestEchoCommandSpikeAllocatesOnlyItsMarker(t *testing.T) {
+	e := trafficgen.NewEcho(rng.New(7))
+	e.AnomalyRate = 0
+	boot, err := e.Boot(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewEcho(trafficgen.EchoAddr)
+	for _, p := range boot {
+		r.Feed(&p)
+	}
+	spike := e.Invocation(t0.Add(time.Minute), 0).CommandSpike().Packets
+	if len(spike) <= commandWindow {
+		t.Fatalf("command spike has %d packets, want more than the %d-packet head", len(spike), commandWindow)
+	}
+	feedSpike := func() {
+		for i := range spike {
+			spike[i].Time = spike[i].Time.Add(time.Minute) // a fresh spike each run
+			r.Feed(&spike[i])
+		}
+	}
+	feedSpike()
+	marker := testing.AllocsPerRun(20, func() { r.traceMarker("phase1_marker", t0) })
+	if allocs := testing.AllocsPerRun(20, feedSpike); allocs != marker {
+		t.Fatalf("a %d-packet command spike allocated %v times, its marker event %v", len(spike), allocs, marker)
+	}
+}

@@ -90,7 +90,10 @@ type Recognizer struct {
 	// (nil uses trace.Default).
 	Tracer *trace.Tracer
 
-	buf       []pcap.Packet
+	// head holds the lengths of the spike's first packets, the only
+	// ones classification reads; n counts the spike's packets.
+	head      [commandWindow]int
+	n         int
 	lastVoice time.Time
 	decided   bool
 	cmd       trace.CommandID
@@ -105,7 +108,22 @@ func (r *Recognizer) BindCommand(id trace.CommandID) { r.cmd = id }
 // for the bound command.
 func (r *Recognizer) traceMarker(name string, at time.Time) {
 	trace.Or(r.Tracer).Record(trace.Event(r.cmd, trace.StageRecognize, name, at,
-		trace.Int("packets", len(r.buf))))
+		trace.Int("packets", r.n)))
+}
+
+// add counts p into the current spike, or into a new one after an idle
+// gap, and reports whether it started one. Only the head's lengths are
+// kept.
+func (r *Recognizer) add(p *pcap.Packet) (newSpike bool) {
+	if r.n == 0 || p.Time.Sub(r.lastVoice) >= r.IdleGap {
+		r.n, newSpike = 0, true
+	}
+	r.lastVoice = p.Time
+	if r.n < commandWindow {
+		r.head[r.n] = p.Len
+	}
+	r.n++
+	return newSpike
 }
 
 // NewEcho returns a streaming recognizer for an Amazon Echo Dot.
@@ -128,8 +146,8 @@ func NewGHM(speakerIP pcap.IPv4) *Recognizer {
 }
 
 // Feed processes one captured packet and returns the traffic-handling
-// action it implies. p is read only during the call; the spike buffer
-// keeps a copy.
+// action it implies. p is read only during the call; the recognizer
+// keeps only its length.
 func (r *Recognizer) Feed(p *pcap.Packet) Action {
 	if r.Tracker != nil {
 		//vglint:allow hotalloc DNS parsing allocates the name string, but only runs on the rare resolver packets behind Observe's port check, never on the per-packet voice path
@@ -153,24 +171,21 @@ func (r *Recognizer) feedEcho(p *pcap.Packet) Action {
 		return ActionNone
 	}
 
-	newSpike := len(r.buf) == 0 || p.Time.Sub(r.lastVoice) >= r.IdleGap
-	r.lastVoice = p.Time
-	if newSpike {
-		r.buf = r.buf[:0]
-		r.buf = append(r.buf, *p)
+	if r.add(p) {
 		r.decided = false
 		return ActionHold
 	}
-	r.buf = append(r.buf, *p)
 	if r.decided {
 		return ActionExtend
 	}
 	return r.tryDecide()
 }
 
-// tryDecide attempts a classification of the buffered spike head.
+// tryDecide attempts a classification of the spike head. It runs only
+// while the spike is undecided, which it never is past commandWindow
+// packets, so the head holds every length it reads.
 func (r *Recognizer) tryDecide() Action {
-	lengths := pcap.Lengths(r.buf)
+	lengths := r.head[:min(r.n, commandWindow)]
 	// Response markers can be spotted as soon as they appear.
 	if hasAdjacent(lengths, trafficgen.P77, trafficgen.P33, responseWindow) {
 		mPhase2Markers.Inc()
@@ -204,16 +219,11 @@ func (r *Recognizer) feedGHM(p *pcap.Packet) Action {
 	if p.SrcIP != r.SpeakerIP || p.DstPort != trafficgen.TLSPort {
 		return ActionNone
 	}
-	newSpike := len(r.buf) == 0 || p.Time.Sub(r.lastVoice) >= r.IdleGap
-	r.lastVoice = p.Time
-	if newSpike {
-		r.buf = r.buf[:0]
-		r.buf = append(r.buf, *p)
+	if r.add(p) {
 		r.decided = true
 		// Any traffic spike after an idle period is a voice command.
 		return ActionCommand
 	}
-	r.buf = append(r.buf, *p)
 	return ActionExtend
 }
 
@@ -221,7 +231,7 @@ func (r *Recognizer) feedGHM(p *pcap.Packet) Action {
 // fires. An undecided spike (shorter than the classification window)
 // is released.
 func (r *Recognizer) EndSpike() Action {
-	if len(r.buf) == 0 || r.decided {
+	if r.n == 0 || r.decided {
 		return ActionNone
 	}
 	r.decided = true

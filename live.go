@@ -81,15 +81,13 @@ type LiveOption func(*liveOptions)
 type liveOptions struct {
 	holdDeadline time.Duration
 	degraded     guard.DegradedPolicy
-	budget       *proxy.HoldBudget
-	sessionBytes int
-	acceptShards int
+	transport    []proxy.Option
 }
 
-// WithHoldDeadline arms the transport-level hold deadline: if a
-// DecisionFunc wedges, crashes, or simply never returns, held bytes
-// are resolved at most d after the hold began, by the same degraded
-// policy the guard uses — fail-open releases them to the cloud,
+// WithHoldDeadline sets each connection guard's hold deadline
+// (guard.Guard.HoldDeadline): if a DecisionFunc wedges, crashes, or
+// simply never returns, held bytes are resolved at most d after the
+// hold began, by policy — fail-open releases them to the cloud,
 // fail-closed drops them. d <= 0 leaves the deadline disabled.
 func WithHoldDeadline(d time.Duration, policy guard.DegradedPolicy) LiveOption {
 	return func(o *liveOptions) {
@@ -103,43 +101,25 @@ func WithHoldDeadline(d time.Duration, policy guard.DegradedPolicy) LiveOption {
 // backpressure (see proxy.NewHoldBudget). A nil budget disables the
 // ceiling.
 func WithHoldBudget(b *proxy.HoldBudget) LiveOption {
-	return func(o *liveOptions) { o.budget = b }
+	return func(o *liveOptions) { o.transport = append(o.transport, proxy.WithHoldBudget(b)) }
 }
 
 // WithSessionHoldBytes bounds the bytes one session may buffer during
 // a single hold (the per-session cap under the global budget). n <= 0
 // keeps the transport default.
 func WithSessionHoldBytes(n int) LiveOption {
-	return func(o *liveOptions) { o.sessionBytes = n }
+	return func(o *liveOptions) {
+		if n > 0 {
+			o.transport = append(o.transport, proxy.WithMaxHoldBytes(n))
+		}
+	}
 }
 
 // WithAcceptShards runs n concurrent accept loops, so session setup
 // is not serialized behind one upstream dial at a time. n <= 0 picks
 // the transport default.
 func WithAcceptShards(n int) LiveOption {
-	return func(o *liveOptions) { o.acceptShards = n }
-}
-
-// proxyOpts renders the live options into transport-proxy options.
-func (o liveOptions) proxyOpts() []proxy.Option {
-	var popts []proxy.Option
-	if o.holdDeadline > 0 {
-		action := proxy.DeadlineRelease
-		if o.degraded == guard.DegradedFailClosed {
-			action = proxy.DeadlineDrop
-		}
-		popts = append(popts, proxy.WithHoldDeadline(o.holdDeadline, action))
-	}
-	if o.budget != nil {
-		popts = append(popts, proxy.WithHoldBudget(o.budget))
-	}
-	if o.sessionBytes > 0 {
-		popts = append(popts, proxy.WithMaxHoldBytes(o.sessionBytes))
-	}
-	if o.acceptShards > 0 {
-		popts = append(popts, proxy.WithAcceptShards(o.acceptShards))
-	}
-	return popts
+	return func(o *liveOptions) { o.transport = append(o.transport, proxy.WithAcceptShards(n)) }
 }
 
 // The wire plane sits inline on a single speaker-to-cloud path, so
@@ -163,6 +143,7 @@ type LiveGuard struct {
 	decide  DecisionFunc
 	idle    time.Duration
 	records bool // parse TLS records for the Echo recognizer
+	opts    liveOptions
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -184,9 +165,9 @@ type LiveGuardStats struct {
 // its timers, and its verdicts — so the guard runs single-threaded,
 // as it does on the simulated clock.
 type liveConn struct {
-	mu    sync.Mutex
-	guard *guard.Guard
-	buf   []byte // stream bytes not yet parsed into a whole record
+	mu      sync.Mutex
+	guard   *guard.Guard
+	records recordReader
 }
 
 // StartLiveGuard launches the wire-plane guard: listen on listenAddr,
@@ -222,6 +203,7 @@ func startLive(listenAddr, upstreamAddr string, decide DecisionFunc, idleGap tim
 		decide:  decide,
 		idle:    idleGap,
 		records: records,
+		opts:    lo,
 		ctx:     ctx,
 		cancel:  cancel,
 	}
@@ -230,7 +212,7 @@ func startLive(listenAddr, upstreamAddr string, decide DecisionFunc, idleGap tim
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", upstreamAddr)
 		},
-		append(lo.proxyOpts(), proxy.WithTap(g.tap))...)
+		append(lo.transport, proxy.WithTap(g.tap))...)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -254,20 +236,21 @@ func (g *LiveGuard) tap(s *proxy.Session, data []byte) {
 }
 
 // feed hands the guard one chunk that arrived at now: as one packet,
-// or as the whole TLS records it completes. Callers hold c.mu.
+// or as the whole TLS records it completes. A record's bytes are
+// reused once Guard.Feed returns, which keeps no packet. Callers hold
+// c.mu.
 func (c *liveConn) feed(now time.Time, data []byte, records bool) {
 	if !records {
 		p := wirePacket(now, nil, len(data))
 		c.guard.Feed(&p)
 		return
 	}
-	c.buf = append(c.buf, data...)
 	for {
-		record, rest, ok := splitOneRecord(c.buf)
+		record, rest, ok := c.records.next(data)
 		if !ok {
 			return
 		}
-		c.buf = rest
+		data = rest
 		p := wirePacket(now, record, len(record))
 		c.guard.Feed(&p)
 	}
@@ -288,8 +271,8 @@ func wirePacket(at time.Time, payload []byte, n int) pcap.Packet {
 
 // newConn builds a connection's guard: the recognizer pinned to the
 // wire-plane endpoints, a wall clock that calls back under the
-// connection's lock, the session as the hold sink, and the
-// DecisionFunc as the decision method.
+// connection's lock, the session as the hold sink, the hold deadline
+// and its policy, and the DecisionFunc as the decision method.
 func (g *LiveGuard) newConn(s *proxy.Session) *liveConn {
 	c := &liveConn{}
 	rec, speaker := recognize.NewGHM(speakerWireIP), "ghm"
@@ -302,6 +285,8 @@ func (g *LiveGuard) newConn(s *proxy.Session) *liveConn {
 	c.guard.SetLabels(metrics.Labels{Stage: stageLive})
 	c.guard.Stage = trace.StageLive
 	c.guard.Sink = s
+	c.guard.HoldDeadline = g.opts.holdDeadline
+	c.guard.Degraded = g.opts.degraded
 	c.guard.OnEvent(g.count)
 	return c
 }
@@ -442,18 +427,54 @@ func (w *wallTimer) fire() {
 	w.fn()
 }
 
+// recordReader reassembles the speaker's TLS records from the chunks
+// the proxy reads. Whole records are parsed straight from the chunk;
+// only a record split across chunks is copied, into buf.
+type recordReader struct {
+	buf []byte // the start of a record the next chunk completes
+}
+
+// next returns the stream's next whole record, taking bytes from data,
+// and what is left of data; ok=false means data is used up. A returned
+// record is valid until the next call.
+func (r *recordReader) next(data []byte) (record, rest []byte, ok bool) {
+	for len(r.buf) > 0 {
+		if len(data) == 0 {
+			return nil, nil, false
+		}
+		n := min(recordLen(r.buf)-len(r.buf), len(data))
+		r.buf = append(r.buf, data[:n]...)
+		data = data[n:]
+		if len(r.buf) == recordLen(r.buf) {
+			record, r.buf = r.buf, r.buf[:0]
+			return record, data, true
+		}
+	}
+	record, rest, ok = splitOneRecord(data)
+	if !ok {
+		r.buf = append(r.buf, data...)
+	}
+	return record, rest, ok
+}
+
+// recordLen is the length of the TLS record at the front of buf, as
+// far as buf shows it: the header's until the header is whole, then
+// the header's plus the body length it declares.
+func recordLen(buf []byte) int {
+	const headerLen = 5
+	if len(buf) < headerLen {
+		return headerLen
+	}
+	return headerLen + (int(buf[3])<<8 | int(buf[4]))
+}
+
 // splitOneRecord extracts one complete TLS record from the front of
 // buf, returning (record bytes, remainder, true), or ok=false if the
 // buffer does not yet hold a full record.
 func splitOneRecord(buf []byte) (record, rest []byte, ok bool) {
-	const headerLen = 5
-	if len(buf) < headerLen {
+	n := recordLen(buf)
+	if len(buf) < n {
 		return nil, buf, false
 	}
-	n := int(buf[3])<<8 | int(buf[4])
-	total := headerLen + n
-	if len(buf) < total {
-		return nil, buf, false
-	}
-	return buf[:total:total], buf[total:], true
+	return buf[:n:n], buf[n:], true
 }

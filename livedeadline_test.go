@@ -10,6 +10,8 @@ import (
 
 	"voiceguard/internal/emul"
 	"voiceguard/internal/guard"
+	"voiceguard/internal/metrics"
+	"voiceguard/internal/proxy"
 )
 
 // wedged is a DecisionFunc that never delivers a verdict — the
@@ -138,4 +140,57 @@ func TestLiveGuardWedgedDecisionDropsAtDeadline(t *testing.T) {
 	if got := cloud.CompletedCommands(); got != 0 {
 		t.Fatalf("fail-closed deadline executed the command anyway: %d", got)
 	}
+}
+
+// Every hold ends in exactly one proxy_outcomes child: after a
+// fail-closed expiry the children grow by as much as
+// proxy_holds_total, with no extra child for the expiry itself.
+func TestLiveGuardDeadlineOutcomesPartitionHolds(t *testing.T) {
+	cloud, err := emul.NewCloudServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cloud.Close() })
+	g, err := StartLiveGuard("127.0.0.1:0", cloud.Addr(), wedged, 100*time.Millisecond,
+		WithHoldDeadline(150*time.Millisecond, guard.DegradedFailClosed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = g.Close() })
+	holds0, outcomes0 := holdOutcomes()
+
+	speaker, err := emul.DialSpeaker(g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer speaker.Close()
+	sendCommand(t, speaker)
+	waitStats(t, g, func(s LiveGuardStats) bool { return s.CommandsHeld == 1 })
+	waitFor(t, "hold deadline", func() bool {
+		for _, s := range g.tcp.Sessions() {
+			if s.Holding() {
+				return false
+			}
+		}
+		return true
+	})
+
+	holds1, outcomes1 := holdOutcomes()
+	if holds, outcomes := holds1-holds0, outcomes1-outcomes0; holds != 1 || outcomes != holds {
+		t.Fatalf("holds %d, proxy_outcomes %d: want one hold in one outcome", holds, outcomes)
+	}
+}
+
+// holdOutcomes reads proxy_holds_total and the sum of the
+// proxy_outcomes children.
+func holdOutcomes() (holds, outcomes int64) {
+	for _, c := range metrics.Default.Snapshot().Counters {
+		switch c.Name {
+		case "proxy_holds_total":
+			holds = c.Value
+		case proxy.MetricOutcomes:
+			outcomes += c.Value
+		}
+	}
+	return holds, outcomes
 }

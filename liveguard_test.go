@@ -9,6 +9,8 @@ import (
 	"voiceguard/internal/emul"
 	"voiceguard/internal/guard"
 	"voiceguard/internal/metrics"
+	"voiceguard/internal/pcap"
+	"voiceguard/internal/proxy"
 	"voiceguard/internal/trafficgen"
 )
 
@@ -346,4 +348,34 @@ func proxyOutcomes() [3]int64 {
 		}
 	}
 	return out
+}
+
+// Once a connection's guard is warm, tapping chunks of whole TLS
+// records allocates nothing: the records are parsed in place, and
+// nothing is copied into the connection's record buffer.
+func TestTapWholeRecordsAllocatesNothing(t *testing.T) {
+	g := &LiveGuard{decide: wedged, idle: time.Hour, records: true, ctx: context.Background()}
+	s := &proxy.Session{}
+	records := func(n, size int) []byte {
+		var b []byte
+		for i := 0; i < n; i++ {
+			r, err := pcap.AppData(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = append(b, r...)
+		}
+		return b
+	}
+	// Five records without a command marker: the recognizer releases
+	// the spike as a non-command, and every later record extends it.
+	g.tap(s, records(5, 100))
+	chunk := records(8, 1000)
+	g.tap(s, chunk)
+	if allocs := testing.AllocsPerRun(50, func() { g.tap(s, chunk) }); allocs != 0 {
+		t.Fatalf("tapping %d bytes of whole records allocated %v times", len(chunk), allocs)
+	}
+	if c := s.TapState().(*liveConn); len(c.records.buf) != 0 {
+		t.Fatalf("whole records left %d bytes in the record buffer", len(c.records.buf))
+	}
 }
