@@ -95,7 +95,7 @@ func main() {
 	// snapshot is taken once so the printed table, the SLO report, and
 	// the -metrics-out/-slo-out artifacts agree.
 	snap := metrics.Default.Snapshot()
-	results := obs.Evaluate(snap, obs.DefaultObjectives(), nil)
+	results := obs.Evaluate(snap, obs.DefaultObjectives())
 	fmt.Println("\n== slo ==")
 	_ = obs.WriteReport(os.Stdout, results)
 	fmt.Println("\n== metrics ==")

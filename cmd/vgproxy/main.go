@@ -181,7 +181,7 @@ func run(cfg config) error {
 		cloud.CompletedCommands(), cloud.SequenceAborts())
 	snap := metrics.Default.Snapshot()
 	fmt.Println("\n== slo ==")
-	if err := obs.WriteReport(os.Stdout, obs.Evaluate(snap, voiceguard.LiveObjectives(), nil)); err != nil {
+	if err := obs.WriteReport(os.Stdout, obs.Evaluate(snap, voiceguard.LiveObjectives())); err != nil {
 		return err
 	}
 	fmt.Println("\n== metrics ==")

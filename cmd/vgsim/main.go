@@ -102,7 +102,7 @@ func main() {
 func printMetrics() {
 	snap := metrics.Default.Snapshot()
 	fmt.Println("\n== slo ==")
-	_ = obs.WriteReport(os.Stdout, obs.Evaluate(snap, obs.DefaultObjectives(), nil))
+	_ = obs.WriteReport(os.Stdout, obs.Evaluate(snap, obs.DefaultObjectives()))
 	fmt.Println("\n== metrics ==")
 	_ = metrics.WriteTable(os.Stdout, snap)
 	obs.NewRuntime(nil).Collect()

@@ -114,7 +114,7 @@ func run(cfg config, w io.Writer) error {
 func renderFrame(w io.Writer, snap metrics.Snapshot, anomalies []string, topK int) error {
 	return obs.WriteTop(w, obs.TopView{
 		Snapshot:  snap,
-		SLO:       obs.Evaluate(snap, voiceguard.LiveObjectives(), nil),
+		SLO:       obs.Evaluate(snap, voiceguard.LiveObjectives()),
 		Anomalies: anomalies,
 		TopK:      topK,
 	})

@@ -13,9 +13,9 @@ const metricsPkgPath = "voiceguard/internal/metrics"
 // whose (single) argument names a metric family.
 var metricRegistrars = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true,
-	"CounterVec": true, "GaugeVec": true, "HistogramVec": true,
+	"CounterVec": true, "HistogramVec": true,
 	"NewCounter": true, "NewGauge": true, "NewHistogram": true,
-	"NewCounterVec": true, "NewGaugeVec": true, "NewHistogramVec": true,
+	"NewCounterVec": true, "NewHistogramVec": true,
 }
 
 // constLabelFields are the Labels fields whose values must come from

@@ -18,18 +18,16 @@ import (
 const (
 	metricRSSIQueries    = "decision_rssi_queries_total"
 	metricQueryTimeouts  = "decision_query_timeouts_total"
-	metricRoundTrip      = "decision_roundtrip_seconds"
 	metricFloorOverrides = "decision_floor_overrides_total"
 	metricFloorTraces    = "decision_floor_traces_total"
-	metricPathDead       = "decision_path_dead_total"
 	metricUnknownReplies = "decision_unknown_replies_total"
 	metricDupReplies     = "decision_duplicate_replies_total"
 	metricCorruptReplies = "decision_corrupt_replies_total"
 
 	// MetricLatency is the labeled decision-latency family (request
 	// issued → verdict) keyed by home/speaker/profile, with per-bucket
-	// command-ID exemplars — the series the SLO engine and FaultStudy
-	// report per label set.
+	// command-ID exemplars — the series the SLO objectives and
+	// FaultStudy report per label set.
 	MetricLatency = "decision_latency_seconds"
 	// MetricOutcomes counts verdicts per label set; the Verdict label
 	// carries allow/block/path_dead.
@@ -49,10 +47,8 @@ const (
 var (
 	mRSSIQueries    = metrics.NewCounter(metricRSSIQueries)
 	mQueryTimeouts  = metrics.NewCounter(metricQueryTimeouts)
-	mRoundTrip      = metrics.NewHistogram(metricRoundTrip)
 	mFloorOverrides = metrics.NewCounter(metricFloorOverrides)
 	mFloorTraces    = metrics.NewCounter(metricFloorTraces)
-	mPathDead       = metrics.NewCounter(metricPathDead)
 	mUnknownReplies = metrics.NewCounter(metricUnknownReplies)
 	mDupReplies     = metrics.NewCounter(metricDupReplies)
 	mCorruptReplies = metrics.NewCounter(metricCorruptReplies)
@@ -142,11 +138,7 @@ func (m *RSSIMethod) Check(req Request, done func(Result)) {
 				return
 			}
 			decided = true
-			if r.PathDead {
-				mPathDead.Inc()
-			}
 			d := r.At.Sub(req.At)
-			mRoundTrip.Observe(d)
 			// The labeled latency series keeps the command ID as the
 			// bucket exemplar: a bad p99 bucket links straight to the
 			// trace spans of the command that landed in it.

@@ -35,12 +35,8 @@ import (
 const (
 	metricSpikes         = "guard_spikes_total"
 	metricCommands       = "guard_commands_recognized_total"
-	metricAllowed        = "guard_verdict_allow_total"
-	metricBlocked        = "guard_verdict_block_total"
 	metricNonCommands    = "guard_noncommand_spikes_total"
-	metricHoldSeconds    = "guard_hold_seconds"
 	metricQueriesQueued  = "guard_queries_queued_total"
-	metricDegraded       = "guard_degraded_verdicts_total"
 	metricUnknownSpeaker = "guard_router_unknown_speaker_total"
 	metricHoldExpired    = "guard_hold_deadline_expired_total"
 
@@ -61,19 +57,15 @@ const (
 	VerdictBlock = "block"
 )
 
-// Guard-level metrics: spike and command volume, verdict split, and
-// the hold-duration distribution (the paper's Fig. 6/7 scale). The
-// flat series stay authoritative for single-home runs; the labeled
-// families add the per-tenant dimension.
+// Guard-level metrics: spike and command volume as flat counters; the
+// verdict split, the hold-duration distribution (the paper's Fig. 6/7
+// scale) and the degraded verdicts as labeled families, whose
+// children sum to the guard-wide totals.
 var (
 	mSpikes         = metrics.NewCounter(metricSpikes)
 	mCommands       = metrics.NewCounter(metricCommands)
-	mAllowed        = metrics.NewCounter(metricAllowed)
-	mBlocked        = metrics.NewCounter(metricBlocked)
 	mNonCommands    = metrics.NewCounter(metricNonCommands)
-	mHoldSeconds    = metrics.NewHistogram(metricHoldSeconds)
 	mQueriesQueued  = metrics.NewCounter(metricQueriesQueued)
-	mDegraded       = metrics.NewCounter(metricDegraded)
 	mUnknownSpeaker = metrics.NewCounter(metricUnknownSpeaker)
 	mHoldExpired    = metrics.NewCounter(metricHoldExpired)
 	mVerdictsVec    = metrics.NewCounterVec(MetricVerdicts)
@@ -522,7 +514,6 @@ func (g *Guard) startQuery(ep *episode) {
 				// No evidence arrived — the query path itself failed,
 				// so the configured degraded policy decides instead.
 				released = g.Degraded == DegradedFailOpen
-				mDegraded.Inc()
 				g.lvDegraded.Inc()
 				g.tracer().Record(trace.Event(ep.id, g.Stage, "degraded_verdict", r.At,
 					trace.String("policy", g.Degraded.String()),
@@ -598,17 +589,14 @@ func (g *Guard) record(ev Event) {
 	switch ev.Kind {
 	case EventCommand:
 		if ev.Released {
-			mAllowed.Inc()
 			g.lvAllow.Inc()
 			attrs = []trace.Attr{g.speakerAttr, held, trace.String(trace.AttrOutcome, trace.OutcomeRelease)}
 		} else {
-			mBlocked.Inc()
 			g.lvBlock.Inc()
 			attrs = []trace.Attr{g.speakerAttr, held, trace.String(trace.AttrOutcome, trace.OutcomeDrop)}
 		}
-		// The hold histograms keep the command ID as the bucket's
+		// The hold histogram keeps the command ID as the bucket's
 		// exemplar, linking a tail bucket to its flight-recorder spans.
-		mHoldSeconds.ObserveExemplar(ev.HoldDuration(), uint64(ev.CommandID))
 		g.lvHold.ObserveExemplar(ev.HoldDuration(), uint64(ev.CommandID))
 		end = ev.DecisionAt
 	case EventNonCommand:

@@ -44,16 +44,12 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous level (queue depth, active sessions).
 type Gauge struct {
-	name   string
-	labels Labels
-	v      atomic.Int64
+	name string
+	v    atomic.Int64
 }
 
 // Name returns the gauge's registered name.
 func (g *Gauge) Name() string { return g.name }
-
-// Labels returns the gauge's label set (zero for flat gauges).
-func (g *Gauge) Labels() Labels { return g.labels }
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
@@ -72,7 +68,6 @@ type Registry struct {
 	gauges        map[string]*Gauge
 	histograms    map[string]*Histogram
 	counterVecs   map[string]*CounterVec
-	gaugeVecs     map[string]*GaugeVec
 	histogramVecs map[string]*HistogramVec
 }
 
@@ -83,7 +78,6 @@ func NewRegistry() *Registry {
 		gauges:        make(map[string]*Gauge),
 		histograms:    make(map[string]*Histogram),
 		counterVecs:   make(map[string]*CounterVec),
-		gaugeVecs:     make(map[string]*GaugeVec),
 		histogramVecs: make(map[string]*HistogramVec),
 	}
 }
@@ -144,21 +138,8 @@ func (r *Registry) CounterVec(name string) *CounterVec {
 		return v
 	}
 	r.checkFreeLocked(name, "counter vec")
-	v := &CounterVec{v: vec[Counter]{name: name, maxCard: DefaultMaxCardinality, newChild: newCounterChild}}
+	v := &CounterVec{v: vec[Counter]{name: name, newChild: newCounterChild}}
 	r.counterVecs[name] = v
-	return v
-}
-
-// GaugeVec returns the named gauge family, creating it on first use.
-func (r *Registry) GaugeVec(name string) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.gaugeVecs[name]; ok {
-		return v
-	}
-	r.checkFreeLocked(name, "gauge vec")
-	v := &GaugeVec{v: vec[Gauge]{name: name, maxCard: DefaultMaxCardinality, newChild: newGaugeChild}}
-	r.gaugeVecs[name] = v
 	return v
 }
 
@@ -171,7 +152,7 @@ func (r *Registry) HistogramVec(name string) *HistogramVec {
 		return v
 	}
 	r.checkFreeLocked(name, "histogram vec")
-	v := &HistogramVec{v: vec[Histogram]{name: name, maxCard: DefaultMaxCardinality, newChild: newHistogramChild}}
+	v := &HistogramVec{v: vec[Histogram]{name: name, newChild: newHistogramChild}}
 	r.histogramVecs[name] = v
 	return v
 }
@@ -191,9 +172,6 @@ func (r *Registry) checkFreeLocked(name, kind string) {
 	if _, ok := r.counterVecs[name]; ok {
 		panic(fmt.Sprintf("metrics: %q already registered as a counter vec, requested as %s", name, kind))
 	}
-	if _, ok := r.gaugeVecs[name]; ok {
-		panic(fmt.Sprintf("metrics: %q already registered as a gauge vec, requested as %s", name, kind))
-	}
 	if _, ok := r.histogramVecs[name]; ok {
 		panic(fmt.Sprintf("metrics: %q already registered as a histogram vec, requested as %s", name, kind))
 	}
@@ -210,9 +188,6 @@ func NewHistogram(name string) *Histogram { return Default.Histogram(name) }
 
 // NewCounterVec registers a counter family on the Default registry.
 func NewCounterVec(name string) *CounterVec { return Default.CounterVec(name) }
-
-// NewGaugeVec registers a gauge family on the Default registry.
-func NewGaugeVec(name string) *GaugeVec { return Default.GaugeVec(name) }
 
 // NewHistogramVec registers a histogram family on the Default
 // registry.
@@ -265,11 +240,6 @@ func (r *Registry) Snapshot() Snapshot {
 			counters = append(counters, c)
 		}
 	}
-	for _, gv := range r.gaugeVecs {
-		for _, g := range gv.v.snapshot() {
-			gauges = append(gauges, g)
-		}
-	}
 	for _, hv := range r.histogramVecs {
 		for _, h := range hv.v.snapshot() {
 			hists = append(hists, h)
@@ -282,7 +252,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters = append(s.Counters, CounterSnapshot{Name: c.name, Labels: labelsPtr(c.labels), Value: c.Value()})
 	}
 	for _, g := range gauges {
-		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: g.name, Labels: labelsPtr(g.labels), Value: g.Value()})
+		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: g.name, Value: g.Value()})
 	}
 	for _, h := range hists {
 		s.Histograms = append(s.Histograms, h.snapshot())

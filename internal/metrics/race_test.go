@@ -17,7 +17,7 @@ import (
 func TestConcurrentScrapeWhileLabeledWrites(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("race_verdicts")
-	gv := r.GaugeVec("race_depth")
+	bytes := r.CounterVec("race_bytes")
 	hv := r.HistogramVec("race_latency")
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
@@ -39,7 +39,7 @@ func TestConcurrentScrapeWhileLabeledWrites(t *testing.T) {
 					Verdict: "allow",
 				}
 				cv.With(l).Inc()
-				gv.With(l).Set(int64(i))
+				bytes.With(l).Add(int64(i))
 				hv.With(l).ObserveExemplar(time.Duration(i)*time.Microsecond, uint64(i)+1)
 			}
 		}(w)

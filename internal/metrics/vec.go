@@ -15,18 +15,17 @@ const DefaultMaxCardinality = 512
 // that absorbs updates once a family exceeds its cardinality bound.
 const LabelOverflow = "_overflow"
 
-// vec is the shared child table behind CounterVec, GaugeVec, and
-// HistogramVec. Lookups load an immutable map through an atomic
-// pointer — the hot path is one pointer load plus one struct-keyed
-// map index, lock-free and allocation-free. Inserting a new label set
-// (interning) takes the mutex, copies the map, and publishes the new
-// version; after that first hit the label set is interned and every
-// later update is hot-path only.
+// vec is the shared child table behind CounterVec and HistogramVec.
+// Lookups load an immutable map through an atomic pointer — the hot
+// path is one pointer load plus one struct-keyed map index, lock-free
+// and allocation-free. Inserting a new label set (interning) takes the
+// mutex, copies the map, and publishes the new version; after that
+// first hit the label set is interned and every later update is
+// hot-path only.
 type vec[T any] struct {
 	name     string
 	mu       sync.Mutex
 	children atomic.Pointer[map[Labels]*T]
-	maxCard  int
 	newChild func(name string, labels Labels) *T
 }
 
@@ -52,7 +51,7 @@ func (v *vec[T]) intern(l Labels) *T {
 		if c, ok := cur[l]; ok {
 			return c
 		}
-		if len(cur) >= v.maxCard {
+		if len(cur) >= DefaultMaxCardinality {
 			l = Labels{Home: LabelOverflow}
 			if c, ok := cur[l]; ok {
 				return c
@@ -78,16 +77,6 @@ func (v *vec[T]) snapshot() map[Labels]*T {
 	return nil
 }
 
-// setMaxCardinality adjusts the family's bound (tests and tools; the
-// default suits production). It affects future interning only.
-func (v *vec[T]) setMaxCardinality(n int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if n > 0 {
-		v.maxCard = n
-	}
-}
-
 // CounterVec is a family of counters sharing one name, keyed by label
 // set.
 type CounterVec struct {
@@ -102,33 +91,6 @@ func (cv *CounterVec) Name() string { return cv.v.name }
 // and update through the returned handle.
 func (cv *CounterVec) With(l Labels) *Counter { return cv.v.with(l) }
 
-// Children returns the family's interned children keyed by label set.
-// The map is the family's immutable current version: callers may read
-// it freely but must not mutate it.
-func (cv *CounterVec) Children() map[Labels]*Counter { return cv.v.snapshot() }
-
-// SetMaxCardinality overrides the family's label-set bound.
-func (cv *CounterVec) SetMaxCardinality(n int) { cv.v.setMaxCardinality(n) }
-
-// GaugeVec is a family of gauges sharing one name, keyed by label set.
-type GaugeVec struct {
-	v vec[Gauge]
-}
-
-// Name returns the family's registered name.
-func (gv *GaugeVec) Name() string { return gv.v.name }
-
-// With returns the gauge for the given label set, interning the set
-// on first use.
-func (gv *GaugeVec) With(l Labels) *Gauge { return gv.v.with(l) }
-
-// Children returns the family's interned children keyed by label set
-// (read-only, see CounterVec.Children).
-func (gv *GaugeVec) Children() map[Labels]*Gauge { return gv.v.snapshot() }
-
-// SetMaxCardinality overrides the family's label-set bound.
-func (gv *GaugeVec) SetMaxCardinality(n int) { gv.v.setMaxCardinality(n) }
-
 // HistogramVec is a family of latency histograms sharing one name,
 // keyed by label set.
 type HistogramVec struct {
@@ -142,15 +104,7 @@ func (hv *HistogramVec) Name() string { return hv.v.name }
 // set on first use.
 func (hv *HistogramVec) With(l Labels) *Histogram { return hv.v.with(l) }
 
-// Children returns the family's interned children keyed by label set
-// (read-only, see CounterVec.Children).
-func (hv *HistogramVec) Children() map[Labels]*Histogram { return hv.v.snapshot() }
-
-// SetMaxCardinality overrides the family's label-set bound.
-func (hv *HistogramVec) SetMaxCardinality(n int) { hv.v.setMaxCardinality(n) }
-
 func newCounterChild(name string, l Labels) *Counter { return &Counter{name: name, labels: l} }
-func newGaugeChild(name string, l Labels) *Gauge     { return &Gauge{name: name, labels: l} }
 func newHistogramChild(name string, l Labels) *Histogram {
 	return &Histogram{name: name, labels: l}
 }

@@ -72,14 +72,13 @@ func TestCounterVecInterning(t *testing.T) {
 func TestVecCardinalityBound(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("bounded")
-	cv.SetMaxCardinality(3)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultMaxCardinality+7; i++ {
 		cv.With(Labels{Home: fmt.Sprintf("h%d", i)}).Inc()
 	}
 	s := r.Snapshot()
-	// 3 interned children plus the overflow child.
-	if len(s.Counters) != 4 {
-		t.Fatalf("snapshot has %d series, want 4", len(s.Counters))
+	// The bound's worth of interned children plus the overflow child.
+	if len(s.Counters) != DefaultMaxCardinality+1 {
+		t.Fatalf("snapshot has %d series, want %d", len(s.Counters), DefaultMaxCardinality+1)
 	}
 	var overflow int64
 	for _, c := range s.Counters {
@@ -262,16 +261,16 @@ func TestHandlerHeadAndMethodNotAllowed(t *testing.T) {
 func TestLabeledUpdateZeroAllocs(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("hot_counter")
-	gv := r.GaugeVec("hot_gauge")
+	bytes := r.CounterVec("hot_bytes")
 	hv := r.HistogramVec("hot_hist")
 	l := Labels{Home: "h1", Speaker: "echo", Profile: "none"}
 	cv.With(l)
-	gv.With(l)
+	bytes.With(l)
 	hv.With(l)
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		cv.With(l).Inc()
-		gv.With(l).Set(7)
+		bytes.With(l).Add(7)
 		hv.With(l).ObserveExemplar(3*time.Millisecond, 99)
 	})
 	if allocs != 0 {

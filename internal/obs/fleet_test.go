@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -83,9 +84,8 @@ func TestFleetSummaryMergesProfiles(t *testing.T) {
 func TestFleetSummaryOverflowRow(t *testing.T) {
 	r := metrics.NewRegistry()
 	hv := r.HistogramVec(decision.MetricLatency)
-	hv.SetMaxCardinality(2)
-	for _, home := range []string{"h1", "h2", "h3", "h4"} {
-		hv.With(metrics.Labels{Home: home}).Observe(time.Millisecond)
+	for i := 0; i < metrics.DefaultMaxCardinality+2; i++ {
+		hv.With(metrics.Labels{Home: fmt.Sprintf("h%d", i)}).Observe(time.Millisecond)
 	}
 	rows := FleetSummary(r.Snapshot())
 	var sawOverflow bool

@@ -1,8 +1,8 @@
 // Package obs is VoiceGuard's observability layer on top of
 // internal/metrics: a runtime telemetry collector sampling the Go
-// runtime into the app registry, a declarative SLO engine with
-// fast/slow burn-rate windows over histogram snapshots, and text
-// renderers (SLO report, vgtop live view) shared by the commands.
+// runtime into the app registry, declarative SLO objectives evaluated
+// one-shot against metric snapshots, and text renderers (SLO report,
+// vgtop live view) shared by the commands.
 package obs
 
 import (

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"voiceguard/internal/metrics"
@@ -16,16 +15,12 @@ const (
 	// SLOLatency bounds a histogram family: the configured quantile
 	// of all matching series must stay at or under Max. Compliance is
 	// the fraction of observations in buckets whose upper bound is
-	// within Max, so the error budget is 1-Target and burn rates fall
-	// out of the bucket counts directly.
+	// within Max, so the error budget is 1-Quantile and the burn rate
+	// falls out of the bucket counts directly.
 	SLOLatency SLOKind = iota
 	// SLOCeiling bounds a gauge family: the summed value of all
 	// matching series must stay at or under Ceiling.
 	SLOCeiling
-	// SLOFloor bounds an externally supplied scalar (e.g. a run's
-	// pct_accuracy): the value registered under Metric must stay at
-	// or above Floor.
-	SLOFloor
 )
 
 func (k SLOKind) String() string {
@@ -34,8 +29,6 @@ func (k SLOKind) String() string {
 		return "latency"
 	case SLOCeiling:
 		return "ceiling"
-	case SLOFloor:
-		return "floor"
 	}
 	return "unknown"
 }
@@ -44,22 +37,20 @@ func (k SLOKind) String() string {
 type Objective struct {
 	Name   string
 	Kind   SLOKind
-	Metric string // metric family (SLOLatency, SLOCeiling) or value key (SLOFloor)
+	Metric string // metric family
 
 	// Labels filters which series of the family count: every
 	// non-empty field must match. The zero filter aggregates the
 	// whole family (flat series included).
 	Labels metrics.Labels
 
-	Quantile float64       // SLOLatency: reported quantile (default 0.99)
+	// Quantile (SLOLatency) is both the reported quantile and the
+	// required fraction of observations within Max (default 0.99), so
+	// the plain reading "p99 ≤ Max" holds exactly.
+	Quantile float64
 	Max      time.Duration // SLOLatency: bound observations must stay under
-	// Target is the required fraction of observations within Max
-	// (the error budget is 1-Target). Defaults to Quantile, so the
-	// plain reading "p99 ≤ Max" holds exactly.
-	Target float64
 
-	Ceiling int64   // SLOCeiling: maximum summed gauge value
-	Floor   float64 // SLOFloor: minimum registered value
+	Ceiling int64 // SLOCeiling: maximum summed gauge value
 }
 
 // SLOResult is one objective's evaluation.
@@ -69,29 +60,15 @@ type SLOResult struct {
 	NoData     bool          // nothing matched; Healthy is vacuous
 	Compliance float64       // fraction of observations within Max (latency)
 	BurnRate   float64       // cumulative error-budget burn (latency; 1.0 = budget exactly spent)
-	FastBurn   float64       // burn over the engine's fast window (Engine only)
-	SlowBurn   float64       // burn over the engine's slow window (Engine only)
 	Quantile   time.Duration // measured quantile (latency)
-	Value      float64       // measured value (ceiling/floor)
+	Value      float64       // measured value (ceiling)
 	Count      uint64        // observations considered (latency)
 }
-
-// Alert reports the classic multiwindow page condition: the error
-// budget burning faster than sustainable over both the fast and slow
-// windows. Meaningful only for Engine results; one-shot evaluations
-// never alert.
-func (r SLOResult) Alert() bool { return r.FastBurn > 1 && r.SlowBurn > 1 }
 
 // withDefaults fills the objective's defaulted fields.
 func (o Objective) withDefaults() Objective {
 	if o.Quantile <= 0 {
 		o.Quantile = 0.99
-	}
-	if o.Target <= 0 {
-		o.Target = o.Quantile
-	}
-	if o.Target >= 1 {
-		o.Target = 0.9999
 	}
 	return o
 }
@@ -139,9 +116,8 @@ func goodBad(merged metrics.HistogramSnapshot, max time.Duration) (good, bad uin
 	return good, bad
 }
 
-// evaluateOne computes the cumulative (window-free) result for one
-// objective.
-func evaluateOne(s metrics.Snapshot, o Objective, values map[string]float64) SLOResult {
+// evaluateOne computes the cumulative result for one objective.
+func evaluateOne(s metrics.Snapshot, o Objective) SLOResult {
 	o = o.withDefaults()
 	res := SLOResult{Objective: o, Healthy: true}
 	switch o.Kind {
@@ -155,9 +131,9 @@ func evaluateOne(s metrics.Snapshot, o Objective, values map[string]float64) SLO
 		}
 		good, bad := goodBad(merged, o.Max)
 		res.Compliance = float64(good) / float64(good+bad)
-		res.BurnRate = (1 - res.Compliance) / (1 - o.Target)
+		res.BurnRate = (1 - res.Compliance) / (1 - o.Quantile)
 		res.Quantile = merged.Quantile(o.Quantile)
-		res.Healthy = res.Compliance >= o.Target
+		res.Healthy = res.Compliance >= o.Quantile
 	case SLOCeiling:
 		var sum int64
 		found := false
@@ -177,154 +153,18 @@ func evaluateOne(s metrics.Snapshot, o Objective, values map[string]float64) SLO
 		res.Value = float64(sum)
 		res.NoData = !found
 		res.Healthy = sum <= o.Ceiling
-	case SLOFloor:
-		v, ok := values[o.Metric]
-		if !ok {
-			res.NoData = true
-			return res
-		}
-		res.Value = v
-		res.Healthy = v >= o.Floor
 	}
 	return res
 }
 
-// Evaluate is the one-shot evaluation of a set of objectives against
-// a snapshot: cumulative compliance and burn, no windowing. values
-// supplies SLOFloor scalars by key (nil is fine).
-func Evaluate(s metrics.Snapshot, objectives []Objective, values map[string]float64) []SLOResult {
+// Evaluate evaluates a set of objectives against a snapshot:
+// cumulative compliance and burn since the snapshot's series began.
+func Evaluate(s metrics.Snapshot, objectives []Objective) []SLOResult {
 	out := make([]SLOResult, 0, len(objectives))
 	for _, o := range objectives {
-		out = append(out, evaluateOne(s, o, values))
+		out = append(out, evaluateOne(s, o))
 	}
 	return out
-}
-
-// Engine evaluates objectives over time, deriving fast- and
-// slow-window burn rates from the deltas between timestamped
-// snapshot frames. The caller supplies the clock (pass the simulated
-// now in sims); the engine never reads wall time itself.
-type Engine struct {
-	fast, slow time.Duration
-	objectives []Objective
-
-	mu     sync.Mutex
-	values map[string]float64
-	frames []frame
-}
-
-// frame is the per-objective cumulative good/bad tally at one instant.
-type frame struct {
-	at   time.Time
-	good []uint64
-	bad  []uint64
-}
-
-// DefaultFastWindow and DefaultSlowWindow are the burn-rate windows:
-// the fast one catches a sudden budget fire, the slow one a steady
-// leak.
-const (
-	DefaultFastWindow = 5 * time.Minute
-	DefaultSlowWindow = time.Hour
-)
-
-// NewEngine returns an engine over the given objectives. Non-positive
-// windows take the defaults.
-func NewEngine(fast, slow time.Duration, objectives ...Objective) *Engine {
-	if fast <= 0 {
-		fast = DefaultFastWindow
-	}
-	if slow <= 0 {
-		slow = DefaultSlowWindow
-	}
-	if slow < fast {
-		slow = fast
-	}
-	return &Engine{
-		fast:       fast,
-		slow:       slow,
-		objectives: objectives,
-		values:     make(map[string]float64),
-	}
-}
-
-// Objectives returns the engine's objective list.
-func (e *Engine) Objectives() []Objective { return e.objectives }
-
-// SetValue registers a scalar for SLOFloor objectives keyed by name.
-func (e *Engine) SetValue(name string, v float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.values[name] = v
-}
-
-// Observe folds one timestamped snapshot into the engine and returns
-// the current results, including fast/slow-window burn rates.
-func (e *Engine) Observe(now time.Time, s metrics.Snapshot) []SLOResult {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
-	results := make([]SLOResult, 0, len(e.objectives))
-	f := frame{at: now, good: make([]uint64, len(e.objectives)), bad: make([]uint64, len(e.objectives))}
-	for i, o := range e.objectives {
-		res := evaluateOne(s, o, e.values)
-		if o.Kind == SLOLatency {
-			merged := mergeHistograms(s, o.Metric, o.Labels)
-			f.good[i], f.bad[i] = goodBad(merged, o.withDefaults().Max)
-		}
-		results = append(results, res)
-	}
-	e.frames = append(e.frames, f)
-	e.prune(now)
-
-	for i := range results {
-		if e.objectives[i].Kind != SLOLatency {
-			continue
-		}
-		target := e.objectives[i].withDefaults().Target
-		results[i].FastBurn = e.windowBurn(i, now, e.fast, target)
-		results[i].SlowBurn = e.windowBurn(i, now, e.slow, target)
-	}
-	return results
-}
-
-// prune drops frames older than the slow window, keeping one frame at
-// or past the horizon as the window baseline.
-func (e *Engine) prune(now time.Time) {
-	horizon := now.Add(-e.slow)
-	cut := 0
-	for i, f := range e.frames {
-		if !f.at.Before(horizon) {
-			break
-		}
-		cut = i
-	}
-	e.frames = e.frames[cut:]
-}
-
-// windowBurn computes objective i's burn rate over the trailing
-// window: the bad fraction of observations since the window baseline,
-// divided by the error budget.
-func (e *Engine) windowBurn(i int, now time.Time, window time.Duration, target float64) float64 {
-	if len(e.frames) < 2 {
-		return 0
-	}
-	horizon := now.Add(-window)
-	base := e.frames[0]
-	for _, f := range e.frames[1:] {
-		if f.at.After(horizon) {
-			break
-		}
-		base = f
-	}
-	latest := e.frames[len(e.frames)-1]
-	dGood := latest.good[i] - base.good[i]
-	dBad := latest.bad[i] - base.bad[i]
-	if dGood+dBad == 0 {
-		return 0
-	}
-	badFrac := float64(dBad) / float64(dGood+dBad)
-	return badFrac / (1 - target)
 }
 
 // WriteReport renders SLO results one per line, breaches first flag.
@@ -346,13 +186,8 @@ func WriteReport(w io.Writer, results []SLOResult) error {
 		case SLOLatency:
 			detail = fmt.Sprintf("p%g=%s (max %s) compliance=%.4f burn=%.2f",
 				r.Objective.Quantile*100, r.Quantile, r.Objective.Max, r.Compliance, r.BurnRate)
-			if r.FastBurn > 0 || r.SlowBurn > 0 {
-				detail += fmt.Sprintf(" fast=%.2f slow=%.2f", r.FastBurn, r.SlowBurn)
-			}
 		case SLOCeiling:
 			detail = fmt.Sprintf("value=%.0f (ceiling %d)", r.Value, r.Objective.Ceiling)
-		case SLOFloor:
-			detail = fmt.Sprintf("value=%.4f (floor %.4f)", r.Value, r.Objective.Floor)
 		}
 		if _, err := fmt.Fprintf(w, "[%s] %-28s %s\n", status, r.Objective.Name, detail); err != nil {
 			return err

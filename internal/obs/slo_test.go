@@ -24,7 +24,7 @@ func TestEvaluateLatencyObjective(t *testing.T) {
 		Quantile: 0.99,
 		Max:      200 * time.Millisecond,
 	}
-	res := Evaluate(r.Snapshot(), []Objective{obj}, nil)[0]
+	res := Evaluate(r.Snapshot(), []Objective{obj})[0]
 	if res.Count != 100 {
 		t.Fatalf("count = %d, want 100", res.Count)
 	}
@@ -42,7 +42,7 @@ func TestEvaluateLatencyObjective(t *testing.T) {
 
 	// One more breach pushes compliance under target.
 	h.Observe(5 * time.Second)
-	res = Evaluate(r.Snapshot(), []Objective{obj}, nil)[0]
+	res = Evaluate(r.Snapshot(), []Objective{obj})[0]
 	if res.Healthy {
 		t.Fatalf("result healthy with compliance %v under target", res.Compliance)
 	}
@@ -63,13 +63,13 @@ func TestEvaluateLabelFilter(t *testing.T) {
 		Labels: metrics.Labels{Home: "h1"},
 		Max:    time.Second,
 	}
-	res := Evaluate(r.Snapshot(), []Objective{obj}, nil)[0]
+	res := Evaluate(r.Snapshot(), []Objective{obj})[0]
 	if res.Count != 1 || !res.Healthy {
 		t.Fatalf("h1 filter leaked other homes: %+v", res)
 	}
 
 	obj.Labels = metrics.Labels{Home: "h2"}
-	res = Evaluate(r.Snapshot(), []Objective{obj}, nil)[0]
+	res = Evaluate(r.Snapshot(), []Objective{obj})[0]
 	if res.Count != 10 || res.Healthy {
 		t.Fatalf("h2 series should breach: %+v", res)
 	}
@@ -80,68 +80,15 @@ func TestEvaluateCeilingAndFloor(t *testing.T) {
 	r.Gauge("queue_bytes").Set(900)
 
 	ceiling := Objective{Name: "queue", Kind: SLOCeiling, Metric: "queue_bytes", Ceiling: 1000}
-	floor := Objective{Name: "accuracy", Kind: SLOFloor, Metric: "pct_accuracy", Floor: 0.9}
-
-	vals := map[string]float64{"pct_accuracy": 0.95}
-	res := Evaluate(r.Snapshot(), []Objective{ceiling, floor}, vals)
+	res := Evaluate(r.Snapshot(), []Objective{ceiling})
 	if !res[0].Healthy || res[0].Value != 900 {
 		t.Fatalf("ceiling result = %+v", res[0])
 	}
-	if !res[1].Healthy || res[1].Value != 0.95 {
-		t.Fatalf("floor result = %+v", res[1])
-	}
 
 	r.Gauge("queue_bytes").Set(2000)
-	vals["pct_accuracy"] = 0.5
-	res = Evaluate(r.Snapshot(), []Objective{ceiling, floor}, vals)
-	if res[0].Healthy || res[1].Healthy {
-		t.Fatalf("breaches not detected: %+v", res)
-	}
-
-	res = Evaluate(r.Snapshot(), []Objective{floor}, nil)
-	if !res[0].NoData {
-		t.Fatalf("missing value should be NoData: %+v", res[0])
-	}
-}
-
-func TestEngineBurnWindows(t *testing.T) {
-	r := metrics.NewRegistry()
-	h := r.Histogram("svc_latency_seconds")
-	obj := Objective{
-		Name:   "svc-p99",
-		Kind:   SLOLatency,
-		Metric: "svc_latency_seconds",
-		Max:    200 * time.Millisecond,
-		Target: 0.99,
-	}
-	e := NewEngine(5*time.Minute, time.Hour, obj)
-	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-
-	// An hour of clean traffic, one frame per 5 minutes.
-	for i := 0; i <= 12; i++ {
-		for j := 0; j < 100; j++ {
-			h.Observe(10 * time.Millisecond)
-		}
-		e.Observe(t0.Add(time.Duration(i)*5*time.Minute), r.Snapshot())
-	}
-
-	// Then a budget fire: half the next window's traffic breaches.
-	for j := 0; j < 50; j++ {
-		h.Observe(10 * time.Millisecond)
-		h.Observe(10 * time.Second)
-	}
-	res := e.Observe(t0.Add(65*time.Minute), r.Snapshot())[0]
-
-	// Fast window sees 50 bad / 100 total against a 1% budget: burn 50.
-	if res.FastBurn < 40 {
-		t.Fatalf("fast burn = %v, want ~50", res.FastBurn)
-	}
-	// Slow window dilutes the same fire over ~1400 observations.
-	if res.SlowBurn >= res.FastBurn || res.SlowBurn <= 0 {
-		t.Fatalf("slow burn = %v, want positive and below fast %v", res.SlowBurn, res.FastBurn)
-	}
-	if !res.Alert() {
-		t.Fatalf("both windows burning (fast=%v slow=%v) should alert", res.FastBurn, res.SlowBurn)
+	res = Evaluate(r.Snapshot(), []Objective{ceiling})
+	if res[0].Healthy {
+		t.Fatalf("breach not detected: %+v", res[0])
 	}
 }
 
@@ -149,19 +96,20 @@ func TestWriteReport(t *testing.T) {
 	r := metrics.NewRegistry()
 	h := r.Histogram("svc_latency_seconds")
 	h.Observe(10 * time.Second)
+	r.Gauge("queue_bytes").Set(900)
 	objs := []Objective{
 		{Name: "svc-p99", Kind: SLOLatency, Metric: "svc_latency_seconds", Max: 200 * time.Millisecond},
-		{Name: "accuracy", Kind: SLOFloor, Metric: "pct_accuracy", Floor: 0.9},
+		{Name: "queue", Kind: SLOCeiling, Metric: "queue_bytes", Ceiling: 1000},
 	}
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, Evaluate(r.Snapshot(), objs, map[string]float64{"pct_accuracy": 0.97})); err != nil {
+	if err := WriteReport(&buf, Evaluate(r.Snapshot(), objs)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "[BREACH] svc-p99") {
 		t.Errorf("report missing breach line:\n%s", out)
 	}
-	if !strings.Contains(out, "[OK    ] accuracy") {
+	if !strings.Contains(out, "[OK    ] queue") {
 		t.Errorf("report missing OK line:\n%s", out)
 	}
 }

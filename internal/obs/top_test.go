@@ -26,7 +26,7 @@ func TestWriteTop(t *testing.T) {
 		Snapshot: r.Snapshot(),
 		SLO: Evaluate(r.Snapshot(), []Objective{
 			{Name: "decision-p99", Kind: SLOLatency, Metric: "decision_latency_seconds", Max: 200 * time.Millisecond},
-		}, nil),
+		}),
 		Anomalies: []string{"cmd 1234 dropped after 10s hold"},
 	}
 	var a, b bytes.Buffer

@@ -33,8 +33,6 @@ const (
 	metricTCPSessions     = "proxy_tcp_sessions_total"
 	metricTCPActive       = "proxy_tcp_sessions_active"
 	metricHolds           = "proxy_holds_total"
-	metricReleases        = "proxy_releases_total"
-	metricDrops           = "proxy_drops_total"
 	metricBytesIn         = "proxy_bytes_in_total"
 	metricBytesOut        = "proxy_bytes_out_total"
 	metricQueueOverflows  = "proxy_hold_queue_overflows_total"
@@ -66,8 +64,6 @@ var (
 	mTCPSessions     = metrics.NewCounter(metricTCPSessions)
 	mTCPActive       = metrics.NewGauge(metricTCPActive)
 	mHolds           = metrics.NewCounter(metricHolds)
-	mReleases        = metrics.NewCounter(metricReleases)
-	mDrops           = metrics.NewCounter(metricDrops)
 	mBytesIn         = metrics.NewCounter(metricBytesIn)
 	mBytesOut        = metrics.NewCounter(metricBytesOut)
 	mHoldQueueBytes  = metrics.NewGauge(MetricHoldQueueBytes)
@@ -440,7 +436,6 @@ func (s *Session) Release() error {
 	if !s.holding {
 		return nil
 	}
-	mReleases.Inc()
 	lvRelease.Inc()
 	mHoldQueueBytes.Add(-int64(s.queued))
 	flushed := s.queued
@@ -523,7 +518,6 @@ func (s *Session) Drop() int {
 	if !s.holding {
 		return 0
 	}
-	mDrops.Inc()
 	lvDrop.Inc()
 	mHoldQueueBytes.Add(-int64(s.queued))
 	n := s.queued

@@ -31,14 +31,13 @@ import (
 // Metric names, as package-level constants (the vglint metriclabel
 // rule).
 const (
-	metricPushes        = "push_requests_total"
-	metricPushOffline   = "push_offline_devices_total"
-	metricPushRoundTrip = "push_roundtrip_seconds"
-	metricPushRetries   = "push_retries_total"
-	metricPushFailures  = "push_send_failures_total"
-	metricPushStale     = "push_stale_replies_total"
-	metricPushDupes     = "push_duplicate_replies_total"
-	metricPushCorrupt   = "push_corrupt_replies_total"
+	metricPushes       = "push_requests_total"
+	metricPushOffline  = "push_offline_devices_total"
+	metricPushRetries  = "push_retries_total"
+	metricPushFailures = "push_send_failures_total"
+	metricPushStale    = "push_stale_replies_total"
+	metricPushDupes    = "push_duplicate_replies_total"
+	metricPushCorrupt  = "push_corrupt_replies_total"
 
 	// MetricLatency is the labeled push round-trip family keyed by
 	// home/speaker/profile, with per-bucket command-ID exemplars.
@@ -50,15 +49,14 @@ const (
 // delay-decomposition scale), and the failure-path counters the
 // fault-injection layer exercises.
 var (
-	mPushes        = metrics.NewCounter(metricPushes)
-	mPushOffline   = metrics.NewCounter(metricPushOffline)
-	mPushRoundTrip = metrics.NewHistogram(metricPushRoundTrip)
-	mPushRetries   = metrics.NewCounter(metricPushRetries)
-	mPushFailures  = metrics.NewCounter(metricPushFailures)
-	mPushStale     = metrics.NewCounter(metricPushStale)
-	mPushDupes     = metrics.NewCounter(metricPushDupes)
-	mPushCorrupt   = metrics.NewCounter(metricPushCorrupt)
-	mLatencyVec    = metrics.NewHistogramVec(MetricLatency)
+	mPushes       = metrics.NewCounter(metricPushes)
+	mPushOffline  = metrics.NewCounter(metricPushOffline)
+	mPushRetries  = metrics.NewCounter(metricPushRetries)
+	mPushFailures = metrics.NewCounter(metricPushFailures)
+	mPushStale    = metrics.NewCounter(metricPushStale)
+	mPushDupes    = metrics.NewCounter(metricPushDupes)
+	mPushCorrupt  = metrics.NewCounter(metricPushCorrupt)
+	mLatencyVec   = metrics.NewHistogramVec(MetricLatency)
 )
 
 // Latency model parameters (seconds). Push delivery is log-normal
@@ -146,8 +144,9 @@ type Broker struct {
 	maxRetries int
 	retryBase  time.Duration
 
-	// lvRoundTrip is the resolved labeled round-trip child; SetLabels
-	// re-resolves it so delivery-path updates stay allocation-free.
+	// lvRoundTrip is the resolved labeled round-trip child, unlabeled
+	// until SetLabels re-resolves it; delivery-path updates stay
+	// allocation-free.
 	lvRoundTrip *metrics.Histogram
 }
 
@@ -155,11 +154,12 @@ type Broker struct {
 // retry policy and a clean (fault-free) channel.
 func NewBroker(clock *simtime.Sim, src *rng.Source) *Broker {
 	return &Broker{
-		clock:      clock,
-		src:        src,
-		devices:    make(map[string]*Device),
-		maxRetries: DefaultMaxRetries,
-		retryBase:  DefaultRetryBase,
+		clock:       clock,
+		src:         src,
+		devices:     make(map[string]*Device),
+		maxRetries:  DefaultMaxRetries,
+		retryBase:   DefaultRetryBase,
+		lvRoundTrip: mLatencyVec.With(metrics.Labels{}),
 	}
 }
 
@@ -402,10 +402,7 @@ func (b *Broker) deliverReply(d *Device, reading ble.Reading, at, reqStart time.
 	if stale {
 		mPushStale.Inc()
 	} else {
-		mPushRoundTrip.Observe(at.Sub(reqStart))
-		if b.lvRoundTrip != nil {
-			b.lvRoundTrip.ObserveExemplar(at.Sub(reqStart), uint64(cmd))
-		}
+		b.lvRoundTrip.ObserveExemplar(at.Sub(reqStart), uint64(cmd))
 		if dup {
 			mPushDupes.Inc()
 		}

@@ -7,6 +7,7 @@ import (
 	"voiceguard/internal/ble"
 	"voiceguard/internal/floorplan"
 	"voiceguard/internal/geom"
+	"voiceguard/internal/metrics"
 	"voiceguard/internal/radio"
 	"voiceguard/internal/rng"
 	"voiceguard/internal/simtime"
@@ -54,6 +55,21 @@ func TestRequestDeliversReply(t *testing.T) {
 	}
 	if got[0].DeviceID != "pixel5" {
 		t.Fatalf("device = %q", got[0].DeviceID)
+	}
+}
+
+// A broker that never calls SetLabels still records every reply's
+// round trip, in the latency family's unlabeled child.
+func TestUnlabeledBrokerRecordsLatency(t *testing.T) {
+	f := setup(t)
+	h := mLatencyVec.With(metrics.Labels{})
+	before := h.Count()
+	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(Reply) {}); err != nil {
+		t.Fatal(err)
+	}
+	f.clock.Advance(10 * time.Second)
+	if got := h.Count() - before; got != 1 {
+		t.Fatalf("%s recorded %d round trips for one reply, want 1", MetricLatency, got)
 	}
 }
 

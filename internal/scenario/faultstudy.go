@@ -139,7 +139,7 @@ func FaultStudy(cfg FaultStudyConfig) ([]FaultPoint, error) {
 				pt.Degraded++
 			}
 		}
-		pt.SLO = obs.Evaluate(metrics.Delta(base, metrics.Default.Snapshot()), faultObjectives(home, p.Name), nil)
+		pt.SLO = obs.Evaluate(metrics.Delta(base, metrics.Default.Snapshot()), faultObjectives(home, p.Name))
 		for _, r := range pt.SLO {
 			if r.Objective.Metric == decision.MetricLatency {
 				pt.LatencyP99 = r.Quantile

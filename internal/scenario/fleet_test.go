@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -141,48 +142,60 @@ func TestFleetVerify(t *testing.T) {
 }
 
 // TestFleetHomeLabelOverflow is the cardinality regression test: a
-// fleet far larger than a family's label bound must collapse into the
+// fleet larger than a family's label bound must collapse into the
 // overflow child instead of growing the family without limit.
 func TestFleetHomeLabelOverflow(t *testing.T) {
-	const bound = 8
-	vec := metrics.NewCounterVec("fleet_overflow_test_total")
-	vec.SetMaxCardinality(bound)
-	const homes = 10 * bound // homes ≫ bound
+	const name = "fleet_overflow_test_total"
+	const homes = metrics.DefaultMaxCardinality + 64 // homes > bound
+	r := metrics.NewRegistry()
+	vec := r.CounterVec(name)
 	for i := 0; i < homes; i++ {
 		vec.With(metrics.Labels{Home: FleetHomeID(i)}).Inc()
 	}
-	children := vec.Children()
-	if len(children) > bound+1 {
-		t.Fatalf("family grew to %d children, want ≤ bound+overflow = %d", len(children), bound+1)
+	children := familyValues(r.Snapshot(), name)
+	if len(children) > metrics.DefaultMaxCardinality+1 {
+		t.Fatalf("family grew to %d children, want ≤ bound+overflow = %d", len(children), metrics.DefaultMaxCardinality+1)
 	}
 	overflow, ok := children[metrics.Labels{Home: metrics.LabelOverflow}]
 	if !ok {
-		t.Fatal("overflow child did not engage at homes ≫ bound")
+		t.Fatal("overflow child did not engage at homes > bound")
 	}
 	// Every home past the bound landed in the overflow child.
-	if got := overflow.Value(); got != homes-bound {
-		t.Fatalf("overflow absorbed %d updates, want %d", got, homes-bound)
+	if overflow != homes-metrics.DefaultMaxCardinality {
+		t.Fatalf("overflow absorbed %d updates, want %d", overflow, homes-metrics.DefaultMaxCardinality)
 	}
 }
 
 // TestFleetGuardLabelsBounded runs the real guard metric families
-// through a fleet bigger than a lowered bound and confirms the
-// overflow engages on guard_verdicts — the PR-7 `home` label bound
-// holding at fleet scale.
+// through a fleet once guard_verdicts is at its label bound and
+// confirms the fleet's verdicts land in the overflow child instead of
+// growing the family — the `home` label bound holding at fleet scale.
 func TestFleetGuardLabelsBounded(t *testing.T) {
 	vec := metrics.Default.CounterVec(guard.MetricVerdicts)
-	vec.SetMaxCardinality(4)
-	defer vec.SetMaxCardinality(metrics.DefaultMaxCardinality)
-
-	before := len(vec.Children())
+	have := len(familyValues(metrics.Default.Snapshot(), guard.MetricVerdicts))
+	for i := have; i < metrics.DefaultMaxCardinality; i++ {
+		vec.With(metrics.Labels{Home: fmt.Sprintf("filler-%d", i)})
+	}
 	if _, err := Fleet(FleetConfig{Homes: 10, Days: 1, Seed: 77}); err != nil {
 		t.Fatal(err)
 	}
-	children := vec.Children()
-	if _, ok := children[metrics.Labels{Home: metrics.LabelOverflow}]; !ok {
-		t.Fatal("guard_verdicts overflow child did not engage at homes > bound")
+	children := familyValues(metrics.Default.Snapshot(), guard.MetricVerdicts)
+	if overflow := children[metrics.Labels{Home: metrics.LabelOverflow}]; overflow == 0 {
+		t.Fatal("guard_verdicts overflow child took no verdicts at homes > bound")
 	}
-	if grown := len(children) - before; grown > 4+1 {
-		t.Fatalf("guard_verdicts grew by %d children past a bound of 4", grown)
+	if len(children) != metrics.DefaultMaxCardinality+1 {
+		t.Fatalf("guard_verdicts has %d children, want the bound %d plus overflow", len(children), metrics.DefaultMaxCardinality)
 	}
+}
+
+// familyValues returns the snapshot's children of the named counter
+// family, keyed by label set.
+func familyValues(s metrics.Snapshot, name string) map[metrics.Labels]int64 {
+	out := make(map[metrics.Labels]int64)
+	for _, c := range s.Counters {
+		if c.Name == name && c.Labels != nil {
+			out[*c.Labels] = c.Value
+		}
+	}
+	return out
 }

@@ -8,11 +8,11 @@
 // Fig. 2 can be reconstructed end to end.
 //
 // Recording is designed for the hot path: spans land in a lock-free
-// ring-buffer flight recorder (the last N spans are always dumpable,
-// on demand or on an anomaly such as a blocked verdict), and the
-// optional structured logger and JSONL sink are attached through an
-// atomically loaded configuration so an unconfigured tracer costs one
-// atomic add and one atomic store per span.
+// ring-buffer flight recorder (the last N spans are always dumpable on
+// demand), and the optional structured logger and JSONL sink are
+// attached through an atomically loaded configuration so an
+// unconfigured tracer costs one atomic add and one atomic store per
+// span.
 //
 // Like the metrics package, packages record through the process-wide
 // Default tracer; exporters (JSONL, Chrome trace_event) and the
@@ -109,10 +109,8 @@ const (
 // sinkConfig is the tracer's cold-path configuration, swapped
 // atomically so Record stays lock-free when nothing is attached.
 type sinkConfig struct {
-	logger      *slog.Logger
-	sink        func(Span)
-	anomalyHold time.Duration
-	onAnomaly   func(reason string, recent []Span)
+	logger *slog.Logger
+	sink   func(Span)
 }
 
 // Tracer assigns command IDs and records spans.
@@ -157,7 +155,8 @@ func (t *Tracer) Snapshot() []Span { return t.ring.Snapshot() }
 // SetLogger attaches (or, with nil, detaches) a structured logger.
 // Every recorded span is logged at Debug, its name as the message and
 // its stage and command ID as standard attributes (no string is built
-// per span); anomalies are logged at Warn.
+// per span); a span with outcome=drop, a blocked command, is logged at
+// Warn.
 func (t *Tracer) SetLogger(l *slog.Logger) {
 	t.updateConfig(func(c *sinkConfig) { c.logger = l })
 }
@@ -178,17 +177,6 @@ func (t *Tracer) SetSink(fn func(Span)) {
 	t.updateConfig(func(c *sinkConfig) { c.sink = fn })
 }
 
-// SetAnomalyHook installs fn, called with a flight-recorder snapshot
-// whenever a recorded span carries outcome=drop or (when holdLimit is
-// positive) a hold span exceeds holdLimit. fn runs synchronously; a
-// nil fn removes the hook.
-func (t *Tracer) SetAnomalyHook(holdLimit time.Duration, fn func(reason string, recent []Span)) {
-	t.updateConfig(func(c *sinkConfig) {
-		c.anomalyHold = holdLimit
-		c.onAnomaly = fn
-	})
-}
-
 // updateConfig swaps in a modified copy of the cold-path config.
 func (t *Tracer) updateConfig(mutate func(*sinkConfig)) {
 	for {
@@ -205,7 +193,7 @@ func (t *Tracer) updateConfig(mutate func(*sinkConfig)) {
 }
 
 // Record stores one completed span in the flight recorder and fans it
-// out to the attached logger, sink, and anomaly hook.
+// out to the attached sink and logger.
 func (t *Tracer) Record(s Span) {
 	t.ring.Put(&s)
 	c := t.cfg.Load()
@@ -215,33 +203,14 @@ func (t *Tracer) Record(s Span) {
 	if c.sink != nil {
 		c.sink(s)
 	}
-	anomaly := t.anomalyReason(c, s)
 	if c.logger != nil {
 		level := slog.LevelDebug
-		if anomaly != "" {
+		if v, ok := s.Attr(AttrOutcome).(string); ok && v == OutcomeDrop {
 			level = slog.LevelWarn
 		}
 		//vglint:allow tracectx slog bridge: the span carries its CommandID explicitly in logAttrs, nothing rides the ctx here
 		c.logger.LogAttrs(context.Background(), level, s.Name, logAttrs(s)...)
 	}
-	if anomaly != "" && c.onAnomaly != nil {
-		c.onAnomaly(anomaly, t.ring.Snapshot())
-	}
-}
-
-// anomalyReason classifies a span as anomalous: a dropped/blocked
-// command, or a hold longer than the configured limit.
-func (t *Tracer) anomalyReason(c *sinkConfig, s Span) string {
-	if c.onAnomaly == nil && c.logger == nil {
-		return ""
-	}
-	if v, ok := s.Attr(AttrOutcome).(string); ok && v == OutcomeDrop {
-		return "blocked command"
-	}
-	if c.anomalyHold > 0 && s.Duration() > c.anomalyHold {
-		return "hold exceeded limit"
-	}
-	return ""
 }
 
 // logAttrs renders a span as slog attributes, stage and command ID

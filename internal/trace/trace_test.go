@@ -73,41 +73,6 @@ func TestSinkReceivesEverySpan(t *testing.T) {
 	}
 }
 
-func TestAnomalyHookOnDrop(t *testing.T) {
-	tr := New(64)
-	var reasons []string
-	var lastDump int
-	tr.SetAnomalyHook(0, func(reason string, recent []Span) {
-		reasons = append(reasons, reason)
-		lastDump = len(recent)
-	})
-
-	tr.Record(Event(tr.NextID(), StageGuard, "hold", t0, String(AttrOutcome, OutcomeRelease)))
-	if len(reasons) != 0 {
-		t.Fatal("released command flagged as anomaly")
-	}
-	tr.Record(Event(tr.NextID(), StageGuard, "hold", t0, String(AttrOutcome, OutcomeDrop)))
-	if len(reasons) != 1 || reasons[0] != "blocked command" {
-		t.Fatalf("reasons = %v, want [blocked command]", reasons)
-	}
-	if lastDump != 2 {
-		t.Fatalf("anomaly dump had %d spans, want 2", lastDump)
-	}
-}
-
-func TestAnomalyHookOnLongHold(t *testing.T) {
-	tr := New(64)
-	var reasons []string
-	tr.SetAnomalyHook(500*time.Millisecond, func(reason string, recent []Span) {
-		reasons = append(reasons, reason)
-	})
-	tr.Record(Span{Command: 1, Stage: StageGuard, Name: "hold", Start: t0, End: t0.Add(100 * time.Millisecond)})
-	tr.Record(Span{Command: 2, Stage: StageGuard, Name: "hold", Start: t0, End: t0.Add(2 * time.Second)})
-	if len(reasons) != 1 || reasons[0] != "hold exceeded limit" {
-		t.Fatalf("reasons = %v, want [hold exceeded limit]", reasons)
-	}
-}
-
 func TestLoggerGetsCommandID(t *testing.T) {
 	tr := New(64)
 	var buf bytes.Buffer

@@ -22,37 +22,22 @@ import (
 // Wire-plane metric names. MetricLiveHoldSeconds is exported so SLO
 // objectives (internal/obs) can reference the histogram by name.
 const (
-	metricLiveHeld        = "live_bursts_held_total"
-	metricLiveReleased    = "live_bursts_released_total"
-	metricLiveDropped     = "live_bursts_dropped_total"
-	metricLiveNonCommands = "live_noncommand_spikes_total"
+	metricLiveHeld = "live_bursts_held_total"
 
 	// MetricLiveHoldSeconds is the wall-clock duration of each
 	// DecisionFunc call (query started → verdict) on the wire plane.
 	MetricLiveHoldSeconds = "live_hold_seconds"
-	// MetricLiveVerdicts is the labeled verdict family for the wire
-	// plane, keyed by {stage="live", verdict}.
-	MetricLiveVerdicts = "live_verdicts"
 
-	stageLive          = "live"
-	liveVerdictRelease = "release"
-	liveVerdictDrop    = "drop"
+	stageLive = "live"
 )
 
-// Wire-plane metrics: command outcomes, non-command spikes, and the
-// wall-clock decision duration. These are what `vgproxy
-// -metrics-addr` serves. Labeled verdict children are resolved once at
-// init so the per-command path stays allocation-free.
+// Wire-plane metrics: the commands handed to the DecisionFunc and the
+// wall-clock decision duration. The guard core counts the verdicts, in
+// guard_verdicts under stage="live", and the non-command spikes. These
+// are what `vgproxy -metrics-addr` serves.
 var (
 	mLiveHeld        = metrics.NewCounter(metricLiveHeld)
-	mLiveReleased    = metrics.NewCounter(metricLiveReleased)
-	mLiveDropped     = metrics.NewCounter(metricLiveDropped)
-	mLiveNonCommands = metrics.NewCounter(metricLiveNonCommands)
 	mLiveHoldSeconds = metrics.NewHistogram(MetricLiveHoldSeconds)
-
-	mLiveVerdictsVec = metrics.NewCounterVec(MetricLiveVerdicts)
-	lvLiveRelease    = mLiveVerdictsVec.With(metrics.Labels{Stage: stageLive, Verdict: liveVerdictRelease})
-	lvLiveDrop       = mLiveVerdictsVec.With(metrics.Labels{Stage: stageLive, Verdict: liveVerdictDrop})
 )
 
 // DecisionFunc decides whether the voice command currently held by
@@ -291,20 +276,15 @@ func (g *LiveGuard) newConn(s *proxy.Session) *liveConn {
 	return c
 }
 
-// count folds one guard event into the plane's stats and metrics.
+// count folds one guard event into the plane's stats.
 func (g *LiveGuard) count(e guard.Event) {
 	switch {
 	case e.Kind == guard.EventNonCommand:
 		g.nonCommands.Add(1)
-		mLiveNonCommands.Inc()
 	case e.Released:
 		g.released.Add(1)
-		mLiveReleased.Inc()
-		lvLiveRelease.Inc()
 	default:
 		g.dropped.Add(1)
-		mLiveDropped.Inc()
-		lvLiveDrop.Inc()
 	}
 }
 

@@ -334,16 +334,17 @@ func TestLiveGuardLateVerdictAfterDeadlineCountedOnce(t *testing.T) {
 	}
 }
 
-// proxyOutcomes reads the transport's hold, release, and drop totals.
+// proxyOutcomes reads the transport's hold total and its release and
+// drop outcomes.
 func proxyOutcomes() [3]int64 {
 	var out [3]int64
 	for _, c := range metrics.Default.Snapshot().Counters {
-		switch c.Name {
-		case "proxy_holds_total":
+		switch {
+		case c.Name == "proxy_holds_total":
 			out[0] = c.Value
-		case "proxy_releases_total":
+		case c.Name == proxy.MetricOutcomes && c.Labels.Verdict == "release":
 			out[1] = c.Value
-		case "proxy_drops_total":
+		case c.Name == proxy.MetricOutcomes && c.Labels.Verdict == "drop":
 			out[2] = c.Value
 		}
 	}
