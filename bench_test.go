@@ -26,6 +26,7 @@ import (
 	"voiceguard/internal/rng"
 	"voiceguard/internal/scenario"
 	"voiceguard/internal/stats"
+	"voiceguard/internal/trace"
 	"voiceguard/internal/trafficgen"
 )
 
@@ -536,15 +537,28 @@ func BenchmarkAblationNoiseSensitivity(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths --------------------------------
 
+// BenchmarkSpikeClassification feeds one Echo command spike to the
+// streaming recognizer, as the guard does. Each iteration moves the
+// spike a minute later, so it starts a fresh spike.
 func BenchmarkSpikeClassification(b *testing.B) {
 	echo := trafficgen.NewEcho(rng.New(1))
 	echo.AnomalyRate = 0
 	inv := echo.Invocation(time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC), 1)
-	lengths := inv.CommandSpike().Lengths()
+	spike := inv.CommandSpike().Packets
+	rec := recognize.NewEcho(trafficgen.EchoAddr)
+	rec.Tracer = trace.New(0)
+	rec.Tracker.ForceAddress(spike[0].DstIP)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if recognize.ClassifyEchoSpike(lengths) != recognize.ClassCommand {
+		command := false
+		for j := range spike {
+			spike[j].Time = spike[j].Time.Add(time.Minute)
+			if rec.Feed(&spike[j]) == recognize.ActionCommand {
+				command = true
+			}
+		}
+		if !command {
 			b.Fatal("misclassified")
 		}
 	}

@@ -1,8 +1,8 @@
-// Command vgreplay re-runs the Voice Command Traffic Recognition
-// sub-module over a capture file written by vgsim -dump (or any
-// pcap.WriteCapture output), printing how many spikes were held,
-// recognized as commands, and released — offline analysis of what the
-// guard saw.
+// Command vgreplay re-runs the guard over a capture file written by
+// vgsim -dump (or any pcap.WriteCapture output) on a simulated clock,
+// printing how many spikes were held, recognized as commands, and
+// released — offline analysis of what the guard saw. The capture
+// carries no RSSI evidence, so every command is allowed.
 //
 // Usage:
 //
@@ -18,8 +18,11 @@ import (
 	"time"
 
 	"voiceguard/internal/cliutil"
+	"voiceguard/internal/decision"
+	"voiceguard/internal/guard"
 	"voiceguard/internal/pcap"
 	"voiceguard/internal/recognize"
+	"voiceguard/internal/simtime"
 	"voiceguard/internal/trace"
 	"voiceguard/internal/trafficgen"
 )
@@ -31,7 +34,7 @@ func main() {
 		ip        = flag.String("ip", trafficgen.EchoIP, "the speaker's IP address in the capture")
 		logLevel  = flag.String("log-level", "off", "structured log level: off|debug|info|warn|error")
 		logFormat = flag.String("log-format", "text", "structured log format: text|json")
-		traceOut  = flag.String("trace-out", "", "write every recorded span to this JSONL file (one classify span per spike)")
+		traceOut  = flag.String("trace-out", "", "write every recorded span to this JSONL file (the guard's spans for every spike)")
 	)
 	flag.Parse()
 
@@ -97,11 +100,52 @@ func run(in, speaker, ip string) error {
 		return fmt.Errorf("unknown speaker %q", speaker)
 	}
 
-	stats := recognize.Replay(rec, packets)
+	stats := replay(speaker, rec, packets)
 	fmt.Printf("replayed %d packets spanning %s from %s\n",
 		stats.Packets, stats.Span.Round(time.Second), in)
 	fmt.Printf("spikes held:        %d\n", stats.Holds)
 	fmt.Printf("voice commands:     %d\n", stats.Commands)
 	fmt.Printf("released non-voice: %d\n", stats.Releases)
 	return nil
+}
+
+// replayStats summarises one replay of a capture.
+type replayStats struct {
+	Packets  int
+	Holds    int // spikes the guard held
+	Commands int // held spikes recognized as voice commands
+	Releases int // held spikes released without a decision query
+	Span     time.Duration
+}
+
+// replay feeds a recorded, time-ordered capture through a guard on a
+// simulated clock, as the simulation does, and counts the guard's
+// events: every spike it holds ends as one command or one release.
+// Each command is allowed by a static "replay" decision. The guard
+// records into the recognizer's tracer.
+func replay(speaker string, rec *recognize.Recognizer, packets []pcap.Packet) replayStats {
+	var stats replayStats
+	if len(packets) == 0 {
+		return stats
+	}
+	stats.Packets = len(packets)
+	stats.Span = packets[len(packets)-1].Time.Sub(packets[0].Time)
+
+	clock := simtime.NewSim(packets[0].Time)
+	g := guard.New(clock, rec, &decision.StaticMethod{MethodName: "replay", Allow: true}, speaker)
+	g.Tracer = rec.Tracer
+	g.OnEvent(func(e guard.Event) {
+		stats.Holds++
+		if e.Kind == guard.EventCommand {
+			stats.Commands++
+		} else {
+			stats.Releases++
+		}
+	})
+	for i := range packets {
+		clock.AdvanceTo(packets[i].Time)
+		g.Feed(&packets[i])
+	}
+	clock.Run() // the last spike's idle timer
+	return stats
 }

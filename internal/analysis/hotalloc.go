@@ -41,8 +41,7 @@ var hotFuncs = map[string]map[string]bool{
 		"bucketIndex": true,
 	},
 	"voiceguard/internal/recognize": {
-		"ClassifyEchoSpike": true, "ClassifyNaive": true,
-		"matchesCommandFallback": true, "hasWithin": true, "hasAdjacent": true,
+		"matchesCommandFallback": true, "hasAdjacent": true,
 		"Feed": true, "feedEcho": true, "feedGHM": true, "tryDecide": true,
 	},
 	"voiceguard/internal/fleet": {

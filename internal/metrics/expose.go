@@ -45,7 +45,7 @@ func WriteText(w io.Writer, s Snapshot) error {
 		if err := typeLine(g.Name, "gauge"); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", g.Name, labelKey(g.Labels), g.Value); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", g.Name, g.Value); err != nil {
 			return err
 		}
 	}
@@ -129,7 +129,7 @@ func WriteTable(w io.Writer, s Snapshot) error {
 		if g.Value == 0 {
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "%-44s %d\n", g.Name+labelKey(g.Labels), g.Value); err != nil {
+		if _, err := fmt.Fprintf(w, "%-44s %d\n", g.Name, g.Value); err != nil {
 			return err
 		}
 		wrote = true

@@ -201,12 +201,11 @@ type CounterSnapshot struct {
 	Value  int64   `json:"value"`
 }
 
-// GaugeSnapshot is one gauge's state at snapshot time. Labels is nil
-// for flat gauges.
+// GaugeSnapshot is one gauge's state at snapshot time. Gauges are
+// flat: there is no gauge family.
 type GaugeSnapshot struct {
-	Name   string  `json:"name"`
-	Labels *Labels `json:"labels,omitempty"`
-	Value  int64   `json:"value"`
+	Name  string `json:"name"`
+	Value int64  `json:"value"`
 }
 
 // Snapshot is a point-in-time view of every registered metric —
@@ -263,12 +262,7 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		return labelKey(s.Counters[i].Labels) < labelKey(s.Counters[j].Labels)
 	})
-	sort.Slice(s.Gauges, func(i, j int) bool {
-		if s.Gauges[i].Name != s.Gauges[j].Name {
-			return s.Gauges[i].Name < s.Gauges[j].Name
-		}
-		return labelKey(s.Gauges[i].Labels) < labelKey(s.Gauges[j].Labels)
-	})
+	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool {
 		if s.Histograms[i].Name != s.Histograms[j].Name {
 			return s.Histograms[i].Name < s.Histograms[j].Name

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"voiceguard/internal/metrics"
@@ -18,8 +19,8 @@ const (
 	// within Max, so the error budget is 1-Quantile and the burn rate
 	// falls out of the bucket counts directly.
 	SLOLatency SLOKind = iota
-	// SLOCeiling bounds a gauge family: the summed value of all
-	// matching series must stay at or under Ceiling.
+	// SLOCeiling bounds a gauge: its value must stay at or under
+	// Ceiling.
 	SLOCeiling
 )
 
@@ -39,8 +40,8 @@ type Objective struct {
 	Kind   SLOKind
 	Metric string // metric family
 
-	// Labels filters which series of the family count: every
-	// non-empty field must match. The zero filter aggregates the
+	// Labels (SLOLatency) filters which series of the family count:
+	// every non-empty field must match. The zero filter aggregates the
 	// whole family (flat series included).
 	Labels metrics.Labels
 
@@ -50,7 +51,7 @@ type Objective struct {
 	Quantile float64
 	Max      time.Duration // SLOLatency: bound observations must stay under
 
-	Ceiling int64 // SLOCeiling: maximum summed gauge value
+	Ceiling int64 // SLOCeiling: maximum gauge value
 }
 
 // SLOResult is one objective's evaluation.
@@ -135,24 +136,14 @@ func evaluateOne(s metrics.Snapshot, o Objective) SLOResult {
 		res.Quantile = merged.Quantile(o.Quantile)
 		res.Healthy = res.Compliance >= o.Quantile
 	case SLOCeiling:
-		var sum int64
-		found := false
-		for _, g := range s.Gauges {
-			if g.Name != o.Metric {
-				continue
-			}
-			var l metrics.Labels
-			if g.Labels != nil {
-				l = *g.Labels
-			}
-			if l.Match(o.Labels) {
-				sum += g.Value
-				found = true
-			}
+		var v int64
+		i := slices.IndexFunc(s.Gauges, func(g metrics.GaugeSnapshot) bool { return g.Name == o.Metric })
+		if i >= 0 {
+			v = s.Gauges[i].Value
 		}
-		res.Value = float64(sum)
-		res.NoData = !found
-		res.Healthy = sum <= o.Ceiling
+		res.Value = float64(v)
+		res.NoData = i < 0
+		res.Healthy = v <= o.Ceiling
 	}
 	return res
 }

@@ -127,7 +127,7 @@ func WriteTop(w io.Writer, v TopView) error {
 	gauges := make([]row, 0, len(s.Gauges))
 	for _, g := range s.Gauges {
 		if g.Value != 0 && g.Name != MetricGoroutines && g.Name != MetricHeapBytes {
-			gauges = append(gauges, row{g.Name + labelSuffix(g.Labels), g.Value})
+			gauges = append(gauges, row{g.Name, g.Value})
 		}
 	}
 	if rows := topRows(gauges); len(rows) > 0 {

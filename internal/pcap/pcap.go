@@ -3,7 +3,8 @@
 // payloads, flow grouping, a minimal TLS record codec (VoiceGuard
 // reads the unencrypted TLS record header to find Application Data
 // packets), a minimal DNS wire codec (VoiceGuard tracks DNS responses
-// to learn cloud-server addresses), and traffic-spike segmentation.
+// to learn cloud-server addresses), and the idle gap that separates
+// traffic spikes.
 package pcap
 
 import (
@@ -12,6 +13,11 @@ import (
 	"sort"
 	"time"
 )
+
+// DefaultIdleGap separates traffic spikes: within a spike,
+// inter-packet intervals are below one second (paper §IV-B1); a
+// longer silence ends the spike.
+const DefaultIdleGap = time.Second
 
 // IPv4 is an IPv4 address in network byte order. It is a comparable
 // 4-byte value, so a packet carries its endpoints without pointers and
@@ -178,13 +184,4 @@ func (s byTime) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 // the typed sort is output-identical to any other stable sort.)
 func SortByTime(packets []Packet) {
 	sort.Stable(byTime(packets))
-}
-
-// Lengths extracts the payload lengths of the packets, in order.
-func Lengths(packets []Packet) []int {
-	out := make([]int, len(packets))
-	for i, p := range packets {
-		out[i] = p.Len
-	}
-	return out
 }

@@ -66,15 +66,7 @@ func TestSortByTimeStable(t *testing.T) {
 	}
 	SortByTime(packets)
 	if packets[0].Len != 2 || packets[1].Len != 3 || packets[2].Len != 1 {
-		t.Fatalf("sorted lengths = %v", Lengths(packets))
-	}
-}
-
-func TestLengths(t *testing.T) {
-	ps := []Packet{pkt(0, "10.0.0.2", "1.2.3.4", 63), pkt(0, "10.0.0.2", "1.2.3.4", 33)}
-	got := Lengths(ps)
-	if len(got) != 2 || got[0] != 63 || got[1] != 33 {
-		t.Fatalf("Lengths = %v", got)
+		t.Fatalf("sorted lengths = %d, %d, %d", packets[0].Len, packets[1].Len, packets[2].Len)
 	}
 }
 
@@ -84,69 +76,6 @@ func TestProtocolString(t *testing.T) {
 	}
 	if Protocol(9).String() == "TCP" {
 		t.Fatal("unknown protocol mislabelled")
-	}
-}
-
-func TestSpikesSplitOnIdleGap(t *testing.T) {
-	packets := []Packet{
-		pkt(0, "10.0.0.2", "1.2.3.4", 1),
-		pkt(300*time.Millisecond, "10.0.0.2", "1.2.3.4", 2),
-		pkt(600*time.Millisecond, "10.0.0.2", "1.2.3.4", 3),
-		// 2s gap.
-		pkt(2600*time.Millisecond, "10.0.0.2", "1.2.3.4", 4),
-		pkt(2800*time.Millisecond, "10.0.0.2", "1.2.3.4", 5),
-	}
-	spikes := Spikes(packets, time.Second)
-	if len(spikes) != 2 {
-		t.Fatalf("spikes = %d, want 2", len(spikes))
-	}
-	if len(spikes[0].Packets) != 3 || len(spikes[1].Packets) != 2 {
-		t.Fatalf("spike sizes = %d, %d", len(spikes[0].Packets), len(spikes[1].Packets))
-	}
-}
-
-func TestSpikesExactGapSplits(t *testing.T) {
-	packets := []Packet{
-		pkt(0, "10.0.0.2", "1.2.3.4", 1),
-		pkt(time.Second, "10.0.0.2", "1.2.3.4", 2), // exactly the gap: new spike
-	}
-	if got := len(Spikes(packets, time.Second)); got != 2 {
-		t.Fatalf("spikes = %d, want 2", got)
-	}
-}
-
-func TestSpikesEmptyInput(t *testing.T) {
-	if got := Spikes(nil, time.Second); got != nil {
-		t.Fatalf("Spikes(nil) = %v, want nil", got)
-	}
-}
-
-func TestSpikesDefaultGap(t *testing.T) {
-	packets := []Packet{
-		pkt(0, "10.0.0.2", "1.2.3.4", 1),
-		pkt(900*time.Millisecond, "10.0.0.2", "1.2.3.4", 2),
-		pkt(2*time.Second, "10.0.0.2", "1.2.3.4", 3),
-	}
-	spikes := Spikes(packets, 0)
-	if len(spikes) != 2 {
-		t.Fatalf("spikes with default gap = %d, want 2", len(spikes))
-	}
-}
-
-func TestSpikeAccessors(t *testing.T) {
-	packets := []Packet{
-		pkt(0, "10.0.0.2", "1.2.3.4", 10),
-		pkt(500*time.Millisecond, "10.0.0.2", "1.2.3.4", 20),
-	}
-	s := Spikes(packets, time.Second)[0]
-	if !s.Start().Equal(t0) {
-		t.Fatalf("start = %v", s.Start())
-	}
-	if s.Duration() != 500*time.Millisecond {
-		t.Fatalf("duration = %v", s.Duration())
-	}
-	if got := s.Lengths(); got[0] != 10 || got[1] != 20 {
-		t.Fatalf("lengths = %v", got)
 	}
 }
 

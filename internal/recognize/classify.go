@@ -11,60 +11,10 @@ import (
 	"voiceguard/internal/trafficgen"
 )
 
-// SpikeClass is the classification of one traffic spike.
-type SpikeClass int
-
-// Spike classes.
-const (
-	ClassUnknown  SpikeClass = iota // neither phase's patterns matched
-	ClassCommand                    // first phase: carries a voice command
-	ClassResponse                   // second phase: the spoken response
-)
-
-// String names the class.
-func (c SpikeClass) String() string {
-	switch c {
-	case ClassCommand:
-		return "command"
-	case ClassResponse:
-		return "response"
-	default:
-		return "unknown"
-	}
-}
-
-// Window sizes from §IV-B1: command markers appear within the first
-// five packets; response markers within the first seven.
-const (
-	commandWindow  = 5
-	responseWindow = 7
-)
-
-// ClassifyEchoSpike classifies an Echo Dot spike from its packet
-// lengths:
-//
-//   - p-77 immediately followed by p-33 within the first seven
-//     packets marks a response-phase spike;
-//   - p-138 or p-75 within the first five packets marks a
-//     command-phase spike;
-//   - otherwise one of the three fixed fallback patterns (first
-//     packet in [250, 650], then the fixed tail) marks a command;
-//   - anything else is unknown (treated as not a command).
-func ClassifyEchoSpike(lengths []int) SpikeClass {
-	if hasAdjacent(lengths, trafficgen.P77, trafficgen.P33, responseWindow) {
-		mPhase2Markers.Inc()
-		return ClassResponse
-	}
-	if hasWithin(lengths, trafficgen.P138, commandWindow) || hasWithin(lengths, trafficgen.P75, commandWindow) {
-		mPhase1Markers.Inc()
-		return ClassCommand
-	}
-	if matchesCommandFallback(lengths) {
-		mFallbackMatches.Inc()
-		return ClassCommand
-	}
-	return ClassUnknown
-}
+// commandWindow is the spike head the Echo rule reads (§IV-B1):
+// command markers appear within the first five packets, so a spike is
+// decided by its fifth.
+const commandWindow = 5
 
 // matchesCommandFallback reports whether the first five lengths match
 // one of the fixed command-phase patterns.
@@ -90,26 +40,9 @@ func matchesCommandFallback(lengths []int) bool {
 	return false
 }
 
-// hasWithin reports whether v occurs in the first limit entries.
-func hasWithin(lengths []int, v, limit int) bool {
-	if limit > len(lengths) {
-		limit = len(lengths)
-	}
-	for _, l := range lengths[:limit] {
-		if l == v {
-			return true
-		}
-	}
-	return false
-}
-
-// hasAdjacent reports whether a is immediately followed by b within
-// the first limit entries.
-func hasAdjacent(lengths []int, a, b, limit int) bool {
-	if limit > len(lengths) {
-		limit = len(lengths)
-	}
-	for i := 0; i+1 < limit; i++ {
+// hasAdjacent reports whether a is immediately followed by b.
+func hasAdjacent(lengths []int, a, b int) bool {
+	for i := 0; i+1 < len(lengths); i++ {
 		if lengths[i] == a && lengths[i+1] == b {
 			return true
 		}
@@ -122,14 +55,4 @@ func hasAdjacent(lengths []int, a, b, limit int) bool {
 // ignored by the spike detector (§IV-B1).
 func IsHeartbeat(p *pcap.Packet) bool {
 	return p.Len == trafficgen.HeartbeatLen && pcap.IsAppData(p)
-}
-
-// ClassifyNaive is the paper's strawman detector: every spike after an
-// idle period is a voice command. It mistakes response spikes for
-// commands (the motivation for phase classification in Fig. 3).
-func ClassifyNaive(lengths []int) SpikeClass {
-	if len(lengths) == 0 {
-		return ClassUnknown
-	}
-	return ClassCommand
 }

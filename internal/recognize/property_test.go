@@ -20,7 +20,7 @@ func TestClassifierNeverCallsMarkerFreeSpikesCommands(t *testing.T) {
 		for i, r := range raw {
 			lengths[i] = markerFreeLens[int(r)%len(markerFreeLens)]
 		}
-		return ClassifyEchoSpike(lengths) != ClassCommand
+		return classify(t, lengths) != ActionCommand
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestClassifierAlwaysFindsEarlyMarker(t *testing.T) {
 			marker = trafficgen.P75
 		}
 		lengths[int(pos)%5] = marker
-		return ClassifyEchoSpike(lengths) == ClassCommand
+		return classify(t, lengths) == ActionCommand
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -53,9 +53,9 @@ func TestClassifierAlwaysFindsEarlyMarker(t *testing.T) {
 }
 
 func TestClassifierDecisionIsPrefixStable(t *testing.T) {
-	// Appending packets beyond the classification windows never
+	// Appending packets beyond the classification window never
 	// changes a command verdict: the decision depends only on the
-	// first seven lengths.
+	// first five lengths.
 	f := func(raw []uint8, extra []uint8) bool {
 		if len(raw) < 7 {
 			return true
@@ -65,13 +65,13 @@ func TestClassifierDecisionIsPrefixStable(t *testing.T) {
 			head[i] = markerFreeLens[int(raw[i])%len(markerFreeLens)]
 		}
 		head[2] = trafficgen.P138 // force a command
-		base := ClassifyEchoSpike(head)
+		base := classify(t, head)
 
 		extended := append([]int(nil), head...)
 		for _, e := range extra {
 			extended = append(extended, markerFreeLens[int(e)%len(markerFreeLens)])
 		}
-		return ClassifyEchoSpike(extended) == base
+		return classify(t, extended) == base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

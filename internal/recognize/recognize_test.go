@@ -7,38 +7,83 @@ import (
 
 	"voiceguard/internal/pcap"
 	"voiceguard/internal/rng"
+	"voiceguard/internal/trace"
 	"voiceguard/internal/trafficgen"
 )
 
 var t0 = time.Date(2023, 3, 1, 9, 0, 0, 0, time.UTC)
 
+// classifyPackets runs one spike through a fresh Echo recognizer
+// pinned to the spike's server, as Table I does, and returns how the
+// spike was settled: ActionCommand, or ActionRelease for an unknown or
+// response spike (EndSpike releases one still undecided). A spike with
+// no packets starts nothing: ActionNone.
+func classifyPackets(packets []pcap.Packet) Action {
+	r := NewEcho(trafficgen.EchoAddr)
+	r.Tracer = trace.New(0)
+	if len(packets) > 0 {
+		r.Tracker.ForceAddress(packets[0].DstIP)
+	}
+	for i := range packets {
+		if a := r.Feed(&packets[i]); a == ActionCommand || a == ActionRelease {
+			return a
+		}
+	}
+	return r.EndSpike()
+}
+
+// classify builds a spike with the given packet lengths, 100 ms apart
+// on the speaker's AVS flow, and classifies it.
+func classify(t *testing.T, lengths []int) Action {
+	t.Helper()
+	server := pcap.MustParseIPv4("52.94.233.7")
+	packets := make([]pcap.Packet, len(lengths))
+	for i, l := range lengths {
+		payload, err := pcap.AppData(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packets[i] = pcap.Packet{
+			Time:  t0.Add(time.Duration(i) * 100 * time.Millisecond),
+			SrcIP: trafficgen.EchoAddr, SrcPort: 40001,
+			DstIP: server, DstPort: trafficgen.TLSPort,
+			Proto: pcap.TCP, Len: l, Payload: payload,
+		}
+	}
+	return classifyPackets(packets)
+}
+
+// TestClassifyEchoSpikeTable pins the Echo rule. A spike is decided by
+// its fifth packet, so markers past it change nothing: the p-138 "too
+// late" row and both rows with response markers past the fifth packet
+// are released for lacking command markers.
 func TestClassifyEchoSpikeTable(t *testing.T) {
 	tests := []struct {
 		name    string
 		lengths []int
-		want    SpikeClass
+		want    Action
 	}{
-		{name: "marker p-138 first", lengths: []int{138, 90, 90, 90, 90, 1000}, want: ClassCommand},
-		{name: "marker p-75 fifth", lengths: []int{277, 90, 90, 90, 75, 1000}, want: ClassCommand},
-		{name: "marker p-138 too late", lengths: []int{277, 90, 90, 90, 90, 138}, want: ClassUnknown},
-		{name: "fallback pattern a", lengths: []int{400, 131, 277, 131, 113}, want: ClassCommand},
-		{name: "fallback pattern b", lengths: []int{250, 131, 113, 113, 113}, want: ClassCommand},
-		{name: "fallback pattern c", lengths: []int{650, 131, 121, 277, 131}, want: ClassCommand},
-		{name: "fallback first packet too small", lengths: []int{249, 131, 277, 131, 113}, want: ClassUnknown},
-		{name: "fallback first packet too large", lengths: []int{651, 131, 277, 131, 113}, want: ClassUnknown},
-		{name: "response markers early", lengths: []int{90, 77, 33, 90, 90}, want: ClassResponse},
-		{name: "response markers at 6th/7th", lengths: []int{90, 90, 90, 90, 90, 77, 33}, want: ClassResponse},
-		{name: "response markers beyond window", lengths: []int{90, 90, 90, 90, 90, 90, 77, 33}, want: ClassUnknown},
-		{name: "markers not adjacent", lengths: []int{77, 90, 33, 90, 90}, want: ClassUnknown},
-		{name: "markers reversed", lengths: []int{33, 77, 90, 90, 90}, want: ClassUnknown},
-		{name: "empty", lengths: nil, want: ClassUnknown},
-		{name: "short unknown", lengths: []int{90, 90}, want: ClassUnknown},
-		{name: "response wins over command", lengths: []int{77, 33, 138, 90, 90}, want: ClassResponse},
+		{name: "marker p-138 first", lengths: []int{138, 90, 90, 90, 90, 1000}, want: ActionCommand},
+		{name: "marker p-75 fifth", lengths: []int{277, 90, 90, 90, 75, 1000}, want: ActionCommand},
+		{name: "marker p-138 too late", lengths: []int{277, 90, 90, 90, 90, 138}, want: ActionRelease},
+		{name: "fallback pattern a", lengths: []int{400, 131, 277, 131, 113}, want: ActionCommand},
+		{name: "fallback pattern b", lengths: []int{250, 131, 113, 113, 113}, want: ActionCommand},
+		{name: "fallback pattern c", lengths: []int{650, 131, 121, 277, 131}, want: ActionCommand},
+		{name: "fallback first packet too small", lengths: []int{249, 131, 277, 131, 113}, want: ActionRelease},
+		{name: "fallback first packet too large", lengths: []int{651, 131, 277, 131, 113}, want: ActionRelease},
+		{name: "response markers early", lengths: []int{90, 77, 33, 90, 90}, want: ActionRelease},
+		{name: "response markers at 6th/7th", lengths: []int{90, 90, 90, 90, 90, 77, 33}, want: ActionRelease},
+		{name: "response markers beyond window", lengths: []int{90, 90, 90, 90, 90, 90, 77, 33}, want: ActionRelease},
+		{name: "markers not adjacent", lengths: []int{77, 90, 33, 90, 90}, want: ActionRelease},
+		{name: "markers reversed", lengths: []int{33, 77, 90, 90, 90}, want: ActionRelease},
+		{name: "empty", lengths: nil, want: ActionNone},
+		{name: "short unknown", lengths: []int{90, 90}, want: ActionRelease},
+		{name: "response wins over command", lengths: []int{77, 33, 138, 90, 90}, want: ActionRelease},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := ClassifyEchoSpike(tt.lengths); got != tt.want {
-				t.Fatalf("ClassifyEchoSpike(%v) = %v, want %v", tt.lengths, got, tt.want)
+			if got := classify(t, tt.lengths); got != tt.want {
+				t.Fatalf("classify(%v) = %v, want %v", tt.lengths, got, tt.want)
 			}
 		})
 	}
@@ -50,33 +95,26 @@ func TestClassifyGeneratedSpikes(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		inv := e.Invocation(t0.Add(time.Duration(i)*time.Minute), 2)
 		for _, s := range inv.Spikes {
-			got := ClassifyEchoSpike(s.Lengths())
-			want := ClassCommand
+			got := classifyPackets(s.Packets)
+			want := ActionCommand
 			if s.Phase == trafficgen.PhaseResponse {
-				want = ClassResponse
+				want = ActionRelease
 			}
 			if got != want {
-				t.Fatalf("invocation %d: %v spike classified %v (lengths %v)", i, s.Phase, got, s.Lengths())
+				t.Fatalf("invocation %d: %v spike settled as %v", i, s.Phase, got)
 			}
 		}
 	}
 }
 
+// An anomalous command spike carries no known pattern: it is unknown
+// to the rule and released.
 func TestClassifyAnomalousSpikeIsUnknown(t *testing.T) {
 	e := trafficgen.NewEcho(rng.New(2))
 	e.AnomalyRate = 1
 	inv := e.Invocation(t0, 0)
-	if got := ClassifyEchoSpike(inv.CommandSpike().Lengths()); got != ClassUnknown {
-		t.Fatalf("anomalous spike classified %v, want unknown", got)
-	}
-}
-
-func TestClassifyNaive(t *testing.T) {
-	if ClassifyNaive([]int{90}) != ClassCommand {
-		t.Fatal("naive should call any spike a command")
-	}
-	if ClassifyNaive(nil) != ClassUnknown {
-		t.Fatal("naive on empty should be unknown")
+	if got := classifyPackets(inv.CommandSpike().Packets); got != ActionRelease {
+		t.Fatalf("anomalous spike settled as %v, want release", got)
 	}
 }
 

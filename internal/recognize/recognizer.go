@@ -1,6 +1,7 @@
 package recognize
 
 import (
+	"slices"
 	"time"
 
 	"voiceguard/internal/metrics"
@@ -183,17 +184,20 @@ func (r *Recognizer) feedEcho(p *pcap.Packet) Action {
 
 // tryDecide attempts a classification of the spike head. It runs only
 // while the spike is undecided, which it never is past commandWindow
-// packets, so the head holds every length it reads.
+// packets, so the head holds every length it reads. Response markers
+// are therefore looked for in the 5-packet head too (the paper allows
+// seven): a pair at the 6th/7th packet comes after the spike has
+// already been released for lacking command markers.
 func (r *Recognizer) tryDecide() Action {
 	lengths := r.head[:min(r.n, commandWindow)]
 	// Response markers can be spotted as soon as they appear.
-	if hasAdjacent(lengths, trafficgen.P77, trafficgen.P33, responseWindow) {
+	if hasAdjacent(lengths, trafficgen.P77, trafficgen.P33) {
 		mPhase2Markers.Inc()
 		r.traceMarker("phase2_marker", r.lastVoice)
 		r.decided = true
 		return ActionRelease
 	}
-	if hasWithin(lengths, trafficgen.P138, commandWindow) || hasWithin(lengths, trafficgen.P75, commandWindow) {
+	if slices.Contains(lengths, trafficgen.P138) || slices.Contains(lengths, trafficgen.P75) {
 		mPhase1Markers.Inc()
 		r.traceMarker("phase1_marker", r.lastVoice)
 		r.decided = true

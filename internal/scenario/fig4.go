@@ -36,13 +36,7 @@ type Fig4Case struct {
 // trace-plane studies this experiment exercises real sockets, so wall
 // time is the measurement, not a determinism leak.
 func HoldReleaseDrop(holdFor time.Duration) ([]Fig4Case, error) {
-	return HoldReleaseDropClock(simtime.Real{}, holdFor)
-}
-
-// HoldReleaseDropClock is HoldReleaseDrop with an injected latency
-// clock, for callers that stamp the case timings from their own time
-// source.
-func HoldReleaseDropClock(clock simtime.Clock, holdFor time.Duration) ([]Fig4Case, error) {
+	clock := simtime.Real{}
 	caseI, err := runDirectCase(clock)
 	if err != nil {
 		return nil, fmt.Errorf("case I: %w", err)

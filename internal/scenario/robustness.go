@@ -4,10 +4,10 @@ import (
 	"time"
 
 	"voiceguard/internal/netem"
-	"voiceguard/internal/pcap"
 	"voiceguard/internal/recognize"
 	"voiceguard/internal/rng"
 	"voiceguard/internal/stats"
+	"voiceguard/internal/trace"
 	"voiceguard/internal/trafficgen"
 )
 
@@ -23,9 +23,11 @@ type ImpairmentPoint struct {
 // reorders packets (this study is not in the paper; it probes the
 // deployment assumption that the capture point sees traffic
 // faithfully). Every spike of every invocation is impaired
-// independently and classified from what survived.
+// independently and what survived is classified as Table I classifies
+// it.
 func RecognitionUnderImpairment(invocations int, configs []netem.Config, seed int64) []ImpairmentPoint {
 	points := make([]ImpairmentPoint, len(configs))
+	tr := trace.New(0)
 	for ci, cfg := range configs {
 		points[ci].Config = cfg
 		src := rng.New(seed).SplitN("impair", ci)
@@ -35,18 +37,10 @@ func RecognitionUnderImpairment(invocations int, configs []netem.Config, seed in
 		for i := 0; i < invocations; i++ {
 			inv := echo.Invocation(at, responseSpikes(src))
 			for _, s := range inv.Spikes {
+				// A spike lost whole is never classified, so a command
+				// slips through unexamined.
 				impaired := netem.Apply(s.Packets, cfg, src.SplitN("pkt", i))
-				if len(impaired) == 0 {
-					// The whole spike was lost: nothing to classify,
-					// so a command slips through unexamined.
-					if s.Phase == trafficgen.PhaseCommand {
-						points[ci].Confusion.Add(true, false)
-					} else {
-						points[ci].Confusion.Add(false, false)
-					}
-					continue
-				}
-				predicted := recognize.ClassifyEchoSpike(pcap.Lengths(impaired)) == recognize.ClassCommand
+				predicted := classifyEchoSpike(tr, impaired) == recognize.ActionCommand
 				points[ci].Confusion.Add(s.Phase == trafficgen.PhaseCommand, predicted)
 			}
 			at = at.Add(time.Duration(src.Uniform(60, 300)) * time.Second)

@@ -7,6 +7,7 @@ import (
 	"voiceguard/internal/corpus"
 	"voiceguard/internal/floorplan"
 	"voiceguard/internal/radio"
+	"voiceguard/internal/trace"
 	"voiceguard/internal/trafficgen"
 )
 
@@ -208,7 +209,12 @@ func TestVerificationTimesPlausible(t *testing.T) {
 }
 
 func TestTrafficRecognitionMatchesTable1(t *testing.T) {
+	spans := trace.Default.Recorder().Recorded()
 	res := TrafficRecognition(134, 21)
+	// The per-spike recognizers keep their marker events to themselves.
+	if n := trace.Default.Recorder().Recorded() - spans; n != 0 {
+		t.Errorf("Table I recorded %d spans into trace.Default", n)
+	}
 	if res.Invocations != 134 {
 		t.Fatalf("invocations = %d", res.Invocations)
 	}

@@ -4,9 +4,11 @@ import (
 	"time"
 
 	"voiceguard/internal/parallel"
+	"voiceguard/internal/pcap"
 	"voiceguard/internal/recognize"
 	"voiceguard/internal/rng"
 	"voiceguard/internal/stats"
+	"voiceguard/internal/trace"
 	"voiceguard/internal/trafficgen"
 )
 
@@ -23,8 +25,9 @@ type RecognitionResult struct {
 
 // TrafficRecognition reproduces Table I: generate invocations on an
 // Echo Dot (with the natural anomaly rate), classify every spike, and
-// tally confusion matrices. The paper activates the speaker 134
-// times.
+// tally confusion matrices. Each spike is classified by the guard's own
+// streaming recognizer (classifyEchoSpike). The paper activates the
+// speaker 134 times.
 //
 // Generation is serial — the generator consumes one RNG stream, so
 // its draw order is part of the seeded record — but classification is
@@ -44,21 +47,43 @@ func TrafficRecognition(invocations int, seed int64) RecognitionResult {
 		at = at.Add(time.Duration(src.Uniform(60, 600)) * time.Second)
 	}
 
+	tr := trace.New(0)
 	type verdict struct {
-		actual, predicted, naive bool
+		actual, predicted bool
 	}
 	verdicts := parallel.Map(len(spikes), func(i int) verdict {
-		lengths := spikes[i].Lengths()
 		return verdict{
 			actual:    spikes[i].Phase == trafficgen.PhaseCommand,
-			predicted: recognize.ClassifyEchoSpike(lengths) == recognize.ClassCommand,
-			naive:     recognize.ClassifyNaive(lengths) == recognize.ClassCommand,
+			predicted: classifyEchoSpike(tr, spikes[i].Packets) == recognize.ActionCommand,
 		}
 	})
 	for _, v := range verdicts {
 		res.Spikes++
 		res.Confusion.Add(v.actual, v.predicted)
-		res.Naive.Add(v.actual, v.naive)
+		// The naive baseline calls every spike a command.
+		res.Naive.Add(v.actual, true)
 	}
 	return res
+}
+
+// classifyEchoSpike runs one labelled spike through the guard's
+// streaming Echo recognizer, pinned to the spike's server, and returns
+// how the spike was settled: ActionCommand, ActionRelease, or, for a
+// spike with no packets left, ActionNone. A spike still undecided when
+// its packets run out is ended as the guard's idle timer would end it.
+// The recognizer's marker events go to tr, not to trace.Default,
+// which belongs to the guards.
+func classifyEchoSpike(tr *trace.Tracer, packets []pcap.Packet) recognize.Action {
+	if len(packets) == 0 {
+		return recognize.ActionNone
+	}
+	rec := recognize.NewEcho(trafficgen.EchoAddr)
+	rec.Tracer = tr
+	rec.Tracker.ForceAddress(packets[0].DstIP)
+	for i := range packets {
+		if a := rec.Feed(&packets[i]); a == recognize.ActionCommand || a == recognize.ActionRelease {
+			return a
+		}
+	}
+	return rec.EndSpike()
 }

@@ -123,9 +123,6 @@ type LabeledSpike struct {
 	Packets []pcap.Packet
 }
 
-// Lengths returns the payload lengths of the spike's packets.
-func (s LabeledSpike) Lengths() []int { return pcap.Lengths(s.Packets) }
-
 // Invocation is one full speaker invocation: the command-phase spike
 // and zero or more response-phase spikes, plus any connection-setup
 // packets (DNS, handshake) that preceded it.
@@ -297,32 +294,4 @@ func dnsExchange(t time.Time, clientIP pcap.IPv4, clientPort uint16, q pcap.DNSQ
 // spike together under the recognizer's one-second idle-gap rule.
 func intraSpikeGap(src *rng.Source) time.Duration {
 	return time.Duration(src.Uniform(10, 150)) * time.Millisecond
-}
-
-// containsAdjacent reports whether lengths contains a followed
-// immediately by b within the first limit entries.
-func containsAdjacent(lengths []int, a, b, limit int) bool {
-	if limit > len(lengths) {
-		limit = len(lengths)
-	}
-	for i := 0; i+1 < limit; i++ {
-		if lengths[i] == a && lengths[i+1] == b {
-			return true
-		}
-	}
-	return false
-}
-
-// containsWithin reports whether v appears within the first limit
-// entries of lengths.
-func containsWithin(lengths []int, v, limit int) bool {
-	if limit > len(lengths) {
-		limit = len(lengths)
-	}
-	for _, l := range lengths[:limit] {
-		if l == v {
-			return true
-		}
-	}
-	return false
 }

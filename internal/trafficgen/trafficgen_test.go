@@ -152,14 +152,27 @@ func TestEchoInvocationStructure(t *testing.T) {
 	}
 }
 
+// TestEchoSpikesSeparatedByIdleGaps checks the generator's spikes
+// against the recognizer's one-second rule: every gap inside a
+// labelled spike is shorter than the idle gap, and every gap between
+// two spikes is at least as long.
 func TestEchoSpikesSeparatedByIdleGaps(t *testing.T) {
 	e := NewEcho(rng.New(5))
 	e.AnomalyRate = 0
 	inv := e.Invocation(t0, 2)
-	all := inv.All()
-	spikes := pcap.Spikes(all, pcap.DefaultIdleGap)
-	if len(spikes) != len(inv.Spikes) {
-		t.Fatalf("segmentation found %d spikes, generator made %d", len(spikes), len(inv.Spikes))
+	for i, s := range inv.Spikes {
+		for j := 1; j < len(s.Packets); j++ {
+			if gap := s.Packets[j].Time.Sub(s.Packets[j-1].Time); gap >= pcap.DefaultIdleGap {
+				t.Fatalf("spike %d: %v gap before packet %d", i, gap, j)
+			}
+		}
+		if i == 0 {
+			continue
+		}
+		prev := inv.Spikes[i-1].Packets
+		if gap := s.Packets[0].Time.Sub(prev[len(prev)-1].Time); gap < pcap.DefaultIdleGap {
+			t.Fatalf("spikes %d and %d are only %v apart", i-1, i, gap)
+		}
 	}
 }
 
@@ -169,7 +182,7 @@ func TestEchoCommandPhaseMarkers(t *testing.T) {
 	markerCount, fallbackCount := 0, 0
 	for i := 0; i < 400; i++ {
 		inv := e.Invocation(t0.Add(time.Duration(i)*time.Minute), 1)
-		head := inv.CommandSpike().Lengths()
+		head := lengths(inv.CommandSpike().Packets)
 		if len(head) > 5 {
 			head = head[:5]
 		}
@@ -223,7 +236,7 @@ func TestEchoResponseMarkersWithinFirstSeven(t *testing.T) {
 			if s.Phase != PhaseResponse {
 				continue
 			}
-			lens := pcap.Lengths(s.Packets)
+			lens := lengths(s.Packets)
 			if !containsAdjacent(lens, P77, P33, 7) {
 				t.Fatalf("response spike lacks adjacent p-77/p-33 in first 7: %v", lens)
 			}
@@ -242,7 +255,7 @@ func TestEchoAnomalousInvocationsLackPatterns(t *testing.T) {
 	e := NewEcho(rng.New(8))
 	e.AnomalyRate = 1.0
 	inv := e.Invocation(t0, 1)
-	head := inv.CommandSpike().Lengths()[:5]
+	head := lengths(inv.CommandSpike().Packets)[:5]
 	if containsWithin(head, P138, 5) || containsWithin(head, P75, 5) || matchesFallback(head) {
 		t.Fatalf("anomalous head %v still matches a pattern", head)
 	}
@@ -316,15 +329,6 @@ func TestGHMCommandPacketsShareOneFlow(t *testing.T) {
 	}
 }
 
-func TestLabeledSpikeLengthsHelper(t *testing.T) {
-	e := NewEcho(rng.New(14))
-	inv := e.Invocation(t0, 0)
-	s := inv.CommandSpike()
-	if len(s.Lengths()) != len(s.Packets) {
-		t.Fatal("Lengths() size mismatch")
-	}
-}
-
 // TestPortCountersWrapToStart drives each generator's source-port
 // counter to 65,535: the next port handed out is the counter's start
 // port plus one, the first port the generator ever uses, so a packet
@@ -365,4 +369,41 @@ func TestPortCountersWrapToStart(t *testing.T) {
 			t.Errorf("chatter's first packet %d>%d after wrap, want host port %d", p.SrcPort, p.DstPort, backgroundPortBase+1)
 		}
 	})
+}
+
+// lengths extracts the payload lengths of the packets, in order.
+func lengths(packets []pcap.Packet) []int {
+	out := make([]int, len(packets))
+	for i, p := range packets {
+		out[i] = p.Len
+	}
+	return out
+}
+
+// containsAdjacent reports whether lengths contains a followed
+// immediately by b within the first limit entries.
+func containsAdjacent(lengths []int, a, b, limit int) bool {
+	if limit > len(lengths) {
+		limit = len(lengths)
+	}
+	for i := 0; i+1 < limit; i++ {
+		if lengths[i] == a && lengths[i+1] == b {
+			return true
+		}
+	}
+	return false
+}
+
+// containsWithin reports whether v appears within the first limit
+// entries of lengths.
+func containsWithin(lengths []int, v, limit int) bool {
+	if limit > len(lengths) {
+		limit = len(lengths)
+	}
+	for _, l := range lengths[:limit] {
+		if l == v {
+			return true
+		}
+	}
+	return false
 }
