@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -40,6 +41,7 @@ type config struct {
 	logLevel    string
 	logFormat   string
 	traceOut    string
+	out         io.Writer // the run's report; nil means standard output
 }
 
 func main() {
@@ -93,6 +95,10 @@ func run(cfg config) error {
 	if err := validateVerdict(cfg.verdict); err != nil {
 		return err
 	}
+	out := cfg.out
+	if out == nil {
+		out = os.Stdout
+	}
 	closeTrace, err := trace.SetupFromFlags(trace.Default, cfg.logLevel, cfg.logFormat, cfg.traceOut)
 	if err != nil {
 		return err
@@ -104,7 +110,7 @@ func run(cfg config) error {
 		return err
 	}
 	defer cloud.Close()
-	fmt.Printf("cloud server   %s\n", cloud.Addr())
+	fmt.Fprintf(out, "cloud server   %s\n", cloud.Addr())
 
 	var ready atomic.Bool
 	if cfg.metricsAddr != "" {
@@ -122,9 +128,9 @@ func run(cfg config) error {
 		trace.Default.Logger().Info("debug endpoint bound",
 			"addr", lis.Addr().String(),
 			"endpoints", "/ /healthz /readyz /debug/trace /debug/pprof/")
-		fmt.Printf("metrics        http://%s/ (text; ?format=json for JSON)\n", lis.Addr())
-		fmt.Printf("probes         http://%s/healthz and /readyz\n", lis.Addr())
-		fmt.Printf("debug          http://%s/debug/trace and /debug/pprof/\n", lis.Addr())
+		fmt.Fprintf(out, "metrics        http://%s/ (text; ?format=json for JSON)\n", lis.Addr())
+		fmt.Fprintf(out, "probes         http://%s/healthz and /readyz\n", lis.Addr())
+		fmt.Fprintf(out, "debug          http://%s/debug/trace and /debug/pprof/\n", lis.Addr())
 	}
 
 	var counter atomic.Int64
@@ -150,7 +156,7 @@ func run(cfg config) error {
 	}
 	defer proxy.Close()
 	ready.Store(true)
-	fmt.Printf("guard proxy    %s (hold %v, policy %s)\n\n", proxy.Addr(), cfg.hold, cfg.verdict)
+	fmt.Fprintf(out, "guard proxy    %s (hold %v, policy %s)\n\n", proxy.Addr(), cfg.hold, cfg.verdict)
 
 	for i := 1; i <= cfg.commands; i++ {
 		speaker, err := emul.DialSpeaker(proxy.Addr())
@@ -165,25 +171,25 @@ func run(cfg config) error {
 		frame, err := speaker.Await(cfg.hold + 1500*time.Millisecond)
 		switch {
 		case err == nil && frame.Type == emul.MsgResponse:
-			fmt.Printf("command %d: RELEASED — cloud responded after %.3fs\n", i, time.Since(start).Seconds())
+			fmt.Fprintf(out, "command %d: RELEASED — cloud responded after %.3fs\n", i, time.Since(start).Seconds())
 		case errors.Is(err, emul.ErrSessionClosed):
-			fmt.Printf("command %d: DROPPED — TLS session terminated by the cloud\n", i)
+			fmt.Fprintf(out, "command %d: DROPPED — TLS session terminated by the cloud\n", i)
 		case err != nil:
-			fmt.Printf("command %d: DROPPED — no response (%v)\n", i, err)
+			fmt.Fprintf(out, "command %d: DROPPED — no response (%v)\n", i, err)
 		}
 		_ = speaker.Close()
 	}
 
 	stats := proxy.Stats()
-	fmt.Printf("\nheld %d bursts: released %d, dropped %d\n",
+	fmt.Fprintf(out, "\nheld %d bursts: released %d, dropped %d\n",
 		stats.CommandsHeld, stats.CommandsReleased, stats.CommandsDropped)
-	fmt.Printf("cloud executed %d command(s); %d session(s) aborted on sequence gaps\n",
+	fmt.Fprintf(out, "cloud executed %d command(s); %d session(s) aborted on sequence gaps\n",
 		cloud.CompletedCommands(), cloud.SequenceAborts())
 	snap := metrics.Default.Snapshot()
-	fmt.Println("\n== slo ==")
-	if err := obs.WriteReport(os.Stdout, obs.Evaluate(snap, voiceguard.LiveObjectives())); err != nil {
+	fmt.Fprintln(out, "\n== slo ==")
+	if err := obs.WriteReport(out, obs.Evaluate(snap, voiceguard.LiveObjectives())); err != nil {
 		return err
 	}
-	fmt.Println("\n== metrics ==")
-	return metrics.WriteTable(os.Stdout, snap)
+	fmt.Fprintln(out, "\n== metrics ==")
+	return metrics.WriteTable(out, snap)
 }

@@ -248,3 +248,28 @@ func TestRunWritesTraceOut(t *testing.T) {
 		t.Fatal("no span carries a command ID")
 	}
 }
+
+// Every objective in the exit == slo == block has data from the run
+// itself: the wire plane's set holds no objective on a metric the wire
+// never records.
+func TestRunSLOReportHasNoNoData(t *testing.T) {
+	var out strings.Builder
+	c := cfg(2, 20*time.Millisecond, "alternate", "")
+	c.out = &out
+	if err := run(c); err != nil {
+		t.Fatal(err)
+	}
+	report := out.String()
+	start := strings.Index(report, "== slo ==")
+	end := strings.Index(report, "== metrics ==")
+	if start < 0 || end < start {
+		t.Fatalf("no == slo == block in:\n%s", report)
+	}
+	slo := report[start:end]
+	if strings.Contains(slo, "NODATA") {
+		t.Fatalf("exit SLO block has an objective without data:\n%s", slo)
+	}
+	if !strings.Contains(slo, "live-hold-p99") {
+		t.Fatalf("exit SLO block lacks live-hold-p99:\n%s", slo)
+	}
+}

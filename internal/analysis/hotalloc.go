@@ -8,8 +8,10 @@ import (
 
 // hotFuncs designates the allocation-free hot paths: the per-sample
 // radio field, the wall-loss loop, the zero-copy proxy pumps, the
-// live plane's per-chunk tap, the per-packet spike classifiers, and
-// the traffic generators' per-packet builders and background stream.
+// live plane's per-chunk tap, the per-packet spike classifiers, the
+// traffic generators' per-packet builders and background stream, the
+// flight recorder's span recording, and the wire emulator's record
+// send and cloud serve loop.
 // BenchmarkProxyThroughput pins the proxy path at 0 allocs/op and
 // BenchmarkRadioSample the radio path at 1 (16 B: the shadow draw's
 // PCG state, which escapes through rand.Rand's Source interface);
@@ -46,6 +48,12 @@ var hotFuncs = map[string]map[string]bool{
 	},
 	"voiceguard/internal/fleet": {
 		"shardFor": true, "step": true, "runRound": true,
+	},
+	"voiceguard/internal/trace": {
+		"Record": true, "Put": true,
+	},
+	"voiceguard/internal/emul": {
+		"send": true, "serve": true,
 	},
 	"voiceguard/internal/trafficgen": {
 		"appDataPacket": true, "handshakePacket": true, "mustAppData": true,

@@ -185,7 +185,7 @@ func TestSequenceGapDetectedWithoutProxy(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	in := Frame{Seq: 42, Type: MsgCommand, Body: []byte("audio")}
-	out, err := decodeFrame(encodeFrame(in))
+	out, err := decodeFrame(appendFrame(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,5 +207,122 @@ func TestServerCloseIsIdempotent(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Once a session is up, a record the speaker sends and the cloud
+// parses allocates nothing on either side: records are built and
+// parsed in the sessions' buffers. The heartbeat's acknowledgement
+// proves the cloud parsed it.
+func TestHeartbeatRoundTripAllocatesNothing(t *testing.T) {
+	s := startServer(t)
+	c, err := DialSpeaker(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	beat := func() {
+		if err := c.SendHeartbeat(); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := c.Await(2 * time.Second); err != nil || f.Type != MsgAck {
+			t.Fatalf("heartbeat reply = %+v, %v", f, err)
+		}
+	}
+	beat()
+	if allocs := testing.AllocsPerRun(100, beat); allocs != 0 {
+		t.Fatalf("a heartbeat round trip allocated %v times", allocs)
+	}
+}
+
+// A read deadline that fires mid-record keeps the bytes already read:
+// the next Await completes the record instead of losing the stream's
+// framing.
+func TestAwaitKeepsPartialRecord(t *testing.T) {
+	speakerEnd, cloudEnd := net.Pipe()
+	defer cloudEnd.Close()
+	bufs := bufPool.Get().(*buffers)
+	c := &SpeakerClient{conn: speakerEnd, wbuf: bufs.write[:0], rd: recordReader{buf: bufs.read[:]}, bufs: bufs}
+	defer c.Close()
+
+	rec := appendFrameRecord(nil, Frame{Seq: 7, Type: MsgResponse, Body: []byte("ok")})
+	next := appendFrameRecord(nil, Frame{Seq: 8, Type: MsgAck})
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := cloudEnd.Write(rec[:6]) // the record header and one byte
+		wrote <- err
+	}()
+	if _, err := c.Await(50 * time.Millisecond); err == nil {
+		t.Fatal("await of half a record succeeded")
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		_, err := cloudEnd.Write(append(rec[6:], next...))
+		wrote <- err
+	}()
+	for _, want := range []Frame{{Seq: 7, Type: MsgResponse, Body: []byte("ok")}, {Seq: 8, Type: MsgAck}} {
+		f, err := c.Await(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Seq != want.Seq || f.Type != want.Type || string(f.Body) != string(want.Body) {
+			t.Fatalf("frame = %+v, want %+v", f, want)
+		}
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A record longer than the session buffer still arrives whole.
+func TestRecordLargerThanBuffer(t *testing.T) {
+	s := startServer(t)
+	c, err := DialSpeaker(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SendCommand(2, 3*bufSize); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := c.Await(2 * time.Second); err != nil || f.Type != MsgResponse {
+		t.Fatalf("response = %+v, %v", f, err)
+	}
+	if err := c.SendPattern([]int{maxRecordPayload + recordHeaderLen + 1}, MsgCommand); err == nil {
+		t.Fatal("sent a record past the TLS maximum")
+	}
+}
+
+// echoCommand is a recognizable Echo voice-command spike as record
+// lengths on the wire, then its end-of-command record.
+var echoCommand = []int{277, 138, 90, 113, 131, 1100, 1200, 1150}
+
+// BenchmarkEmulCommand is the emulator's share of one wire command
+// with no guard in between: the speaker sends an Echo command spike
+// and its end record straight to the cloud, and awaits the answer.
+func BenchmarkEmulCommand(b *testing.B) {
+	s, err := NewCloudServer("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	c, err := DialSpeaker(s.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := c.SendPattern(echoCommand, MsgCommand); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.SendPattern([]int{60}, MsgEnd); err != nil {
+			b.Fatal(err)
+		}
+		if f, err := c.Await(2 * time.Second); err != nil || f.Type != MsgResponse {
+			b.Fatalf("response = %+v, %v", f, err)
+		}
 	}
 }

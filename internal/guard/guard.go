@@ -173,15 +173,21 @@ type HoldSink interface {
 }
 
 // episode is one spike's traffic-handling state, from the first held
-// packet to its release or drop.
+// packet to its release or drop. A finished episode goes back on its
+// guard's free list, so steady-state spikes allocate none.
 type episode struct {
 	id          trace.CommandID
 	spikeStart  time.Time
+	queryStart  time.Time // when its Decision Module query started
 	heldPackets int
 	command     bool // recognized as a voice command
 	dispatched  bool // handed to the decision pipeline
+	querying    bool // its query is waiting for the verdict
 	inHold      bool // its bytes sit in the sink's current hold
 	mark        int  // sink stream offset where its held bytes begin
+
+	g    *Guard
+	done func(decision.Result) // ep.verdict, bound once per episode
 }
 
 // Guard is one speaker's VoiceGuard instance.
@@ -231,13 +237,18 @@ type Guard struct {
 	lvBlock    *metrics.Counter
 	lvDegraded *metrics.Counter
 
-	cur       *episode   // spike currently accumulating packets
-	inflight  *episode   // episode whose decision query is running
-	queue     []*episode // recognized commands awaiting the in-flight query
-	held      []*episode // episodes in the sink's current hold, oldest first
-	idleTimer simtime.Timer
-	idleFire  func()        // reusable idle-timer callback (see armIdleTimer)
-	holdTimer simtime.Timer // HoldDeadline timer, kept and rescheduled per hold
+	cur      *episode   // spike currently accumulating packets
+	inflight *episode   // episode whose decision query is running
+	queue    []*episode // recognized commands awaiting the in-flight query
+	held     []*episode // episodes in the sink's current hold, oldest first
+	free     []*episode // finished episodes, for reuse
+
+	// The guard's timers are each created once and rescheduled from
+	// then on, whether live, cancelled or fired.
+	idleTimer     simtime.Timer
+	idleArmed     bool
+	holdTimer     simtime.Timer // HoldDeadline timer, armed per hold
+	dispatchTimer simtime.Timer // DispatchDelay timer for the in-flight query
 
 	onEvent func(Event)
 }
@@ -341,12 +352,34 @@ func (g *Guard) startEpisode(at time.Time, held int) {
 		// (its idle timer was outrun); it would have ended as a
 		// non-command, so its bytes no longer need holding.
 		g.resolveHold(prev, true)
+		g.freeEpisode(prev)
 	}
 	id := g.tracer().NextID()
-	g.cur = &episode{id: id, spikeStart: at, heldPackets: held}
+	g.cur = g.newEpisode()
+	g.cur.id, g.cur.spikeStart, g.cur.heldPackets = id, at, held
 	g.recognizer.BindCommand(id)
 	g.holdEpisode(g.cur)
 	g.tracer().Record(trace.Event(id, g.Stage, "spike_start", at, g.speakerAttr))
+}
+
+// newEpisode returns a zeroed episode, reusing a finished one.
+func (g *Guard) newEpisode() *episode {
+	if n := len(g.free); n > 0 {
+		ep := g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
+		return ep
+	}
+	ep := &episode{g: g}
+	ep.done = ep.verdict
+	return ep
+}
+
+// freeEpisode recycles a finished episode: nothing refers to it any
+// more.
+func (g *Guard) freeEpisode(ep *episode) {
+	*ep = episode{g: g, done: ep.done}
+	g.free = append(g.free, ep)
 }
 
 // holdEpisode puts an episode's traffic on hold in the sink. The first
@@ -446,34 +479,36 @@ func (g *Guard) traceClassified(ep *episode, at time.Time, action trace.Attr) {
 }
 
 // armIdleTimer (re)schedules spike finalisation one idle gap after the
-// latest packet. The timer is re-armed on every held packet, so the
-// re-arm path reuses the live event via Reschedule instead of
-// allocating a fresh one — ordering is identical to cancel-and-
-// schedule (Reschedule takes a fresh sequence number).
+// latest packet. The guard keeps one idle timer for its lifetime: the
+// re-arm path, taken on every held packet and on every new spike,
+// moves it with RescheduleTimer whether it is live, cancelled or
+// fired, instead of allocating a fresh one. Ordering is identical to
+// cancel-and-schedule: Reschedule takes a fresh sequence number.
 func (g *Guard) armIdleTimer(last time.Time) {
 	at := last.Add(g.recognizer.IdleGap)
+	g.idleArmed = true
 	if g.idleTimer != nil {
 		g.idleTimer = g.clock.RescheduleTimer(g.idleTimer, at)
 		return
 	}
-	if g.idleFire == nil {
-		g.idleFire = func() {
-			g.idleTimer = nil
-			if g.recognizer.EndSpike() == recognize.ActionRelease {
-				if g.cur != nil {
-					g.traceClassified(g.cur, g.clock.Now(), classifiedRelease)
-				}
-				g.finishNonCommand()
-			}
+	g.idleTimer = g.clock.ScheduleTimer(at, g.idleFired)
+}
+
+// idleFired ends the spike one idle gap after its last packet.
+func (g *Guard) idleFired() {
+	g.idleArmed = false
+	if g.recognizer.EndSpike() == recognize.ActionRelease {
+		if g.cur != nil {
+			g.traceClassified(g.cur, g.clock.Now(), classifiedRelease)
 		}
+		g.finishNonCommand()
 	}
-	g.idleTimer = g.clock.ScheduleTimer(at, g.idleFire)
 }
 
 func (g *Guard) disarmIdleTimer() {
-	if g.idleTimer != nil {
+	if g.idleArmed {
 		g.idleTimer.Cancel()
-		g.idleTimer = nil
+		g.idleArmed = false
 	}
 }
 
@@ -499,69 +534,88 @@ func (g *Guard) dispatch(ep *episode) {
 }
 
 // startQuery starts the Decision Module check for one episode after
-// the dispatch delay.
+// the dispatch delay, on the guard's one dispatch timer: a query
+// starts only once the previous one has its verdict.
 func (g *Guard) startQuery(ep *episode) {
 	g.inflight = ep
-	start := func() {
-		queryStart := g.clock.Now()
-		g.method.Check(decision.Request{At: queryStart, Speaker: g.speaker, Command: ep.id}, func(r decision.Result) {
-			g.inflight = nil
-			if g.cur == ep {
-				g.cur = nil
-			}
-			released := r.Legitimate
-			if r.PathDead {
-				// No evidence arrived — the query path itself failed,
-				// so the configured degraded policy decides instead.
-				released = g.Degraded == DegradedFailOpen
-				g.lvDegraded.Inc()
-				g.tracer().Record(trace.Event(ep.id, g.Stage, "degraded_verdict", r.At,
-					trace.String("policy", g.Degraded.String()),
-					trace.Bool("released", released),
-					trace.String("reason", r.Reason)))
-			}
-			outcome := trace.String(trace.AttrOutcome, trace.OutcomeDrop)
-			if released {
-				outcome = trace.String(trace.AttrOutcome, trace.OutcomeRelease)
-			}
-			var attrs []trace.Attr
-			if r.Reason == "" { // the live plane's verdicts carry no reason
-				attrs = []trace.Attr{outcome}
-			} else {
-				attrs = []trace.Attr{outcome, trace.String("reason", r.Reason)}
-			}
-			g.tracer().Record(trace.Span{
-				Command: ep.id,
-				Stage:   trace.StageDecision,
-				Name:    g.method.Name(),
-				Start:   queryStart,
-				End:     r.At,
-				Attrs:   attrs,
-			})
-			g.resolveHold(ep, released)
-			g.record(Event{
-				Kind:        EventCommand,
-				CommandID:   ep.id,
-				SpikeStart:  ep.spikeStart,
-				QueryStart:  queryStart,
-				DecisionAt:  r.At,
-				Verdict:     r,
-				Released:    released,
-				Degraded:    r.PathDead,
-				HeldPackets: ep.heldPackets,
-			})
-			if len(g.queue) > 0 {
-				next := g.queue[0]
-				g.queue = append(g.queue[:0], g.queue[1:]...)
-				g.startQuery(next)
-			}
-		})
-	}
-	if g.DispatchDelay > 0 {
-		g.clock.ScheduleTimer(g.clock.Now().Add(g.DispatchDelay), start)
+	if g.DispatchDelay <= 0 {
+		g.checkInflight()
 		return
 	}
-	start()
+	at := g.clock.Now().Add(g.DispatchDelay)
+	if g.dispatchTimer == nil {
+		g.dispatchTimer = g.clock.ScheduleTimer(at, g.checkInflight)
+		return
+	}
+	g.dispatchTimer = g.clock.RescheduleTimer(g.dispatchTimer, at)
+}
+
+// checkInflight asks the decision method about the in-flight episode.
+func (g *Guard) checkInflight() {
+	ep := g.inflight
+	ep.queryStart, ep.querying = g.clock.Now(), true
+	g.method.Check(decision.Request{At: ep.queryStart, Speaker: g.speaker, Command: ep.id}, ep.done)
+}
+
+// verdict applies the decision method's verdict to the episode, then
+// starts the next queued query.
+func (ep *episode) verdict(r decision.Result) {
+	if !ep.querying {
+		return // a method that broke its call-once contract
+	}
+	ep.querying = false
+	g := ep.g
+	g.inflight = nil
+	if g.cur == ep {
+		g.cur = nil
+	}
+	released := r.Legitimate
+	if r.PathDead {
+		// No evidence arrived — the query path itself failed, so the
+		// configured degraded policy decides instead.
+		released = g.Degraded == DegradedFailOpen
+		g.lvDegraded.Inc()
+		g.tracer().Record(trace.Event(ep.id, g.Stage, "degraded_verdict", r.At,
+			trace.String("policy", g.Degraded.String()),
+			trace.Bool("released", released),
+			trace.String("reason", r.Reason)))
+	}
+	outcome := trace.String(trace.AttrOutcome, trace.OutcomeDrop)
+	if released {
+		outcome = trace.String(trace.AttrOutcome, trace.OutcomeRelease)
+	}
+	var attrs []trace.Attr
+	if r.Reason == "" { // the live plane's verdicts carry no reason
+		attrs = []trace.Attr{outcome}
+	} else {
+		attrs = []trace.Attr{outcome, trace.String("reason", r.Reason)}
+	}
+	g.tracer().Record(trace.Span{
+		Command: ep.id,
+		Stage:   trace.StageDecision,
+		Name:    g.method.Name(),
+		Start:   ep.queryStart,
+		End:     r.At,
+		Attrs:   attrs,
+	})
+	g.resolveHold(ep, released)
+	g.record(Event{
+		Kind:        EventCommand,
+		CommandID:   ep.id,
+		SpikeStart:  ep.spikeStart,
+		QueryStart:  ep.queryStart,
+		DecisionAt:  r.At,
+		Verdict:     r,
+		Released:    released,
+		Degraded:    r.PathDead,
+		HeldPackets: ep.heldPackets,
+	})
+	g.freeEpisode(ep)
+	if len(g.queue) > 0 {
+		next := g.queue[0]
+		g.queue = append(g.queue[:0], g.queue[1:]...)
+		g.startQuery(next)
+	}
 }
 
 // finishNonCommand completes a held spike that turned out not to be a
@@ -580,6 +634,7 @@ func (g *Guard) finishNonCommand() {
 		Released:    true,
 		HeldPackets: ep.heldPackets,
 	})
+	g.freeEpisode(ep)
 }
 
 func (g *Guard) record(ev Event) {

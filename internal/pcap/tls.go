@@ -3,7 +3,6 @@ package pcap
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // RecordType is the TLS record content type, readable in the clear
@@ -105,39 +104,6 @@ func ParseRecords(b []byte) ([]Record, error) {
 		b = b[recordHeaderLen+n:]
 	}
 	return records, nil
-}
-
-// WriteRecord serialises the record to w.
-func WriteRecord(w io.Writer, r Record) error {
-	_, err := w.Write(EncodeRecord(r))
-	return err
-}
-
-// ReadRecord reads exactly one TLS record from the stream.
-func ReadRecord(r io.Reader) (Record, error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Record{}, err
-	}
-	typ := RecordType(hdr[0])
-	switch typ {
-	case RecordChangeCipherSpec, RecordAlert, RecordHandshake, RecordApplicationData:
-	default:
-		return Record{}, fmt.Errorf("pcap: unknown record type %d", hdr[0])
-	}
-	n := int(binary.BigEndian.Uint16(hdr[3:5]))
-	if n > maxRecordPayload {
-		return Record{}, fmt.Errorf("pcap: record payload %d exceeds TLS maximum", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Record{}, fmt.Errorf("pcap: record body: %w", err)
-	}
-	return Record{
-		Type:    typ,
-		Version: binary.BigEndian.Uint16(hdr[1:3]),
-		Payload: payload,
-	}, nil
 }
 
 // IsAppData reports whether the packet's payload parses as TLS records

@@ -7,12 +7,14 @@
 // carrying that ID, so one voice command's full journey through
 // Fig. 2 can be reconstructed end to end.
 //
-// Recording is designed for the hot path: spans land in a lock-free
-// ring-buffer flight recorder (the last N spans are always dumpable on
-// demand), and the optional structured logger and JSONL sink are
-// attached through an atomically loaded configuration so an
-// unconfigured tracer costs one atomic add and one atomic store per
-// span.
+// Recording is designed for the hot path: spans are copied into a
+// fixed-slot ring-buffer flight recorder (the last N spans are always
+// dumpable on demand), and the optional structured logger and JSONL
+// sink are attached through an atomically loaded configuration. An
+// unconfigured tracer costs one atomic add, one uncontended slot lock
+// and a copy of the span per span, and allocates nothing: the ring
+// keeps no pointer into the recorded Span, so neither it nor its
+// attribute values escape the caller.
 //
 // Like the metrics package, packages record through the process-wide
 // Default tracer; exporters (JSONL, Chrome trace_event) and the
@@ -107,7 +109,7 @@ const (
 )
 
 // sinkConfig is the tracer's cold-path configuration, swapped
-// atomically so Record stays lock-free when nothing is attached.
+// atomically so Record takes no lock for it.
 type sinkConfig struct {
 	logger *slog.Logger
 	sink   func(Span)
@@ -193,13 +195,22 @@ func (t *Tracer) updateConfig(mutate func(*sinkConfig)) {
 }
 
 // Record stores one completed span in the flight recorder and fans it
-// out to the attached sink and logger.
+// out to the attached sink and logger. With neither attached it
+// allocates nothing, and s does not escape: the sink and the logger
+// get a copy rebuilt from the recorded slot.
 func (t *Tracer) Record(s Span) {
-	t.ring.Put(&s)
+	var rec slotSpan
+	rec.encode(&s)
+	t.ring.put(&rec)
 	c := t.cfg.Load()
-	if c == nil {
+	if c == nil || (c.sink == nil && c.logger == nil) {
 		return
 	}
+	t.fanOut(c, rec.span())
+}
+
+// fanOut hands one recorded span to the sink and the logger.
+func (t *Tracer) fanOut(c *sinkConfig, s Span) {
 	if c.sink != nil {
 		c.sink(s)
 	}

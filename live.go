@@ -260,10 +260,13 @@ func wirePacket(at time.Time, payload []byte, n int) pcap.Packet {
 // and its policy, and the DecisionFunc as the decision method.
 func (g *LiveGuard) newConn(s *proxy.Session) *liveConn {
 	c := &liveConn{}
-	rec, speaker := recognize.NewGHM(speakerWireIP), "ghm"
+	var rec *recognize.Recognizer
+	speaker := "ghm"
 	if g.records {
 		rec, speaker = recognize.NewEcho(speakerWireIP), "echo"
 		rec.Tracker.ForceAddress(cloudWireIP)
+	} else {
+		rec = recognize.NewGHM(speakerWireIP)
 	}
 	rec.IdleGap = g.idle
 	c.guard = guard.New(wallClock{mu: &c.mu, done: s.Done()}, rec, liveDecide{g: g, s: s, c: c}, speaker)

@@ -2,7 +2,6 @@ package voiceguard
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -98,6 +97,11 @@ func TestLiveGuardReleasesLegitimateCommand(t *testing.T) {
 	}
 }
 
+// TestLiveGuardDropsMaliciousCommand delivers the block verdict only
+// once the whole command sits in the hold: a verdict that lands while
+// the speaker is still writing forwards the rest of the command, the
+// cloud closes the session on the sequence gap (Fig. 4 case III), and
+// the speaker's own writes fail under it.
 func TestLiveGuardDropsMaliciousCommand(t *testing.T) {
 	f := newLiveFixture(t, 300*time.Millisecond)
 	speaker, err := emul.DialSpeaker(f.guard.Addr())
@@ -106,25 +110,60 @@ func TestLiveGuardDropsMaliciousCommand(t *testing.T) {
 	}
 	defer speaker.Close()
 
-	f.verdicts <- false
 	if err := speaker.SendPattern(commandLengths, emul.MsgCommand); err != nil {
 		t.Fatal(err)
 	}
 	if err := speaker.SendPattern([]int{60}, emul.MsgEnd); err != nil {
 		t.Fatal(err)
 	}
+	waitHeldBytes(t, f.guard, sum(commandLengths)+60)
+	f.verdicts <- false
 	waitStats(t, f.guard, func(s LiveGuardStats) bool { return s.CommandsDropped == 1 })
 
 	// The speaker keeps talking; the cloud aborts on the sequence gap.
 	if err := speaker.SendHeartbeat(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := speaker.Await(3 * time.Second); !errors.Is(err, emul.ErrSessionClosed) && err == nil {
-		t.Fatalf("await after drop: %v, want session closed or reset", err)
+	if frame, err := speaker.Await(3 * time.Second); err == nil {
+		t.Fatalf("await after drop: frame type %c seq %d reached the speaker, want session closed or reset", frame.Type, frame.Seq)
 	}
 	if f.cloud.CompletedCommands() != 0 {
 		t.Fatalf("dropped command executed: %d", f.cloud.CompletedCommands())
 	}
+	waitSessions(t, f.guard, 0)
+}
+
+// waitHeldBytes waits until the guard's one session holds n bytes.
+func waitHeldBytes(t *testing.T, g *LiveGuard, n int) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) {
+		if ss := g.tcp.Sessions(); len(ss) == 1 && ss[0].QueuedBytes() >= n {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("the session never held %d bytes", n)
+}
+
+// waitSessions waits until the guard tracks n sessions.
+func waitSessions(t *testing.T, g *LiveGuard, n int) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for g.TrackedSessions() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("guard tracks %d sessions, want %d", g.TrackedSessions(), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
 
 func TestLiveGuardReleasesResponseSpikeWithoutQuery(t *testing.T) {
