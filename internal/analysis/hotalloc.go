@@ -59,6 +59,10 @@ var hotFuncs = map[string]map[string]bool{
 		"appDataPacket": true, "handshakePacket": true, "mustAppData": true,
 		"mustRecord": true, "quicPacket": true, "dnsExchange": true,
 		"EmitBefore": true, "Drain": true, "fill": true,
+		"FillInvocation": true,
+	},
+	"voiceguard/internal/decision": {
+		"ExtractFeatures": true, "classify": true,
 	},
 }
 

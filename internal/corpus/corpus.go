@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"voiceguard/internal/rng"
 )
@@ -187,8 +188,22 @@ func (c Corpus) FractionAtLeast(n int) float64 {
 // SpeakDuration returns how long a command takes to say at the
 // paper's 2-words-per-second pace.
 func SpeakDuration(command string) time.Duration {
-	words := len(strings.Fields(command))
+	words := wordCount(command)
 	return time.Duration(float64(words) / WordsPerSecond * float64(time.Second))
+}
+
+// wordCount is len(strings.Fields(s)) without building the fields:
+// it counts the runs of non-space runes.
+func wordCount(s string) int {
+	n, inWord := 0, false
+	for _, r := range s {
+		space := unicode.IsSpace(r)
+		if !space && !inWord {
+			n++
+		}
+		inWord = !space
+	}
+	return n
 }
 
 // NoDelayFraction returns the fraction of commands whose spoken

@@ -66,6 +66,22 @@ func TestSpeakDuration(t *testing.T) {
 	}
 }
 
+// SpeakDuration counts words as strings.Fields splits them, without
+// building the fields.
+func TestWordCountMatchesFields(t *testing.T) {
+	cases := []string{"", " ", "turn on the lights", "  padded\tand\nsplit  ", "a\u00a0b\u2003c", "\xff bad utf8", "one"}
+	cases = append(cases, Alexa().Commands...)
+	cases = append(cases, Google().Commands...)
+	for _, c := range cases {
+		if got, want := wordCount(c), len(strings.Fields(c)); got != want {
+			t.Fatalf("wordCount(%q) = %d, strings.Fields finds %d", c, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { SpeakDuration("set a timer for ten minutes") }); allocs != 0 {
+		t.Fatalf("SpeakDuration allocated %v times", allocs)
+	}
+}
+
 func TestNoDelayFractionMatchesPaperClaim(t *testing.T) {
 	// Paper §V-A2: with the observed verification times there is an
 	// 80%+ chance the query finishes while the user is speaking.

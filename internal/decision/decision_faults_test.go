@@ -204,3 +204,97 @@ func TestTimeoutWithZeroRepliesIsPathDead(t *testing.T) {
 		t.Fatalf("reason = %q, want %q", got.Reason, "no device reachable")
 	}
 }
+
+// A reply that lands after its query was decided must not vote in the
+// next query, which reuses the decided query's state. The first query
+// times out long before its reply, measured in the living room where
+// it would pass; the second starts 1 ms before that reply lands, with
+// the owner gone to the restroom, so its own reply fails. Had the late
+// reply voted, the second query would pass at the late reply's instant.
+func TestLateReplyDoesNotVoteInNextQuery(t *testing.T) {
+	const seed = 33
+	arrival := replyArrival(t, seed)
+
+	f := newHouseFixture(t, seed)
+	f.pos = floorplan.Position{Floor: 0, At: geom.Point{X: 3, Y: 2.5}} // living room
+	m := &RSSIMethod{
+		Clock:   f.clock,
+		Broker:  f.broker,
+		Adv:     f.adv,
+		Devices: []DeviceConfig{{ID: "pixel5", Threshold: -8.5}},
+		Timeout: 100 * time.Millisecond,
+	}
+	var results []Result
+	done := func(r Result) { results = append(results, r) }
+	m.Check(Request{At: f.clock.Now(), Speaker: "echo", Command: 1}, done)
+	f.clock.AdvanceTo(epoch.Add(arrival - time.Millisecond))
+	if len(results) != 1 || !results[0].PathDead {
+		t.Fatalf("first query's verdicts = %+v, want one reply-less timeout", results)
+	}
+
+	f.pos = floorplan.Position{Floor: 0, At: geom.Point{X: 10, Y: 8}} // restroom
+	m.Timeout = DefaultTimeout
+	m.Check(Request{At: f.clock.Now(), Speaker: "echo", Command: 2}, done)
+	f.clock.Advance(10 * time.Second)
+	if len(results) != 2 {
+		t.Fatalf("got %d verdicts, want 2", len(results))
+	}
+	if got := results[1]; got.Legitimate || got.At.Equal(epoch.Add(arrival)) {
+		t.Fatalf("the first query's late reply decided the second: %+v", got)
+	}
+}
+
+// A send outcome that resolves after its query was decided — every
+// re-push of the first query failing long after its timeout — must
+// not end the next query, whose own sends are still being retried.
+func TestLateSendOutcomeDoesNotEndNextQuery(t *testing.T) {
+	const seed = 34
+	dropAll := faults.Profile{Name: "drop-all", Drop: 1}
+
+	// When the first query's sends have all failed, measured on a
+	// throwaway fixture with the same seed.
+	probe := newHouseFixture(t, seed)
+	probe.withFaults(dropAll)
+	var failedAt time.Time
+	if err := probe.broker.RequestWith([]string{"pixel5"}, probe.adv, func(push.Reply) {}, push.RequestOpts{
+		Done: func(push.Outcome) { failedAt = probe.clock.Now() },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	probe.clock.Advance(time.Minute)
+	if failedAt.IsZero() {
+		t.Fatal("probe sends never resolved")
+	}
+
+	f := newHouseFixture(t, seed)
+	f.withFaults(dropAll)
+	m := &RSSIMethod{
+		Clock:   f.clock,
+		Broker:  f.broker,
+		Adv:     f.adv,
+		Devices: []DeviceConfig{{ID: "pixel5", Threshold: -8.5}},
+		Timeout: 100 * time.Millisecond,
+	}
+	var results []Result
+	done := func(r Result) { results = append(results, r) }
+	m.Check(Request{At: f.clock.Now(), Speaker: "echo", Command: 1}, done)
+	f.clock.Advance(200 * time.Millisecond)
+	if len(results) != 1 {
+		t.Fatalf("got %d verdicts after the first timeout, want 1", len(results))
+	}
+
+	second := f.clock.Now()
+	m.Timeout = DefaultTimeout
+	m.Check(Request{At: second, Speaker: "echo", Command: 2}, done)
+	f.clock.Advance(10 * time.Second)
+	if len(results) != 2 {
+		t.Fatalf("got %d verdicts, want 2", len(results))
+	}
+	got := results[1]
+	if !got.PathDead {
+		t.Fatalf("second query = %+v, want its own all-sends-failed verdict", got)
+	}
+	if !got.At.After(failedAt) {
+		t.Fatalf("second query decided at %v, no later than the first query's failed sends at %v", got.At, failedAt)
+	}
+}

@@ -2,6 +2,7 @@ package decision
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"voiceguard/internal/ble"
@@ -93,6 +94,10 @@ type RSSIMethod struct {
 	// Labels dimensions this method's labeled metrics (home/tenant,
 	// speaker, fault profile). Set before first use.
 	Labels metrics.Labels
+
+	ids  []string     // the IDs of the query being sent (RequestWith keeps none)
+	free []*rssiQuery // decided queries, for reuse
+	gen  uint64       // the last query's generation
 }
 
 var _ Method = (*RSSIMethod)(nil)
@@ -102,6 +107,50 @@ const DefaultTimeout = 5 * time.Second
 
 // Name returns the method name.
 func (m *RSSIMethod) Name() string { return "bluetooth-rssi" }
+
+// rssiQuery is one group query's state. The method recycles a query
+// once it is decided, so its reply, send-outcome and timeout callbacks
+// and its timeout event are made once per rssiQuery, not per query.
+// Replies and outcomes can still arrive for a query after it was
+// decided, even after its rssiQuery was recycled: the push layer
+// echoes the query's generation as their Tag, and one that does not
+// match the current generation is ignored.
+type rssiQuery struct {
+	m    *RSSIMethod
+	gen  uint64
+	req  Request
+	done func(Result)
+	tr   *trace.Tracer
+
+	timeout time.Duration
+	devices []DeviceConfig // the query's snapshot of m.Devices
+	replied []bool         // per device; a repeated ID uses its last slot
+	replies int            // distinct devices replied
+	corrupt int
+	decided bool
+
+	timeoutEv *simtime.Event
+	onReply   func(push.Reply)
+	onSent    func(push.Outcome)
+	onTimeout func()
+}
+
+// newQuery returns a query in generation m.gen+1, reusing a decided
+// one if there is one.
+func (m *RSSIMethod) newQuery() *rssiQuery {
+	var q *rssiQuery
+	if n := len(m.free); n > 0 {
+		q = m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+	} else {
+		q = &rssiQuery{m: m}
+		q.onReply, q.onSent, q.onTimeout = q.reply, q.sent, q.expire
+	}
+	m.gen++
+	q.gen = m.gen
+	return q
+}
 
 // Check runs the group RSSI query. The verdict completes at the
 // earliest moment it is determined: on the first passing reply
@@ -117,181 +166,210 @@ func (m *RSSIMethod) Check(req Request, done func(Result)) {
 		})
 		return
 	}
-	timeout := m.Timeout
-	if timeout <= 0 {
-		timeout = DefaultTimeout
+	q := m.newQuery()
+	q.req, q.done, q.tr = req, done, trace.Or(m.Tracer)
+	q.timeout = m.Timeout
+	if q.timeout <= 0 {
+		q.timeout = DefaultTimeout
+	}
+	q.devices = append(q.devices[:0], m.Devices...)
+	q.replied = slices.Grow(q.replied[:0], len(q.devices))[:len(q.devices)]
+	clear(q.replied)
+	q.replies, q.corrupt, q.decided = 0, 0, false
+	m.ids = m.ids[:0]
+	for _, d := range q.devices {
+		m.ids = append(m.ids, d.ID)
 	}
 
-	cfg := make(map[string]DeviceConfig, len(m.Devices))
-	ids := make([]string, 0, len(m.Devices))
-	for _, d := range m.Devices {
-		cfg[d.ID] = d
-		ids = append(ids, d.ID)
+	at := m.Clock.Now().Add(q.timeout)
+	if q.timeoutEv == nil {
+		q.timeoutEv = m.Clock.Schedule(at, q.onTimeout)
+	} else {
+		q.timeoutEv = m.Clock.Reschedule(q.timeoutEv, at)
 	}
 
-	var (
-		decided bool
-		replied = make(map[string]bool, len(ids))
-		corrupt int
-		finish  = func(r Result) {
-			if decided {
-				return
-			}
-			decided = true
-			d := r.At.Sub(req.At)
-			// The labeled latency series keeps the command ID as the
-			// bucket exemplar: a bad p99 bucket links straight to the
-			// trace spans of the command that landed in it.
-			mLatencyVec.With(m.Labels).ObserveExemplar(d, uint64(req.Command))
-			out := m.Labels
-			switch {
-			case r.PathDead:
-				out.Verdict = OutcomePathDead
-			case r.Legitimate:
-				out.Verdict = OutcomeAllow
-			default:
-				out.Verdict = OutcomeBlock
-			}
-			mOutcomesVec.With(out).Inc()
-			done(r)
-		}
-	)
-
-	tr := trace.Or(m.Tracer)
-	timeoutEv := m.Clock.After(timeout, func() {
-		mQueryTimeouts.Inc()
-		tr.Record(trace.Event(req.Command, trace.StageDecision, "query_timeout", m.Clock.Now(),
-			trace.Duration("timeout", timeout),
-			trace.Int("replies", len(replied)),
-			trace.Int("devices", len(ids))))
-		// A timeout with partial replies is the normal "nobody was
-		// nearby" outcome; a timeout with zero replies means no device
-		// was reachable at all, so the verdict carries no evidence and
-		// the guard's degraded policy applies.
-		r := Result{
-			Legitimate: false,
-			Reason:     fmt.Sprintf("query timeout with partial replies (%d/%d)", len(replied), len(ids)),
-			At:         m.Clock.Now(),
-		}
-		if len(replied) == 0 {
-			r.Reason = "query timeout: no device reachable"
-			r.PathDead = true
-		}
-		finish(r)
-	})
-
-	err := m.Broker.RequestWith(ids, m.Adv, func(r push.Reply) {
-		if decided {
-			// A reply racing the timeout at the same simulated instant
-			// (or arriving after it) must not produce a second verdict
-			// or mutate tracker state.
-			return
-		}
-		d, ok := cfg[r.DeviceID]
-		if !ok {
-			// A reply from a device this query never asked about — a
-			// stale or misrouted push — carries no calibrated
-			// threshold and must not vote.
-			mUnknownReplies.Inc()
-			tr.Record(trace.Event(req.Command, trace.StageDecision, "unknown_reply", r.At,
-				trace.String("device", r.DeviceID)))
-			return
-		}
-		if replied[r.DeviceID] {
-			// At-least-once push delivery can duplicate a reply; the
-			// first one already voted. Without this, a duplicate would
-			// double-decrement the pending count and fire the "no
-			// device near" verdict while a device is still scanning.
-			mDupReplies.Inc()
-			tr.Record(trace.Event(req.Command, trace.StageDecision, "duplicate_reply", r.At,
-				trace.String("device", r.DeviceID)))
-			return
-		}
-		replied[r.DeviceID] = true
-		if r.Corrupt {
-			// A garbled reading may vote nobody legitimate and must
-			// not touch the floor tracker — but the device did answer,
-			// so it still counts toward the reply tally.
-			corrupt++
-			mCorruptReplies.Inc()
-			tr.Record(trace.Event(req.Command, trace.StageDecision, "corrupt_reply", r.At,
-				trace.String("device", r.DeviceID)))
-			if len(replied) == len(ids) {
-				timeoutEv.Cancel()
-				finish(noPassResult(r.At, len(replied), corrupt))
-			}
-			return
-		}
-		pass := r.Reading.RSSI >= d.Threshold
-		if pass && d.Tracker != nil && !d.Tracker.SameFloorAsSpeaker() {
-			if d.FloorCeiling != 0 && r.Reading.RSSI > d.FloorCeiling {
-				// The reading exceeds anything measurable off the
-				// speaker's floor: the tracker has drifted; resync.
-				mFloorOverrides.Inc()
-				tr.Record(trace.Event(req.Command, trace.StageDecision, "floor_override", r.At,
-					trace.String("device", r.DeviceID),
-					trace.Float("rssi", r.Reading.RSSI),
-					trace.Float("floor_ceiling", d.FloorCeiling),
-					trace.Int("resync_level", d.Tracker.SpeakerFloor)))
-				d.Tracker.SetLevel(d.Tracker.SpeakerFloor)
-			} else {
-				// Paper §V-B2: a command is always blocked while the
-				// owner is believed to be on another floor.
-				tr.Record(trace.Event(req.Command, trace.StageDecision, "floor_veto", r.At,
-					trace.String("device", r.DeviceID),
-					trace.Int("believed_level", d.Tracker.Level()),
-					trace.Int("speaker_level", d.Tracker.SpeakerFloor)))
-				pass = false
-			}
-		}
-		tr.Record(trace.Event(req.Command, trace.StageDecision, "rssi_reply", r.At,
-			trace.String("device", r.DeviceID),
-			trace.Float("rssi", r.Reading.RSSI),
-			trace.Float("threshold", d.Threshold),
-			trace.Bool("pass", pass)))
-		if pass {
-			timeoutEv.Cancel()
-			finish(Result{
-				Legitimate: true,
-				Reason:     fmt.Sprintf("device %s RSSI %.1f above threshold %.1f", r.DeviceID, r.Reading.RSSI, d.Threshold),
-				At:         r.At,
-			})
-			return
-		}
-		if len(replied) == len(ids) {
-			timeoutEv.Cancel()
-			finish(noPassResult(r.At, len(replied), corrupt))
-		}
-	}, push.RequestOpts{
+	err := m.Broker.RequestWith(m.ids, m.Adv, q.onReply, push.RequestOpts{
 		Command: req.Command,
-		Done: func(out push.Outcome) {
-			if decided || out.Accepted > 0 {
-				return
-			}
-			// Every send failed observably (broker outage, drops past
-			// the re-push cap): the query path is known-dead, so
-			// report it now instead of sitting out the timeout.
-			timeoutEv.Cancel()
-			at := m.Clock.Now()
-			tr.Record(trace.Event(req.Command, trace.StageDecision, "path_dead", at,
-				trace.Int("failed_sends", out.Failed),
-				trace.Int("devices", out.Requested)))
-			finish(Result{
-				Legitimate: false,
-				Reason:     fmt.Sprintf("push path dead: all %d sends failed", out.Failed),
-				At:         at,
-				PathDead:   true,
-			})
-		},
+		Done:    q.onSent,
+		Tag:     q.gen,
 	})
 	if err != nil {
-		timeoutEv.Cancel()
-		finish(Result{
+		// No send went out, so no callback has touched q.
+		q.finish(Result{
 			Legitimate: false,
 			Reason:     fmt.Sprintf("push error: %v", err),
 			At:         m.Clock.Now(),
 		})
 	}
+}
+
+// finish delivers the query's verdict once. The query is recycled
+// before done runs, since done may start the next query.
+func (q *rssiQuery) finish(r Result) {
+	if q.decided {
+		return
+	}
+	q.decided = true
+	q.timeoutEv.Cancel()
+	m := q.m
+	d := r.At.Sub(q.req.At)
+	// The labeled latency series keeps the command ID as the
+	// bucket exemplar: a bad p99 bucket links straight to the
+	// trace spans of the command that landed in it.
+	mLatencyVec.With(m.Labels).ObserveExemplar(d, uint64(q.req.Command))
+	out := m.Labels
+	switch {
+	case r.PathDead:
+		out.Verdict = OutcomePathDead
+	case r.Legitimate:
+		out.Verdict = OutcomeAllow
+	default:
+		out.Verdict = OutcomeBlock
+	}
+	mOutcomesVec.With(out).Inc()
+	done := q.done
+	q.done = nil
+	m.free = append(m.free, q)
+	done(r)
+}
+
+// device returns the index of the query's config for id — the last
+// one, if Devices repeats it — or -1.
+func (q *rssiQuery) device(id string) int {
+	for i := len(q.devices) - 1; i >= 0; i-- {
+		if q.devices[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// expire is the timeout: whoever has not replied counts as not near.
+func (q *rssiQuery) expire() {
+	mQueryTimeouts.Inc()
+	now := q.m.Clock.Now()
+	q.tr.Record(trace.Event(q.req.Command, trace.StageDecision, "query_timeout", now,
+		trace.Duration("timeout", q.timeout),
+		trace.Int("replies", q.replies),
+		trace.Int("devices", len(q.devices))))
+	// A timeout with partial replies is the normal "nobody was
+	// nearby" outcome; a timeout with zero replies means no device
+	// was reachable at all, so the verdict carries no evidence and
+	// the guard's degraded policy applies.
+	if q.replies == 0 {
+		q.finish(Result{Reason: "query timeout: no device reachable", At: now, PathDead: true})
+		return
+	}
+	q.finish(Result{
+		Legitimate: false,
+		Reason:     fmt.Sprintf("query timeout with partial replies (%d/%d)", q.replies, len(q.devices)),
+		At:         now,
+	})
+}
+
+// reply counts one device's reply toward the verdict.
+func (q *rssiQuery) reply(r push.Reply) {
+	if r.Tag != q.gen || q.decided {
+		// A reply racing the timeout at the same simulated instant
+		// (or arriving after it, even into a later query) must not
+		// produce a second verdict or mutate tracker state.
+		return
+	}
+	cmd, tr := q.req.Command, q.tr
+	i := q.device(r.DeviceID)
+	if i < 0 {
+		// A reply from a device this query never asked about — a
+		// stale or misrouted push — carries no calibrated
+		// threshold and must not vote.
+		mUnknownReplies.Inc()
+		tr.Record(trace.Event(cmd, trace.StageDecision, "unknown_reply", r.At,
+			trace.String("device", r.DeviceID)))
+		return
+	}
+	if q.replied[i] {
+		// At-least-once push delivery can duplicate a reply; the
+		// first one already voted. Without this, a duplicate would
+		// double-decrement the pending count and fire the "no
+		// device near" verdict while a device is still scanning.
+		mDupReplies.Inc()
+		tr.Record(trace.Event(cmd, trace.StageDecision, "duplicate_reply", r.At,
+			trace.String("device", r.DeviceID)))
+		return
+	}
+	q.replied[i] = true
+	q.replies++
+	if r.Corrupt {
+		// A garbled reading may vote nobody legitimate and must
+		// not touch the floor tracker — but the device did answer,
+		// so it still counts toward the reply tally.
+		q.corrupt++
+		mCorruptReplies.Inc()
+		tr.Record(trace.Event(cmd, trace.StageDecision, "corrupt_reply", r.At,
+			trace.String("device", r.DeviceID)))
+		if q.replies == len(q.devices) {
+			q.finish(noPassResult(r.At, q.replies, q.corrupt))
+		}
+		return
+	}
+	d := &q.devices[i]
+	pass := r.Reading.RSSI >= d.Threshold
+	if pass && d.Tracker != nil && !d.Tracker.SameFloorAsSpeaker() {
+		if d.FloorCeiling != 0 && r.Reading.RSSI > d.FloorCeiling {
+			// The reading exceeds anything measurable off the
+			// speaker's floor: the tracker has drifted; resync.
+			mFloorOverrides.Inc()
+			tr.Record(trace.Event(cmd, trace.StageDecision, "floor_override", r.At,
+				trace.String("device", r.DeviceID),
+				trace.Float("rssi", r.Reading.RSSI),
+				trace.Float("floor_ceiling", d.FloorCeiling),
+				trace.Int("resync_level", d.Tracker.SpeakerFloor)))
+			d.Tracker.SetLevel(d.Tracker.SpeakerFloor)
+		} else {
+			// Paper §V-B2: a command is always blocked while the
+			// owner is believed to be on another floor.
+			tr.Record(trace.Event(cmd, trace.StageDecision, "floor_veto", r.At,
+				trace.String("device", r.DeviceID),
+				trace.Int("believed_level", d.Tracker.Level()),
+				trace.Int("speaker_level", d.Tracker.SpeakerFloor)))
+			pass = false
+		}
+	}
+	tr.Record(trace.Event(cmd, trace.StageDecision, "rssi_reply", r.At,
+		trace.String("device", r.DeviceID),
+		trace.Float("rssi", r.Reading.RSSI),
+		trace.Float("threshold", d.Threshold),
+		trace.Bool("pass", pass)))
+	if pass {
+		q.finish(Result{
+			Legitimate: true,
+			Reason:     fmt.Sprintf("device %s RSSI %.1f above threshold %.1f", r.DeviceID, r.Reading.RSSI, d.Threshold),
+			At:         r.At,
+		})
+		return
+	}
+	if q.replies == len(q.devices) {
+		q.finish(noPassResult(r.At, q.replies, q.corrupt))
+	}
+}
+
+// sent handles the query's send-phase outcome.
+func (q *rssiQuery) sent(out push.Outcome) {
+	if out.Tag != q.gen || q.decided || out.Accepted > 0 {
+		return
+	}
+	// Every send failed observably (broker outage, drops past
+	// the re-push cap): the query path is known-dead, so
+	// report it now instead of sitting out the timeout.
+	at := q.m.Clock.Now()
+	q.tr.Record(trace.Event(q.req.Command, trace.StageDecision, "path_dead", at,
+		trace.Int("failed_sends", out.Failed),
+		trace.Int("devices", out.Requested)))
+	q.finish(Result{
+		Legitimate: false,
+		Reason:     fmt.Sprintf("push path dead: all %d sends failed", out.Failed),
+		At:         at,
+		PathDead:   true,
+	})
 }
 
 // noPassResult is the verdict once every queried device has replied

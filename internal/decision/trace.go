@@ -3,7 +3,7 @@ package decision
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"voiceguard/internal/ble"
@@ -66,21 +66,47 @@ type Features struct {
 // noise is drawn here, bit-identical to the per-sample loop it
 // replaces.
 func RecordTrace(sc *ble.Scanner, adv ble.Advertiser, path *mobility.Path, offset time.Duration) []float64 {
+	trace := new([TraceSamples]float64)
+	RecordTraceInto(trace, sc, adv, path, offset)
+	return trace[:]
+}
+
+// RecordTraceInto is RecordTrace into a caller-owned buffer, so a
+// phone that records a trace on every motion event reuses one.
+func RecordTraceInto(trace *[TraceSamples]float64, sc *ble.Scanner, adv ble.Advertiser, path *mobility.Path, offset time.Duration) {
 	means := traceMeanVector(sc, adv, path, offset, TraceInterval, TraceSamples)
-	trace := make([]float64, TraceSamples)
-	sc.QuickFromMeans(means, trace)
-	return trace
+	sc.QuickFromMeans(means, trace[:])
+}
+
+// traceXs are the fit's x values for a trace of TraceSamples
+// readings, computed by ExtractFeatures' own formula.
+var traceXs = func() (xs [TraceSamples]float64) {
+	for i := range xs {
+		xs[i] = float64(i) / float64(TraceSamples-1)
+	}
+	return xs
+}()
+
+// shortTraceError reports a trace too short to fit a line to; it
+// holds the trace's length.
+type shortTraceError int
+
+func (n shortTraceError) Error() string {
+	return fmt.Sprintf("decision: trace needs at least 2 samples, got %d", int(n))
 }
 
 // ExtractFeatures fits a line to the trace and returns the full
 // feature vector.
 func ExtractFeatures(trace []float64) (Features, error) {
 	if len(trace) < 2 {
-		return Features{}, fmt.Errorf("decision: trace needs at least 2 samples, got %d", len(trace))
+		return Features{}, shortTraceError(len(trace))
 	}
-	xs := make([]float64, len(trace))
-	for i := range xs {
-		xs[i] = float64(i) / float64(len(trace)-1)
+	xs := traceXs[:]
+	if len(trace) != TraceSamples {
+		xs = make([]float64, len(trace))
+		for i := range xs {
+			xs[i] = float64(i) / float64(len(trace)-1)
+		}
 	}
 	slope, intercept, err := stats.LinearFit(xs, trace)
 	if err != nil {
@@ -216,6 +242,18 @@ func (c *TraceClassifier) ClassifySlopeIntercept(slope, intercept float64) Trace
 	return c.classify(Features{Slope: slope, Intercept: intercept}, 2)
 }
 
+// knnCand is one same-sign training trace at its distance from the
+// trace being classified.
+type knnCand struct {
+	d     float64
+	class TraceClass
+}
+
+// knnStackCands sizes classify's on-stack candidate buffer; it covers
+// the reference sets the scenarios train (about a hundred traces), and
+// a larger one spills to the heap.
+const knnStackCands = 256
+
 // classify runs the band check and the k-NN vote over the first dims
 // features.
 func (c *TraceClassifier) classify(f Features, dims int) TraceClass {
@@ -225,16 +263,13 @@ func (c *TraceClassifier) classify(f Features, dims int) TraceClass {
 	// Majority vote among the k nearest steep training traces with a
 	// matching slope sign: an Up trace can only be confused with
 	// other RSSI-decreasing walks.
-	type cand struct {
-		d     float64
-		class TraceClass
-	}
-	var cands []cand
+	var buf [knnStackCands]knnCand
+	cands := buf[:0]
 	for _, s := range c.refs {
 		if (f.Slope < 0) != (s.F.Slope < 0) {
 			continue
 		}
-		cands = append(cands, cand{d: c.dist(f, s.F, dims), class: s.Class})
+		cands = append(cands, knnCand{d: c.dist(f, s.F, dims), class: s.Class})
 	}
 	if len(cands) == 0 {
 		// No same-sign training data: fall back to the slope sign.
@@ -243,23 +278,32 @@ func (c *TraceClassifier) classify(f Features, dims int) TraceClass {
 		}
 		return TraceDown
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	k := knnK
-	if k > len(cands) {
-		k = len(cands)
-	}
-	votes := map[TraceClass]int{}
+	// The same pattern-defeating quicksort as sort.Slice with a
+	// "d_i < d_j" less, so equal distances come out in the same order.
+	slices.SortFunc(cands, func(a, b knnCand) int {
+		switch {
+		case a.d < b.d:
+			return -1
+		case b.d < a.d:
+			return 1
+		}
+		return 0
+	})
+	k := min(knnK, len(cands))
+	var up, down int
 	for _, cd := range cands[:k] {
-		votes[cd.class]++
+		switch cd.class {
+		case TraceUp:
+			up++
+		case TraceDown:
+			down++
+		}
 	}
-	need := knnStairVotes
-	if need > k {
-		need = k
-	}
-	if votes[TraceUp] >= need {
+	need := min(knnStairVotes, k)
+	if up >= need {
 		return TraceUp
 	}
-	if votes[TraceDown] >= need {
+	if down >= need {
 		return TraceDown
 	}
 	return TraceOther

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 )
 
@@ -40,8 +41,9 @@ const (
 
 // DNSQuestion is a pre-encoded question section: one A/IN question
 // for a fixed name. Generators that resolve the same few names over
-// and over encode each once and stamp every message from it, so a
-// message costs one allocation and no name encoding.
+// and over encode each once and stamp every message from it into a
+// buffer they reuse (AppendQuery, AppendResponse), so a message costs
+// no allocation and no name encoding.
 type DNSQuestion struct {
 	wire []byte // labels + QTYPE + QCLASS; shared, never mutated
 }
@@ -57,31 +59,47 @@ func NewDNSQuestion(name string) (DNSQuestion, error) {
 
 // Query serialises an A query for the question with the given ID.
 func (q DNSQuestion) Query(id uint16) []byte {
-	out := make([]byte, dnsHeaderLen, dnsHeaderLen+len(q.wire))
-	binary.BigEndian.PutUint16(out[0:2], id)
-	binary.BigEndian.PutUint16(out[4:6], 1) // QDCOUNT
-	return append(out, q.wire...)
+	return q.AppendQuery(nil, id)
+}
+
+// AppendQuery appends an A query for the question with the given ID
+// to b and returns the extended slice.
+func (q DNSQuestion) AppendQuery(b []byte, id uint16) []byte {
+	b = slices.Grow(b, dnsHeaderLen+len(q.wire))
+	var h [dnsHeaderLen]byte
+	binary.BigEndian.PutUint16(h[0:2], id)
+	binary.BigEndian.PutUint16(h[4:6], 1) // QDCOUNT
+	b = append(b, h[:]...)
+	return append(b, q.wire...)
 }
 
 // Response serialises an A response answering the question with the
 // IPv4 address ip.
 func (q DNSQuestion) Response(id uint16, ip [4]byte) []byte {
-	out := make([]byte, dnsHeaderLen, dnsHeaderLen+len(q.wire)+dnsAnswerLen)
-	binary.BigEndian.PutUint16(out[0:2], id)
-	binary.BigEndian.PutUint16(out[2:4], dnsFlagResponse)
-	binary.BigEndian.PutUint16(out[4:6], 1) // QDCOUNT
-	binary.BigEndian.PutUint16(out[6:8], 1) // ANCOUNT
-	out = append(out, q.wire...)
+	return q.AppendResponse(nil, id, ip)
+}
+
+// AppendResponse appends an A response answering the question with
+// the IPv4 address ip to b and returns the extended slice.
+func (q DNSQuestion) AppendResponse(b []byte, id uint16, ip [4]byte) []byte {
+	b = slices.Grow(b, dnsHeaderLen+len(q.wire)+dnsAnswerLen)
+	var h [dnsHeaderLen]byte
+	binary.BigEndian.PutUint16(h[0:2], id)
+	binary.BigEndian.PutUint16(h[2:4], dnsFlagResponse)
+	binary.BigEndian.PutUint16(h[4:6], 1) // QDCOUNT
+	binary.BigEndian.PutUint16(h[6:8], 1) // ANCOUNT
+	b = append(b, h[:]...)
+	b = append(b, q.wire...)
 
 	// Answer: compression pointer to the question name at offset 12.
-	out = append(out, 0xC0, dnsHeaderLen)
-	var rr [10]byte
-	binary.BigEndian.PutUint16(rr[0:2], dnsTypeA)
-	binary.BigEndian.PutUint16(rr[2:4], dnsClassIN)
-	binary.BigEndian.PutUint32(rr[4:8], dnsAnswerTTL)
-	binary.BigEndian.PutUint16(rr[8:10], 4)
-	out = append(out, rr[:]...)
-	return append(out, ip[:]...)
+	var rr [dnsAnswerLen]byte
+	binary.BigEndian.PutUint16(rr[0:2], dnsNamePointer)
+	binary.BigEndian.PutUint16(rr[2:4], dnsTypeA)
+	binary.BigEndian.PutUint16(rr[4:6], dnsClassIN)
+	binary.BigEndian.PutUint32(rr[6:10], dnsAnswerTTL)
+	binary.BigEndian.PutUint16(rr[10:12], 4)
+	copy(rr[12:], ip[:])
+	return append(b, rr[:]...)
 }
 
 // EncodeDNSQuery serialises an A query for name.

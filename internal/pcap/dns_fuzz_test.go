@@ -1,6 +1,7 @@
 package pcap_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -14,9 +15,11 @@ import (
 func dnsSeeds(t testing.TB) [][]byte {
 	t0 := time.Date(2023, 3, 6, 6, 0, 0, 0, time.UTC)
 	var seeds [][]byte
+	// The stream reuses its DNS payload buffer burst to burst: keep
+	// copies.
 	keep := func(p *pcap.Packet) {
 		if p.Proto == pcap.UDP && (p.SrcPort == pcap.DNSPort || p.DstPort == pcap.DNSPort) {
-			seeds = append(seeds, p.Payload)
+			seeds = append(seeds, slices.Clone(p.Payload))
 		}
 	}
 	trafficgen.NewBackgroundStream(rng.New(1), t0, 10*time.Minute).Drain(keep)

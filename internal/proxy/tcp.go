@@ -103,11 +103,11 @@ var bufPool = sync.Pool{
 	},
 }
 
-// putChunk returns a pooled chunk (re-sliced to any length) to the
-// pool at full capacity.
-func putChunk(c []byte) {
-	b := c[:cap(c)]
-	bufPool.Put(&b)
+// heldChunk is one held copy: the bytes, and the pooled buffer they
+// live in, which goes back to the pool as it came out of it.
+type heldChunk struct {
+	data []byte
+	buf  *[]byte
 }
 
 // DialFunc opens the upstream (cloud-side) connection for a new
@@ -289,6 +289,7 @@ func (p *TCP) startSession(client net.Conn, o options) {
 	s := &Session{
 		client:       client,
 		server:       server,
+		clientAddr:   client.RemoteAddr().String(),
 		maxHoldBytes: o.maxHoldBytes,
 		budget:       o.budget,
 		done:         make(chan struct{}),
@@ -325,8 +326,9 @@ func (p *TCP) remove(s *Session) {
 
 // Session is one proxied client connection and its upstream pair.
 type Session struct {
-	client net.Conn
-	server net.Conn
+	client     net.Conn
+	server     net.Conn
+	clientAddr string // client.RemoteAddr(), formatted once
 
 	maxHoldBytes int
 	budget       *HoldBudget
@@ -341,7 +343,7 @@ type Session struct {
 	holding    bool
 	holdStart  time.Time // wall-clock moment the active hold began
 	cmd        trace.CommandID
-	queue      [][]byte
+	queue      []heldChunk
 	queued     int
 	budgetHeld int // bytes currently charged against the global budget
 	heldTotal  int // lifetime bytes that passed through a hold
@@ -376,7 +378,7 @@ func (s *Session) traceHoldLocked(outcome string, bytes int) {
 }
 
 // ClientAddr returns the speaker-side remote address.
-func (s *Session) ClientAddr() string { return s.client.RemoteAddr().String() }
+func (s *Session) ClientAddr() string { return s.clientAddr }
 
 // Done is closed when the session has terminated.
 func (s *Session) Done() <-chan struct{} { return s.done }
@@ -440,7 +442,7 @@ func (s *Session) Release() error {
 	mHoldQueueBytes.Add(-int64(s.queued))
 	flushed := s.queued
 	for _, chunk := range s.queue {
-		if _, err := s.server.Write(chunk); err != nil {
+		if _, err := s.server.Write(chunk.data); err != nil {
 			s.recycleQueueLocked()
 			return err
 		}
@@ -465,18 +467,18 @@ func (s *Session) ReleaseTo(mark int) error {
 	flushed, i := 0, 0
 	for ; i < len(s.queue) && flushed < n; i++ {
 		chunk := s.queue[i]
-		k := min(len(chunk), n-flushed)
-		if _, err = s.server.Write(chunk[:k]); err != nil {
+		k := min(len(chunk.data), n-flushed)
+		if _, err = s.server.Write(chunk.data[:k]); err != nil {
 			break
 		}
 		flushed += k
-		if k < len(chunk) {
+		if k < len(chunk.data) {
 			// Keep the chunk's unreleased tail at the front of its
 			// pooled buffer.
-			s.queue[i] = chunk[:copy(chunk, chunk[k:])]
+			s.queue[i].data = chunk.data[:copy(chunk.data, chunk.data[k:])]
 			break
 		}
-		putChunk(chunk)
+		bufPool.Put(chunk.buf)
 	}
 	rest := copy(s.queue, s.queue[i:])
 	clear(s.queue[rest:])
@@ -496,8 +498,9 @@ func (s *Session) ReleaseTo(mark int) error {
 // backing array for the session's next hold. Callers hold s.mu.
 func (s *Session) recycleQueueLocked() {
 	for _, chunk := range s.queue {
-		putChunk(chunk)
+		bufPool.Put(chunk.buf)
 	}
+	clear(s.queue)
 	s.queue = s.queue[:0]
 	s.queued = 0
 	s.holding = false
@@ -581,7 +584,7 @@ func (s *Session) forward(chunk []byte) error {
 			hp := bufPool.Get().(*[]byte)
 			held := (*hp)[:len(chunk)]
 			copy(held, chunk)
-			s.queue = append(s.queue, held)
+			s.queue = append(s.queue, heldChunk{data: held, buf: hp})
 			s.queued += len(chunk)
 			s.heldTotal += len(chunk)
 			mHoldQueueBytes.Add(int64(len(chunk)))

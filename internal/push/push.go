@@ -104,6 +104,9 @@ type Reply struct {
 	// Corrupt marks a reply whose integrity check failed in transit;
 	// the reading must not be trusted to vote a command legitimate.
 	Corrupt bool
+
+	// Tag is the RequestOpts.Tag of the request this reply answers.
+	Tag uint64
 }
 
 // RequestOpts carries the optional per-query parameters of a group
@@ -119,13 +122,19 @@ type RequestOpts struct {
 	// outcome. Replies may still arrive after Done: acceptance is a
 	// send-time fact, delivery is not.
 	Done func(Outcome)
+
+	// Tag is echoed in every Reply and in the Outcome, so a caller
+	// that passes the same callbacks to many requests can tell which
+	// request a late reply or outcome belongs to.
+	Tag uint64
 }
 
 // Outcome is the send-phase result of one group push.
 type Outcome struct {
-	Requested int // devices targeted
-	Accepted  int // sends the push service acknowledged (including offline black holes)
-	Failed    int // sends that exhausted the re-push cap
+	Requested int    // devices targeted
+	Accepted  int    // sends the push service acknowledged (including offline black holes)
+	Failed    int    // sends that exhausted the re-push cap
+	Tag       uint64 // the request's RequestOpts.Tag
 }
 
 // Broker routes measurement requests to registered devices over the
@@ -250,9 +259,16 @@ func (b *Broker) RequestRSSI(ids []string, adv ble.Advertiser, deliver func(Repl
 	return b.RequestWith(ids, adv, deliver, RequestOpts{})
 }
 
-// group tracks one query's send-phase resolution under the broker
-// mutex.
+// group is one group push: what every send, wake and reply of the
+// request shares, and its send-phase resolution, which is tracked
+// under the broker mutex.
 type group struct {
+	adv      ble.Advertiser
+	deliver  func(Reply)
+	cmd      trace.CommandID
+	reqStart time.Time
+	tag      uint64
+
 	outcome   Outcome
 	remaining int
 	done      func(Outcome)
@@ -290,11 +306,15 @@ func (b *Broker) RequestWith(ids []string, adv ble.Advertiser, deliver func(Repl
 		}
 		targets = append(targets, d)
 	}
-	g := &group{remaining: len(targets), done: opts.Done, outcome: Outcome{Requested: len(targets)}}
 	now := b.clock.Now()
+	g := &group{
+		adv: adv, deliver: deliver, cmd: opts.Command, reqStart: now, tag: opts.Tag,
+		remaining: len(targets), done: opts.Done,
+		outcome: Outcome{Requested: len(targets), Tag: opts.Tag},
+	}
 	var after []func()
 	for _, d := range targets {
-		if fn := b.sendLocked(g, d, adv, deliver, opts.Command, now, 0); fn != nil {
+		if fn := b.sendLocked(g, d, 0); fn != nil {
 			after = append(after, fn)
 		}
 	}
@@ -314,8 +334,8 @@ func (b *Broker) RequestWith(ids []string, adv ble.Advertiser, deliver func(Repl
 // a backoff retry until the re-push cap; acceptance either black-holes
 // (offline device) or schedules the wake→scan→reply chain. Returns
 // the group-completion callback to run after unlocking, or nil.
-func (b *Broker) sendLocked(g *group, d *Device, adv ble.Advertiser, deliver func(Reply), cmd trace.CommandID, reqStart time.Time, attempt int) func() {
-	now := b.clock.Now()
+func (b *Broker) sendLocked(g *group, d *Device, attempt int) func() {
+	now, cmd := b.clock.Now(), g.cmd
 	tr := trace.Or(b.tracer)
 	if b.plan.BrokerDown() || b.plan.DropPush() {
 		if attempt >= b.maxRetries {
@@ -339,7 +359,7 @@ func (b *Broker) sendLocked(g *group, d *Device, adv ble.Advertiser, deliver fun
 				// retry waited: abandon the re-push.
 				fn = g.resolveLocked(false)
 			} else {
-				fn = b.sendLocked(g, d, adv, deliver, cmd, reqStart, attempt+1)
+				fn = b.sendLocked(g, d, attempt+1)
 			}
 			b.mu.Unlock()
 			if fn != nil {
@@ -357,24 +377,24 @@ func (b *Broker) sendLocked(g *group, d *Device, adv ble.Advertiser, deliver fun
 		return g.resolveLocked(true)
 	}
 	wakeAt := now.Add(b.pushLatency()).Add(b.plan.ExtraDelay()).Add(b.uniform(wakeMinSec, wakeMaxSec))
-	b.clock.Schedule(wakeAt, func() { b.wakeAndScan(d, adv, deliver, cmd, reqStart) })
+	b.clock.Schedule(wakeAt, func() { b.wakeAndScan(g, d) })
 	return g.resolveLocked(true)
 }
 
 // wakeAndScan runs at the device's wake instant: re-checks the
 // registration, measures, and schedules the reply uplink (twice under
 // a duplicate fault).
-func (b *Broker) wakeAndScan(d *Device, adv ble.Advertiser, deliver func(Reply), cmd trace.CommandID, reqStart time.Time) {
+func (b *Broker) wakeAndScan(g *group, d *Device) {
 	b.mu.Lock()
 	if cur, ok := b.devices[d.ID]; !ok || cur != d {
 		mPushStale.Inc()
 		tr := trace.Or(b.tracer)
 		b.mu.Unlock()
-		tr.Record(trace.Event(cmd, trace.StagePush, "stale_reply", b.clock.Now(),
+		tr.Record(trace.Event(g.cmd, trace.StagePush, "stale_reply", b.clock.Now(),
 			trace.String("device", d.ID)))
 		return
 	}
-	reading := d.Scanner.Measure(adv, d.Position())
+	reading := d.Scanner.Measure(g.adv, d.Position())
 	arriveAt := b.clock.Now().Add(reading.Duration).Add(b.uniform(replyMinSec, replyMaxSec))
 	corrupt := b.plan.CorruptReply()
 	deliveries := 1
@@ -384,7 +404,7 @@ func (b *Broker) wakeAndScan(d *Device, adv ble.Advertiser, deliver func(Reply),
 	for i := 0; i < deliveries; i++ {
 		dup := i > 0
 		b.clock.Schedule(arriveAt, func() {
-			b.deliverReply(d, reading, arriveAt, reqStart, corrupt, dup, deliver, cmd)
+			b.deliverReply(g, d, reading, arriveAt, corrupt, dup)
 		})
 	}
 	b.mu.Unlock()
@@ -394,7 +414,7 @@ func (b *Broker) wakeAndScan(d *Device, adv ble.Advertiser, deliver func(Reply),
 // registration is no longer current, in which case the reply is stale
 // and must be dropped: a device removed (or replaced) mid-flight may
 // not vote on the verdict.
-func (b *Broker) deliverReply(d *Device, reading ble.Reading, at, reqStart time.Time, corrupt, dup bool, deliver func(Reply), cmd trace.CommandID) {
+func (b *Broker) deliverReply(g *group, d *Device, reading ble.Reading, at time.Time, corrupt, dup bool) {
 	b.mu.Lock()
 	cur, ok := b.devices[d.ID]
 	stale := !ok || cur != d
@@ -402,7 +422,7 @@ func (b *Broker) deliverReply(d *Device, reading ble.Reading, at, reqStart time.
 	if stale {
 		mPushStale.Inc()
 	} else {
-		b.lvRoundTrip.ObserveExemplar(at.Sub(reqStart), uint64(cmd))
+		b.lvRoundTrip.ObserveExemplar(at.Sub(g.reqStart), uint64(g.cmd))
 		if dup {
 			mPushDupes.Inc()
 		}
@@ -412,11 +432,11 @@ func (b *Broker) deliverReply(d *Device, reading ble.Reading, at, reqStart time.
 	}
 	b.mu.Unlock()
 	if stale {
-		tr.Record(trace.Event(cmd, trace.StagePush, "stale_reply", at,
+		tr.Record(trace.Event(g.cmd, trace.StagePush, "stale_reply", at,
 			trace.String("device", d.ID)))
 		return
 	}
-	deliver(Reply{DeviceID: d.ID, Reading: reading, At: at, Corrupt: corrupt})
+	g.deliver(Reply{DeviceID: d.ID, Reading: reading, At: at, Corrupt: corrupt, Tag: g.tag})
 }
 
 // pushLatency draws one FCM delivery latency. Callers hold b.mu.

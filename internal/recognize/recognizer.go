@@ -137,6 +137,12 @@ func NewEcho(speakerIP pcap.IPv4) *Recognizer {
 	}
 }
 
+// Reset forgets the spike being classified and its bound command, but
+// keeps the tracked server: the next voice packet starts a new spike.
+func (r *Recognizer) Reset() {
+	r.n, r.decided, r.cmd = 0, false, 0
+}
+
 // NewGHM returns a streaming recognizer for a Google Home Mini.
 func NewGHM(speakerIP pcap.IPv4) *Recognizer {
 	return &Recognizer{

@@ -308,6 +308,72 @@ func TestRecordCaptureRoundTrips(t *testing.T) {
 	}
 }
 
+// The generators reuse their DNS payload buffers (the chatter stream's
+// per burst, the GHM's per command), so the capture must keep copies:
+// every captured DNS answer must still name the address its client
+// connects to next, and the capture must round-trip byte for byte.
+func TestCaptureKeepsReusedDNSPayloads(t *testing.T) {
+	out, err := Run(Config{
+		Plan:              floorplan.House(),
+		Spot:              "A",
+		Speaker:           GHM,
+		Devices:           []DeviceSpec{{ID: "p5", Hardware: radio.Pixel5}},
+		Days:              1,
+		BackgroundTraffic: true,
+		RecordCapture:     true,
+		Seed:              37,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := out.Capture
+	answers := 0
+	speakerAnswers := 0
+	for i, p := range capture {
+		msg, ok := pcap.IsDNSResponse(&p)
+		if !ok {
+			continue
+		}
+		answers++
+		if p.DstIP == trafficgen.GHMAddr {
+			speakerAnswers++
+		}
+		want := msg.Addr.As4()
+		for _, next := range capture[i+1:] {
+			if next.SrcIP != p.DstIP || next.DstPort == pcap.DNSPort {
+				continue
+			}
+			if next.DstIP != want {
+				t.Fatalf("DNS answer %d for %s says %v, but its client next connects to %v",
+					i, msg.Name, pcap.IPv4(want), next.DstIP)
+			}
+			break
+		}
+	}
+	if answers < 10 || speakerAnswers == 0 {
+		t.Fatalf("capture holds %d DNS answers, %d of them the speaker's; want both kinds", answers, speakerAnswers)
+	}
+
+	var buf bytes.Buffer
+	if err := pcap.WriteCapture(&buf, capture); err != nil {
+		t.Fatal(err)
+	}
+	replay, err := pcap.ReadCapture(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replay) != len(capture) {
+		t.Fatalf("replayed %d of %d packets", len(replay), len(capture))
+	}
+	for i := range capture {
+		a, b := capture[i], replay[i]
+		if !a.Time.Equal(b.Time) || a.SrcIP != b.SrcIP || a.DstIP != b.DstIP || a.SrcPort != b.SrcPort ||
+			a.DstPort != b.DstPort || a.Proto != b.Proto || a.Len != b.Len || !bytes.Equal(a.Payload, b.Payload) {
+			t.Fatalf("packet %d did not round-trip: %+v -> %+v", i, a, b)
+		}
+	}
+}
+
 func TestCaptureOffByDefault(t *testing.T) {
 	out, err := Run(Config{
 		Plan:    floorplan.House(),

@@ -7,7 +7,6 @@ import (
 	"voiceguard/internal/recognize"
 	"voiceguard/internal/rng"
 	"voiceguard/internal/stats"
-	"voiceguard/internal/trace"
 	"voiceguard/internal/trafficgen"
 )
 
@@ -27,7 +26,7 @@ type ImpairmentPoint struct {
 // it.
 func RecognitionUnderImpairment(invocations int, configs []netem.Config, seed int64) []ImpairmentPoint {
 	points := make([]ImpairmentPoint, len(configs))
-	tr := trace.New(0)
+	rec := newSpikeRecognizer()
 	for ci, cfg := range configs {
 		points[ci].Config = cfg
 		src := rng.New(seed).SplitN("impair", ci)
@@ -40,7 +39,7 @@ func RecognitionUnderImpairment(invocations int, configs []netem.Config, seed in
 				// A spike lost whole is never classified, so a command
 				// slips through unexamined.
 				impaired := netem.Apply(s.Packets, cfg, src.SplitN("pkt", i))
-				predicted := classifyEchoSpike(tr, impaired) == recognize.ActionCommand
+				predicted := classifyEchoSpike(rec, impaired) == recognize.ActionCommand
 				points[ci].Confusion.Add(s.Phase == trafficgen.PhaseCommand, predicted)
 			}
 			at = at.Add(time.Duration(src.Uniform(60, 300)) * time.Second)

@@ -7,6 +7,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"voiceguard/internal/ble"
@@ -192,6 +193,7 @@ type owner struct {
 	pos     floorplan.Position
 	tracker *decision.FloorTracker
 	src     *rng.Source
+	trace   [decision.TraceSamples]float64 // the phone's last stair trace
 }
 
 // run holds the mutable experiment state.
@@ -207,6 +209,7 @@ type run struct {
 	router *guard.Router // when set, packets reach the guard through it (RunMulti)
 	echo   *trafficgen.Echo
 	ghm    *trafficgen.GHM
+	inv    trafficgen.Invocation // the command being issued, refilled per command
 	motion *sensor.Motion
 	corp   corpus.Corpus
 
@@ -260,6 +263,7 @@ func newRun(cfg Config) (*run, error) {
 		outcome: &Outcome{
 			Config:     cfg,
 			Thresholds: make(map[string]float64, len(cfg.Devices)),
+			Records:    make([]CommandRecord, 0, cfg.Days*(cfg.LegitPerDay+cfg.AttackPerDay)),
 		},
 	}
 	params := radio.DefaultParams()
@@ -540,10 +544,13 @@ func (r *run) feed(packets []pcap.Packet) {
 }
 
 // feedPacket advances the clock to one packet and delivers it to the
-// guard. p is read only during the call.
+// guard. p is read only during the call: the capture keeps a copy of
+// its payload, which the generators reuse.
 func (r *run) feedPacket(p *pcap.Packet) {
 	if r.cfg.RecordCapture {
-		r.outcome.Capture = append(r.outcome.Capture, *p)
+		kept := *p
+		kept.Payload = slices.Clone(p.Payload)
+		r.outcome.Capture = append(r.outcome.Capture, kept)
 	}
 	r.clock.AdvanceTo(p.Time)
 	if r.router != nil {
@@ -667,7 +674,8 @@ func (r *run) stairEvent(climber *owner, route floorplan.Route, wantClass decisi
 		if err != nil {
 			continue
 		}
-		got, err := o.tracker.OnMotionTrace(decision.RecordTrace(o.scanner, r.adv, path, 0))
+		decision.RecordTraceInto(&o.trace, o.scanner, r.adv, path, 0)
+		got, err := o.tracker.OnMotionTrace(o.trace[:])
 		if err != nil {
 			continue
 		}
@@ -687,13 +695,12 @@ func (r *run) issue(day int, malicious bool, ownerLoc int, src *rng.Source) {
 	start := r.clock.Now()
 	r.haveCmd = false
 
-	var inv trafficgen.Invocation
 	if r.cfg.Speaker == GHM {
-		inv = r.ghm.Invocation(start)
+		r.ghm.FillInvocation(&r.inv, start)
 	} else {
-		inv = r.echo.Invocation(start, responseSpikes(src))
+		r.echo.FillInvocation(&r.inv, start, responseSpikes(src))
 	}
-	r.feed(inv.All())
+	r.feed(r.inv.Packets)
 	r.clock.Advance(12 * time.Second) // let queries and timers settle
 
 	command := rng.Pick(src, r.corp.Commands)

@@ -3,7 +3,6 @@ package scenario
 import (
 	"time"
 
-	"voiceguard/internal/parallel"
 	"voiceguard/internal/pcap"
 	"voiceguard/internal/recognize"
 	"voiceguard/internal/rng"
@@ -29,56 +28,51 @@ type RecognitionResult struct {
 // streaming recognizer (classifyEchoSpike). The paper activates the
 // speaker 134 times.
 //
-// Generation is serial — the generator consumes one RNG stream, so
-// its draw order is part of the seeded record — but classification is
-// pure per spike and fans out across the parallel worker pool. The
-// tally order (and therefore the result) matches a serial run.
+// The generator consumes one RNG stream, so its draw order is part of
+// the seeded record; each spike is classified as it is generated, by
+// one recognizer reset between spikes.
 func TrafficRecognition(invocations int, seed int64) RecognitionResult {
 	src := rng.New(seed)
 	echo := trafficgen.NewEcho(src.Split("traffic"))
 	res := RecognitionResult{Invocations: invocations}
+	rec := newSpikeRecognizer()
 
 	at := time.Date(2023, 3, 1, 9, 0, 0, 0, time.UTC)
 	respSrc := src.Split("responses")
-	var spikes []trafficgen.LabeledSpike
+	var inv trafficgen.Invocation
 	for i := 0; i < invocations; i++ {
-		inv := echo.Invocation(at, responseSpikes(respSrc))
-		spikes = append(spikes, inv.Spikes...)
-		at = at.Add(time.Duration(src.Uniform(60, 600)) * time.Second)
-	}
-
-	tr := trace.New(0)
-	type verdict struct {
-		actual, predicted bool
-	}
-	verdicts := parallel.Map(len(spikes), func(i int) verdict {
-		return verdict{
-			actual:    spikes[i].Phase == trafficgen.PhaseCommand,
-			predicted: classifyEchoSpike(tr, spikes[i].Packets) == recognize.ActionCommand,
+		echo.FillInvocation(&inv, at, responseSpikes(respSrc))
+		for _, s := range inv.Spikes {
+			actual := s.Phase == trafficgen.PhaseCommand
+			res.Spikes++
+			res.Confusion.Add(actual, classifyEchoSpike(rec, s.Packets) == recognize.ActionCommand)
+			// The naive baseline calls every spike a command.
+			res.Naive.Add(actual, true)
 		}
-	})
-	for _, v := range verdicts {
-		res.Spikes++
-		res.Confusion.Add(v.actual, v.predicted)
-		// The naive baseline calls every spike a command.
-		res.Naive.Add(v.actual, true)
+		at = at.Add(time.Duration(src.Uniform(60, 600)) * time.Second)
 	}
 	return res
 }
 
-// classifyEchoSpike runs one labelled spike through the guard's
-// streaming Echo recognizer, pinned to the spike's server, and returns
-// how the spike was settled: ActionCommand, ActionRelease, or, for a
-// spike with no packets left, ActionNone. A spike still undecided when
-// its packets run out is ended as the guard's idle timer would end it.
-// The recognizer's marker events go to tr, not to trace.Default,
-// which belongs to the guards.
-func classifyEchoSpike(tr *trace.Tracer, packets []pcap.Packet) recognize.Action {
+// newSpikeRecognizer returns the streaming Echo recognizer
+// classifyEchoSpike runs. Its marker events go to a tracer of its own,
+// not to trace.Default, which belongs to the guards.
+func newSpikeRecognizer() *recognize.Recognizer {
+	rec := recognize.NewEcho(trafficgen.EchoAddr)
+	rec.Tracer = trace.New(0)
+	return rec
+}
+
+// classifyEchoSpike runs one labelled spike through rec, reset and
+// pinned to the spike's server, and returns how the spike was settled:
+// ActionCommand, ActionRelease, or, for a spike with no packets left,
+// ActionNone. A spike still undecided when its packets run out is
+// ended as the guard's idle timer would end it.
+func classifyEchoSpike(rec *recognize.Recognizer, packets []pcap.Packet) recognize.Action {
 	if len(packets) == 0 {
 		return recognize.ActionNone
 	}
-	rec := recognize.NewEcho(trafficgen.EchoAddr)
-	rec.Tracer = tr
+	rec.Reset()
 	rec.Tracker.ForceAddress(packets[0].DstIP)
 	for i := range packets {
 		if a := rec.Feed(&packets[i]); a == recognize.ActionCommand || a == recognize.ActionRelease {

@@ -16,11 +16,19 @@ import (
 // than were supplied.
 var ErrInsufficientData = errors.New("stats: insufficient data")
 
+// lengthMismatch reports x and y samples of different lengths; the
+// message is formatted only when it is read.
+type lengthMismatch struct{ xs, ys int }
+
+func (e lengthMismatch) Error() string {
+	return fmt.Sprintf("stats: mismatched lengths %d and %d", e.xs, e.ys)
+}
+
 // LinearFit fits y = slope*x + intercept by ordinary least squares.
 // It requires at least two points with non-zero x variance.
 func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
 	if len(xs) != len(ys) {
-		return 0, 0, fmt.Errorf("stats: mismatched lengths %d and %d", len(xs), len(ys))
+		return 0, 0, lengthMismatch{len(xs), len(ys)}
 	}
 	n := float64(len(xs))
 	if len(xs) < 2 {

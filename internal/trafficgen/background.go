@@ -2,6 +2,7 @@ package trafficgen
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"voiceguard/internal/pcap"
@@ -36,6 +37,10 @@ var cdnQuestions = func() (qs [50]pcap.DNSQuestion) {
 // to ten data packets.
 const maxBurstPackets = 2 + 1 + 10
 
+// burstDNSBytes holds a burst's DNS exchange: a cdnN.example.com query
+// (at most 35 bytes) and its response (51).
+const burstDNSBytes = 96
+
 // BackgroundStream synthesises unrelated home-network chatter over the
 // window [start, start+dur): laptops browsing, a TV streaming, phones
 // syncing. The guard captures everything on the LAN, so the
@@ -48,8 +53,9 @@ const maxBurstPackets = 2 + 1 + 10
 // handshake and a few data packets) at a time into a reused buffer, as
 // the consumer asks for packets: a 16-hour day is ~30,000 packets, of
 // which only the current burst is ever held. Packets come out in
-// time order, by pointer into that buffer: an emitted packet is valid
-// only during the emit call.
+// time order, by pointer into that buffer, and a DNS message's payload
+// lives in a scratch buffer the next burst overwrites: an emitted
+// packet and its payload are valid only during the emit call.
 type BackgroundStream struct {
 	src   *rng.Source
 	at    time.Time // start of the next burst
@@ -57,6 +63,7 @@ type BackgroundStream struct {
 	port  uint16
 	burst []pcap.Packet // the current burst
 	next  int           // first packet of burst not yet emitted
+	dns   []byte        // the current burst's DNS payloads
 }
 
 // NewBackgroundStream returns the chatter for [start, start+dur),
@@ -68,6 +75,7 @@ func NewBackgroundStream(src *rng.Source, start time.Time, dur time.Duration) *B
 		end:   start.Add(dur),
 		port:  backgroundPortBase,
 		burst: make([]pcap.Packet, 0, maxBurstPackets),
+		dns:   make([]byte, 0, burstDNSBytes),
 	}
 }
 
@@ -100,7 +108,7 @@ func (s *BackgroundStream) fill() bool {
 		return false
 	}
 	src := s.src
-	s.burst, s.next = s.burst[:0], 0
+	s.burst, s.next, s.dns = s.burst[:0], 0, s.dns[:0]
 	host := rng.Pick(src, backgroundHosts)
 	port := nextPort(&s.port, backgroundPortBase)
 	a := 1 + src.IntN(250)
@@ -110,7 +118,8 @@ func (s *BackgroundStream) fill() bool {
 	at := s.at
 	// Occasional DNS lookup for an unrelated domain.
 	if src.Bool(0.4) {
-		dns := dnsExchange(at, host, port, cdnQuestions[src.IntN(len(cdnQuestions))], dst, src)
+		var dns [2]pcap.Packet
+		dns, s.dns = dnsExchange(s.dns, at, host, port, cdnQuestions[src.IntN(len(cdnQuestions))], dst, src)
 		s.burst = append(s.burst, dns[:]...)
 		at = dns[1].Time.Add(intraSpikeGap(src))
 	}
@@ -126,9 +135,17 @@ func (s *BackgroundStream) fill() bool {
 }
 
 // Background collects the whole of a BackgroundStream's window into
-// one slice, for tests and offline captures.
+// one slice, for tests and offline captures. DNS payloads are copied
+// out of the stream's scratch; record payloads are interned and
+// immutable, so they are shared.
 func Background(src *rng.Source, start time.Time, dur time.Duration) []pcap.Packet {
 	var out []pcap.Packet
-	NewBackgroundStream(src, start, dur).Drain(func(p *pcap.Packet) { out = append(out, *p) })
+	NewBackgroundStream(src, start, dur).Drain(func(p *pcap.Packet) {
+		q := *p
+		if q.Proto == pcap.UDP {
+			q.Payload = slices.Clone(q.Payload)
+		}
+		out = append(out, q)
+	})
 	return out
 }

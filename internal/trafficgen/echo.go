@@ -52,6 +52,7 @@ type Echo struct {
 	avsPort   uint16 // speaker source port of the live AVS connection
 	port      uint16 // source-port counter (see nextPort)
 	nextIP    int
+	lengths   []int // scratch: the packet lengths of the spike being built
 }
 
 // echoPortBase is where the Echo's source-port counter starts.
@@ -119,7 +120,7 @@ func (e *Echo) connectPackets(t time.Time, port uint16, addr pcap.IPv4, signatur
 func (e *Echo) Boot(t time.Time) ([]pcap.Packet, error) {
 	var out []pcap.Packet
 
-	dns := dnsExchange(t, EchoAddr, e.newPort(), avsQuestion, e.avsAddr, e.src)
+	dns, _ := dnsExchange(nil, t, EchoAddr, e.newPort(), avsQuestion, e.avsAddr, e.src)
 	out = append(out, dns[:]...)
 	conn, next := e.connectPackets(dns[1].Time.Add(intraSpikeGap(e.src)), e.avsPort, e.avsAddr, e.signature)
 	out = append(out, conn...)
@@ -133,7 +134,7 @@ func (e *Echo) Boot(t time.Time) ([]pcap.Packet, error) {
 		a := 20 + e.src.IntN(60)
 		b := 1 + e.src.IntN(250)
 		addr := pcap.IPv4{54, 239, byte(a), byte(b)}
-		dns := dnsExchange(t, EchoAddr, e.newPort(), q, addr, e.src)
+		dns, _ := dnsExchange(nil, t, EchoAddr, e.newPort(), q, addr, e.src)
 		out = append(out, dns[:]...)
 		conn, next := e.connectPackets(dns[1].Time.Add(intraSpikeGap(e.src)), e.newPort(), addr, srv.Signature)
 		out = append(out, conn...)
@@ -151,7 +152,7 @@ func (e *Echo) Reconnect(t time.Time, withDNS bool) []pcap.Packet {
 	e.avsPort = e.newPort()
 	var out []pcap.Packet
 	if withDNS {
-		dns := dnsExchange(t, EchoAddr, e.newPort(), avsQuestion, e.avsAddr, e.src)
+		dns, _ := dnsExchange(nil, t, EchoAddr, e.newPort(), avsQuestion, e.avsAddr, e.src)
 		out = append(out, dns[:]...)
 		t = dns[1].Time.Add(intraSpikeGap(e.src))
 	}
@@ -174,20 +175,31 @@ func (e *Echo) Heartbeats(t time.Time, dur time.Duration) []pcap.Packet {
 // has three). The command phase is anomalous (carrying none of the
 // known patterns) with probability AnomalyRate.
 func (e *Echo) Invocation(t time.Time, responseSpikes int) Invocation {
-	inv := Invocation{Speaker: "echo", Start: t}
+	var inv Invocation
+	e.FillInvocation(&inv, t, responseSpikes)
+	return inv
+}
 
-	cmd, end := e.commandSpike(t)
-	inv.Spikes = append(inv.Spikes, LabeledSpike{Phase: PhaseCommand, Packets: cmd})
+// FillInvocation is Invocation into a caller-owned Invocation, which
+// it empties first and whose buffers it reuses: after warm-up an
+// invocation allocates nothing.
+func (e *Echo) FillInvocation(inv *Invocation, t time.Time, responseSpikes int) {
+	responses := max(responseSpikes, 0)
+	inv.reset("echo", t, maxCommandPackets+responses*maxResponsePackets, 1+responses)
+
+	end := e.commandSpike(inv, t)
+	inv.endSpike(PhaseCommand, 0)
 
 	// "The end of the first phase is indicated by no traffic for
 	// several seconds."
 	next := end.Add(time.Duration(e.src.Uniform(2000, 4000)) * time.Millisecond)
 	for i := 0; i < responseSpikes; i++ {
-		resp, respEnd := e.responseSpike(next)
-		inv.Spikes = append(inv.Spikes, LabeledSpike{Phase: PhaseResponse, Packets: resp})
+		from := len(inv.Packets)
+		respEnd := e.responseSpike(inv, next)
+		inv.endSpike(PhaseResponse, from)
 		next = respEnd.Add(time.Duration(e.src.Uniform(1500, 3500)) * time.Millisecond)
 	}
-	return inv
+	inv.seal(0)
 }
 
 // InvocationAuto generates an invocation with 1-3 response spikes.
@@ -205,10 +217,23 @@ var smallCommandLens = []int{73, 90, 113, 121, 131, 146, 162, 188, 205}
 // appear), and contain no adjacent-marker values.
 var responseLens = []int{46, 58, 90, 101, 162, 210, 350, 520, 700, 850}
 
-// commandSpike builds the first-phase packet burst: the activation
-// spike, small signalling packets carrying the phase markers, and the
-// voice-audio upload.
-func (e *Echo) commandSpike(t time.Time) ([]pcap.Packet, time.Time) {
+// maxCommandPackets and maxResponsePackets bound the spikes
+// commandSpike and responseSpike build.
+const (
+	maxCommandPackets  = 5 + 5 + 12
+	maxResponsePackets = 12
+)
+
+// anomalousLens are the lengths an anomalous command head draws from:
+// none is a marker, and every one is outside [250, 650], so no
+// fallback pattern can match.
+var anomalousLens = []int{90, 113, 162, 205, 146}
+
+// commandSpike appends the first-phase packet burst to inv — the
+// activation spike, small signalling packets carrying the phase
+// markers, and the voice-audio upload — and returns the time of its
+// last packet.
+func (e *Echo) commandSpike(inv *Invocation, t time.Time) time.Time {
 	lengths := e.commandHead()
 
 	// Trailing signalling packets.
@@ -220,26 +245,25 @@ func (e *Echo) commandSpike(t time.Time) ([]pcap.Packet, time.Time) {
 	for i, n := 0, 4+e.src.IntN(9); i < n; i++ {
 		lengths = append(lengths, 900+e.src.IntN(560))
 	}
-	return e.emitSpike(t, lengths)
+	e.lengths = lengths
+	return e.emitSpike(inv, t, lengths)
 }
 
-// commandHead builds the first five lengths of a command-phase spike.
+// commandHead builds the first five lengths of a command-phase spike
+// in the generator's length scratch.
 func (e *Echo) commandHead() []int {
+	head := e.lengths[:0]
 	if e.src.Bool(e.AnomalyRate) {
-		// Anomalous invocation: no marker, no fallback pattern. The
-		// first length stays outside [250, 650] so no fallback
-		// pattern can match.
-		head := make([]int, 5)
-		for i := range head {
-			head[i] = rng.Pick(e.src, []int{90, 113, 162, 205, 146})
+		// Anomalous invocation: no marker, no fallback pattern.
+		for i := 0; i < 5; i++ {
+			head = append(head, rng.Pick(e.src, anomalousLens))
 		}
 		return head
 	}
 	if e.src.Bool(e.MarkerRate) {
-		head := make([]int, 5)
-		head[0] = e.firstPacketLen()
+		head = append(head, e.firstPacketLen())
 		for i := 1; i < 5; i++ {
-			head[i] = rng.Pick(e.src, smallCommandLens)
+			head = append(head, rng.Pick(e.src, smallCommandLens))
 		}
 		marker := P138
 		if e.src.Bool(0.45) {
@@ -250,7 +274,7 @@ func (e *Echo) commandHead() []int {
 	}
 	// Fallback: one of the three fixed patterns.
 	pattern := CommandFallbackPatterns[e.src.IntN(len(CommandFallbackPatterns))]
-	head := append([]int(nil), pattern...)
+	head = append(head, pattern...)
 	head[0] = e.firstPacketLen()
 	return head
 }
@@ -264,13 +288,14 @@ func (e *Echo) firstPacketLen() int {
 	return FirstPacketMin + e.src.IntN(FirstPacketMax-FirstPacketMin+1)
 }
 
-// responseSpike builds a second-phase burst with the p-77/p-33
-// adjacent markers within the first seven packets.
-func (e *Echo) responseSpike(t time.Time) ([]pcap.Packet, time.Time) {
+// responseSpike appends a second-phase burst with the p-77/p-33
+// adjacent markers within the first seven packets to inv, and returns
+// the time of its last packet.
+func (e *Echo) responseSpike(inv *Invocation, t time.Time) time.Time {
 	n := 8 + e.src.IntN(5)
-	lengths := make([]int, n)
-	for i := range lengths {
-		lengths[i] = rng.Pick(e.src, responseLens)
+	lengths := e.lengths[:0]
+	for i := 0; i < n; i++ {
+		lengths = append(lengths, rng.Pick(e.src, responseLens))
 	}
 	// Markers usually land in the first five packets, occasionally as
 	// the 6th and 7th.
@@ -280,16 +305,16 @@ func (e *Echo) responseSpike(t time.Time) ([]pcap.Packet, time.Time) {
 	}
 	lengths[idx] = P77
 	lengths[idx+1] = P33
-	return e.emitSpike(t, lengths)
+	e.lengths = lengths
+	return e.emitSpike(inv, t, lengths)
 }
 
-// emitSpike turns lengths into AVS-bound packets with sub-second
-// spacing, returning the packets and the time of the last one.
-func (e *Echo) emitSpike(t time.Time, lengths []int) ([]pcap.Packet, time.Time) {
-	out := make([]pcap.Packet, 0, len(lengths))
+// emitSpike appends lengths to inv as AVS-bound packets with
+// sub-second spacing and returns the time of the last one.
+func (e *Echo) emitSpike(inv *Invocation, t time.Time, lengths []int) time.Time {
 	for _, l := range lengths {
-		out = append(out, appDataPacket(t, EchoAddr, e.avsPort, e.avsAddr, TLSPort, l))
+		inv.Packets = append(inv.Packets, appDataPacket(t, EchoAddr, e.avsPort, e.avsAddr, TLSPort, l))
 		t = t.Add(intraSpikeGap(e.src))
 	}
-	return out, out[len(out)-1].Time
+	return inv.Packets[len(inv.Packets)-1].Time
 }

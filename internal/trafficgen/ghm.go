@@ -58,12 +58,25 @@ func (g *GHM) newAddr() pcap.IPv4 {
 	return addr
 }
 
+// maxGHMPackets bounds an invocation: a DNS exchange, the handshake
+// or QUIC initial, and up to 15 command packets.
+const maxGHMPackets = 2 + 1 + 15
+
 // Invocation generates one on-demand voice-command invocation
 // starting at t: an optional DNS exchange, the session handshake, and
 // the command spike. The transport is QUIC/UDP with probability
 // QUICProb, else TCP.
 func (g *GHM) Invocation(t time.Time) Invocation {
-	inv := Invocation{Speaker: "ghm", Start: t}
+	var inv Invocation
+	g.FillInvocation(&inv, t)
+	return inv
+}
+
+// FillInvocation is Invocation into a caller-owned Invocation, which
+// it empties first and whose buffers (the DNS payloads included) it
+// reuses: after warm-up an invocation allocates nothing.
+func (g *GHM) FillInvocation(inv *Invocation, t time.Time) {
+	inv.reset("ghm", t, maxGHMPackets, 1)
 	port := g.newPort()
 	quic := g.src.Bool(g.QUICProb)
 
@@ -72,34 +85,35 @@ func (g *GHM) Invocation(t time.Time) Invocation {
 		if g.src.Bool(0.3) {
 			g.addr = g.newAddr()
 		}
-		dns := dnsExchange(t, GHMAddr, g.newPort(), googleQuestion, g.addr, g.src)
-		inv.Setup = append(inv.Setup, dns[:]...)
+		var dns [2]pcap.Packet
+		dns, inv.dns = dnsExchange(inv.dns, t, GHMAddr, g.newPort(), googleQuestion, g.addr, g.src)
+		inv.Packets = append(inv.Packets, dns[:]...)
 		t = dns[1].Time.Add(intraSpikeGap(g.src))
 	}
 
 	if quic {
 		// QUIC initial packets ride in the same UDP flow as the
 		// command data.
-		inv.Setup = append(inv.Setup, g.quicPacket(t, port, 1200+g.src.IntN(52)))
+		inv.Packets = append(inv.Packets, g.quicPacket(t, port, 1200+g.src.IntN(52)))
 		t = t.Add(intraSpikeGap(g.src))
 	} else {
-		inv.Setup = append(inv.Setup, handshakePacket(t, GHMAddr, port, g.addr, TLSPort, 230+g.src.IntN(80)))
+		inv.Packets = append(inv.Packets, handshakePacket(t, GHMAddr, port, g.addr, TLSPort, 230+g.src.IntN(80)))
 		t = t.Add(intraSpikeGap(g.src))
 	}
+	setup := len(inv.Packets)
 
 	n := 6 + g.src.IntN(10)
-	packets := make([]pcap.Packet, 0, n)
 	for i := 0; i < n; i++ {
 		length := 300 + g.src.IntN(1050)
 		if quic {
-			packets = append(packets, g.quicPacket(t, port, length))
+			inv.Packets = append(inv.Packets, g.quicPacket(t, port, length))
 		} else {
-			packets = append(packets, appDataPacket(t, GHMAddr, port, g.addr, TLSPort, length))
+			inv.Packets = append(inv.Packets, appDataPacket(t, GHMAddr, port, g.addr, TLSPort, length))
 		}
 		t = t.Add(intraSpikeGap(g.src))
 	}
-	inv.Spikes = append(inv.Spikes, LabeledSpike{Phase: PhaseCommand, Packets: packets})
-	return inv
+	inv.endSpike(PhaseCommand, setup)
+	inv.seal(setup)
 }
 
 // quicZeros backs every QUIC datagram's zero-filled payload: a

@@ -21,6 +21,7 @@ package trafficgen
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,26 +127,56 @@ type LabeledSpike struct {
 // Invocation is one full speaker invocation: the command-phase spike
 // and zero or more response-phase spikes, plus any connection-setup
 // packets (DNS, handshake) that preceded it.
+//
+// Packets holds the whole invocation in time order; Setup and each
+// spike's Packets are capacity-capped sub-slices of it. A generator's
+// FillInvocation refills an Invocation in place, reusing these slices
+// and the DNS payload buffer, so everything an Invocation holds stays
+// valid only until it is filled again.
 type Invocation struct {
 	Speaker string
 	Start   time.Time
+	Packets []pcap.Packet // every packet, in time order
 	Setup   []pcap.Packet // DNS + handshake (GHM on-demand connections)
 	Spikes  []LabeledSpike
+
+	dns []byte // backs the DNS payloads in Setup
 }
 
-// All returns every packet of the invocation in time order.
+// All returns every packet of the invocation in time order. The slice
+// is the invocation's own, capped so that appending to it copies.
 func (inv Invocation) All() []pcap.Packet {
-	n := len(inv.Setup)
-	for _, s := range inv.Spikes {
-		n += len(s.Packets)
+	return inv.Packets[:len(inv.Packets):len(inv.Packets)]
+}
+
+// reset empties inv for a new invocation of at most packets packets
+// in spikes spikes, keeping its buffers and growing them to fit.
+func (inv *Invocation) reset(speaker string, t time.Time, packets, spikes int) {
+	inv.Speaker, inv.Start = speaker, t
+	inv.Packets = slices.Grow(inv.Packets[:0], packets)
+	inv.Spikes = slices.Grow(inv.Spikes[:0], spikes)
+	inv.Setup, inv.dns = nil, inv.dns[:0]
+}
+
+// endSpike closes a spike whose packets run from index from to the
+// end of Packets.
+func (inv *Invocation) endSpike(phase Phase, from int) {
+	inv.Spikes = append(inv.Spikes, LabeledSpike{Phase: phase, Packets: inv.Packets[from:]})
+}
+
+// seal points Setup (the first setup packets) and every spike at the
+// finished Packets slice: appends may have moved it since a spike was
+// closed, but each spike's length is still right.
+func (inv *Invocation) seal(setup int) {
+	if setup > 0 {
+		inv.Setup = inv.Packets[:setup:setup]
 	}
-	out := make([]pcap.Packet, 0, n)
-	out = append(out, inv.Setup...)
-	for _, s := range inv.Spikes {
-		out = append(out, s.Packets...)
+	off := setup
+	for i := range inv.Spikes {
+		end := off + len(inv.Spikes[i].Packets)
+		inv.Spikes[i].Packets = inv.Packets[off:end:end]
+		off = end
 	}
-	pcap.SortByTime(out)
-	return out
 }
 
 // CommandSpike returns the invocation's command-phase spike.
@@ -267,12 +298,18 @@ var (
 	googleQuestion = mustQuestion(GoogleDomain)
 )
 
-// dnsExchange builds a query/response pair for q resolving to addr.
-// The response arrives 10-40 ms after the query.
-func dnsExchange(t time.Time, clientIP pcap.IPv4, clientPort uint16, q pcap.DNSQuestion, addr pcap.IPv4, src *rng.Source) [2]pcap.Packet {
+// dnsExchange builds a query/response pair for q resolving to addr,
+// appending both payloads to buf and returning the extended buffer.
+// The packets' payloads alias buf (or the array a growing append moved
+// it to), so they stay valid only while the caller leaves buf's
+// contents alone. The response arrives 10-40 ms after the query.
+func dnsExchange(buf []byte, t time.Time, clientIP pcap.IPv4, clientPort uint16, q pcap.DNSQuestion, addr pcap.IPv4, src *rng.Source) ([2]pcap.Packet, []byte) {
 	id := uint16(src.IntN(1 << 16))
-	query := q.Query(id)
-	resp := q.Response(id, addr)
+	start := len(buf)
+	buf = q.AppendQuery(buf, id)
+	mid := len(buf)
+	buf = q.AppendResponse(buf, id, addr)
+	query, resp := buf[start:mid:mid], buf[mid:len(buf):len(buf)]
 	latency := time.Duration(src.Uniform(10, 40)) * time.Millisecond
 	return [2]pcap.Packet{
 		{
@@ -287,7 +324,7 @@ func dnsExchange(t time.Time, clientIP pcap.IPv4, clientPort uint16, q pcap.DNSQ
 			DstIP: clientIP, DstPort: clientPort,
 			Proto: pcap.UDP, Len: len(resp), Payload: resp,
 		},
-	}
+	}, buf
 }
 
 // intraSpikeGap draws a sub-second inter-packet interval, keeping the
