@@ -134,6 +134,34 @@ func exportPlan(testbed, path string) error {
 	return f.Close()
 }
 
+// ownerDevices maps each -devices name to its model, for the built-in
+// testbeds, and to its radio hardware, for custom plans.
+var ownerDevices = map[string]struct {
+	model    voiceguard.DeviceModel
+	hardware radio.Device
+}{
+	"pixel5":  {voiceguard.Pixel5, radio.Pixel5},
+	"pixel4a": {voiceguard.Pixel4a, radio.Pixel4a},
+	"watch4":  {voiceguard.GalaxyWatch4, radio.GalaxyWatch4},
+}
+
+// parseDevices splits the -devices list into device names, each one a
+// key of ownerDevices. Empty entries are skipped.
+func parseDevices(list string) ([]string, error) {
+	var names []string
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if _, ok := ownerDevices[name]; !ok {
+			return nil, fmt.Errorf("unknown device %q", name)
+		}
+		names = append(names, name)
+	}
+	return names, nil
+}
+
 // runCustomPlan runs the protection experiment on a user-provided
 // floor plan.
 func runCustomPlan(path, spot, speaker string, days int, seed int64, devices string) error {
@@ -155,19 +183,13 @@ func runCustomPlan(path, spot, speaker string, days int, seed int64, devices str
 	default:
 		return fmt.Errorf("unknown speaker %q", speaker)
 	}
-	var specs []scenario.DeviceSpec
-	for _, name := range strings.Split(devices, ",") {
-		switch strings.TrimSpace(name) {
-		case "pixel5":
-			specs = append(specs, scenario.DeviceSpec{ID: "pixel5", Hardware: radio.Pixel5})
-		case "pixel4a":
-			specs = append(specs, scenario.DeviceSpec{ID: "pixel4a", Hardware: radio.Pixel4a})
-		case "watch4":
-			specs = append(specs, scenario.DeviceSpec{ID: "watch4", Hardware: radio.GalaxyWatch4})
-		case "":
-		default:
-			return fmt.Errorf("unknown device %q", name)
-		}
+	names, err := parseDevices(devices)
+	if err != nil {
+		return err
+	}
+	specs := make([]scenario.DeviceSpec, 0, len(names))
+	for _, name := range names {
+		specs = append(specs, scenario.DeviceSpec{ID: name, Hardware: ownerDevices[name].hardware})
 	}
 
 	out, err := scenario.Run(scenario.Config{
@@ -223,19 +245,12 @@ func run(testbed, spot, speaker string, days int, seed int64, devices string, no
 		return fmt.Errorf("unknown speaker %q", speaker)
 	}
 
-	for _, name := range strings.Split(devices, ",") {
-		name = strings.TrimSpace(name)
-		switch name {
-		case "pixel5":
-			cfg.Devices = append(cfg.Devices, voiceguard.Device{Name: name, Model: voiceguard.Pixel5})
-		case "pixel4a":
-			cfg.Devices = append(cfg.Devices, voiceguard.Device{Name: name, Model: voiceguard.Pixel4a})
-		case "watch4":
-			cfg.Devices = append(cfg.Devices, voiceguard.Device{Name: name, Model: voiceguard.GalaxyWatch4})
-		case "":
-		default:
-			return fmt.Errorf("unknown device %q", name)
-		}
+	names, err := parseDevices(devices)
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		cfg.Devices = append(cfg.Devices, voiceguard.Device{Name: name, Model: ownerDevices[name].model})
 	}
 
 	res, err := voiceguard.RunExperiment(cfg)

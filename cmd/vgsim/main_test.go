@@ -38,6 +38,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run("house", "A", "echo", 1, 1, "pixel5,telegraph", false, false, ""); err == nil {
 		t.Fatal("unknown device accepted")
 	}
+	if err := run("house", "A", "echo", 1, 1, "pixel5,pixel5", false, false, ""); err == nil {
+		t.Fatal("repeated device accepted")
+	}
 }
 
 func TestRunDumpWritesReadableCapture(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 // radio field, the wall-loss loop, the zero-copy proxy pumps, the
 // live plane's per-chunk tap, the per-packet spike classifiers, the
 // traffic generators' per-packet builders and background stream, the
-// flight recorder's span recording, and the wire emulator's record
-// send and cloud serve loop.
+// flight recorder's span recording, the wire emulator's record send
+// and cloud serve loop, and the RSSI method's verdict path.
 // BenchmarkProxyThroughput pins the proxy path at 0 allocs/op and
 // BenchmarkRadioSample the radio path at 1 (16 B: the shadow draw's
 // PCG state, which escapes through rand.Rand's Source interface);
@@ -63,6 +63,7 @@ var hotFuncs = map[string]map[string]bool{
 	},
 	"voiceguard/internal/decision": {
 		"ExtractFeatures": true, "classify": true,
+		"Check": true, "reply": true, "expire": true, "sent": true, "finish": true,
 	},
 }
 

@@ -1,7 +1,6 @@
 package decision
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"voiceguard/internal/push"
 	"voiceguard/internal/radio"
 	"voiceguard/internal/rng"
+	"voiceguard/internal/trace"
 )
 
 // withFaults installs a fault plan on the fixture's broker.
@@ -41,7 +41,7 @@ func replyArrival(t *testing.T, seed int64) time.Duration {
 	t.Helper()
 	f := newHouseFixture(t, seed)
 	var at time.Time
-	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(r push.Reply) { at = r.At }); err != nil {
+	if err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(r push.Reply) { at = r.At }, push.RequestOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	f.clock.Advance(time.Minute)
@@ -73,8 +73,8 @@ func TestSingleVerdictWhenReplyRacesTimeout(t *testing.T) {
 	if got.Legitimate {
 		t.Fatalf("late reply overturned the timeout verdict: %+v", got)
 	}
-	if !strings.Contains(got.Reason, "timeout") {
-		t.Fatalf("reason = %q, want the timeout verdict", got.Reason)
+	if got.Reason != ReasonNoReply {
+		t.Fatalf("reason = %v, want the timeout verdict (%v)", got.Reason, ReasonNoReply)
 	}
 	if want := epoch.Add(arrival); !got.At.Equal(want) {
 		t.Fatalf("verdict at %v, want %v", got.At, want)
@@ -123,8 +123,8 @@ func TestDuplicateReplyDoesNotForceEarlyVerdict(t *testing.T) {
 		Timeout: 3 * time.Second,
 	}
 	got := runCheck(t, f, m)
-	if !strings.Contains(got.Reason, "partial replies (1/2)") {
-		t.Fatalf("reason = %q, want a timeout with partial replies — a duplicate must not complete the query early", got.Reason)
+	if got.Reason != ReasonPartialTimeout {
+		t.Fatalf("reason = %v, want a timeout with partial replies — a duplicate must not complete the query early", got.Reason)
 	}
 	if got.PathDead {
 		t.Fatal("partial replies marked the path dead")
@@ -146,13 +146,23 @@ func TestCorruptReplyCannotPass(t *testing.T) {
 		Adv:     f.adv,
 		Devices: []DeviceConfig{{ID: "pixel5", Threshold: -8.5}},
 		Timeout: 3 * time.Second,
+		Tracer:  trace.New(64),
 	}
 	got := runCheck(t, f, m)
 	if got.Legitimate {
 		t.Fatalf("corrupt reply passed the check: %+v", got)
 	}
-	if !strings.Contains(got.Reason, "corrupted") {
-		t.Fatalf("reason = %q, want the corruption surfaced", got.Reason)
+	if got.Reason != ReasonNoneNear {
+		t.Fatalf("reason = %v, want %v once the only device replied", got.Reason, ReasonNoneNear)
+	}
+	corrupt := 0
+	for _, s := range m.Tracer.Snapshot() {
+		if s.Name == "corrupt_reply" {
+			corrupt++
+		}
+	}
+	if corrupt != 1 {
+		t.Fatalf("%d corrupt_reply events, want the corruption surfaced once", corrupt)
 	}
 }
 
@@ -173,8 +183,8 @@ func TestAllSendsFailedIsEarlyPathDead(t *testing.T) {
 	if got.Legitimate || !got.PathDead {
 		t.Fatalf("want a path-dead block, got %+v", got)
 	}
-	if !strings.Contains(got.Reason, "push path dead") {
-		t.Fatalf("reason = %q, want the dead push path surfaced", got.Reason)
+	if got.Reason != ReasonPathDead {
+		t.Fatalf("reason = %v, want the dead push path surfaced", got.Reason)
 	}
 	// Default retry ladder: 400ms + 800ms + 1.6s of backoff → +2.8s,
 	// far earlier than the 30s timeout.
@@ -183,8 +193,8 @@ func TestAllSendsFailedIsEarlyPathDead(t *testing.T) {
 	}
 }
 
-// A timeout with zero replies — every push black-holed — reports "no
-// device reachable" and is PathDead; the partial-reply timeout stays
+// A timeout with zero replies — every push black-holed — reports
+// ReasonNoReply and is PathDead; the partial-reply timeout stays
 // an evidence-based block.
 func TestTimeoutWithZeroRepliesIsPathDead(t *testing.T) {
 	f := newHouseFixture(t, 36)
@@ -200,8 +210,8 @@ func TestTimeoutWithZeroRepliesIsPathDead(t *testing.T) {
 	if !got.PathDead {
 		t.Fatalf("zero-reply timeout not marked path-dead: %+v", got)
 	}
-	if !strings.Contains(got.Reason, "no device reachable") {
-		t.Fatalf("reason = %q, want %q", got.Reason, "no device reachable")
+	if got.Reason != ReasonNoReply {
+		t.Fatalf("reason = %v, want %v", got.Reason, ReasonNoReply)
 	}
 }
 

@@ -30,6 +30,13 @@ type houseFixture struct {
 
 func newHouseFixture(t testing.TB, seed int64) *houseFixture {
 	t.Helper()
+	return newHouseFixtureWith(t, seed, false)
+}
+
+// newHouseFixtureWith is newHouseFixture with the phone online or
+// offline.
+func newHouseFixtureWith(t testing.TB, seed int64, offline bool) *houseFixture {
+	t.Helper()
 	f := &houseFixture{
 		plan: floorplan.House(),
 		root: rng.New(seed),
@@ -45,6 +52,7 @@ func newHouseFixture(t testing.TB, seed int64) *houseFixture {
 		ID:       "pixel5",
 		Scanner:  f.scanner,
 		Position: func() floorplan.Position { return f.pos },
+		Offline:  offline,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +132,7 @@ func TestRSSIMethodAllowsOwnerInRoom(t *testing.T) {
 		Devices: []DeviceConfig{{ID: "pixel5", Threshold: threshold}},
 	}
 	f.pos = floorplan.Position{Floor: 0, At: geom.Point{X: 3, Y: 2.5}} // living room
-	if got := runCheck(t, f, m); !got.Legitimate {
+	if got := runCheck(t, f, m); !got.Legitimate || got.Reason != ReasonPassed {
 		t.Fatalf("owner in room blocked: %+v", got)
 	}
 }
@@ -139,7 +147,7 @@ func TestRSSIMethodBlocksOwnerAway(t *testing.T) {
 		Devices: []DeviceConfig{{ID: "pixel5", Threshold: threshold}},
 	}
 	f.pos = floorplan.Position{Floor: 0, At: geom.Point{X: 10, Y: 8}} // restroom
-	if got := runCheck(t, f, m); got.Legitimate {
+	if got := runCheck(t, f, m); got.Legitimate || got.Reason != ReasonNoneNear {
 		t.Fatalf("attack allowed with owner in the restroom: %+v", got)
 	}
 }
@@ -180,8 +188,8 @@ func TestRSSIMethodMultiUserAnyDevicePasses(t *testing.T) {
 func TestRSSIMethodNoDevices(t *testing.T) {
 	f := newHouseFixture(t, 6)
 	m := &RSSIMethod{Clock: f.clock, Broker: f.broker, Adv: f.adv}
-	if got := runCheck(t, f, m); got.Legitimate {
-		t.Fatal("no registered devices should block")
+	if got := runCheck(t, f, m); got.Legitimate || got.Reason != ReasonNoDevices {
+		t.Fatalf("no registered devices should block: %+v", got)
 	}
 }
 
@@ -193,8 +201,8 @@ func TestRSSIMethodUnknownDeviceBlocks(t *testing.T) {
 		Adv:     f.adv,
 		Devices: []DeviceConfig{{ID: "ghost", Threshold: -8}},
 	}
-	if got := runCheck(t, f, m); got.Legitimate {
-		t.Fatal("unknown device should block")
+	if got := runCheck(t, f, m); got.Legitimate || got.Reason != ReasonPushError {
+		t.Fatalf("unknown device should block on the refused push: %+v", got)
 	}
 }
 
@@ -225,17 +233,7 @@ func TestRSSIMethodFloorTrackerOverridesRSSI(t *testing.T) {
 }
 
 func TestRSSIMethodTimesOutOnOfflineDevice(t *testing.T) {
-	f := newHouseFixture(t, 21)
-	// Replace the device with an offline one.
-	f.broker.Unregister("pixel5")
-	if err := f.broker.Register(&push.Device{
-		ID:       "pixel5",
-		Scanner:  f.scanner,
-		Position: func() floorplan.Position { return f.pos },
-		Offline:  true,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	f := newHouseFixtureWith(t, 21, true)
 	m := &RSSIMethod{
 		Clock:   f.clock,
 		Broker:  f.broker,
@@ -340,20 +338,15 @@ func TestFloorCeilingDoesNotResyncInBleedBand(t *testing.T) {
 	}
 }
 
-func TestStaticAndScheduleMethods(t *testing.T) {
+func TestStaticMethod(t *testing.T) {
 	var got Result
 	(&StaticMethod{MethodName: "allow-all", Allow: true}).Check(Request{At: epoch}, func(r Result) { got = r })
-	if !got.Legitimate {
-		t.Fatal("static allow returned block")
+	if !got.Legitimate || got.Reason != ReasonStatic || !got.At.Equal(epoch) {
+		t.Fatalf("static allow = %+v, want a legitimate static verdict at the request time", got)
 	}
-	sched := &ScheduleMethod{StartHour: 8, EndHour: 22}
-	sched.Check(Request{At: time.Date(2023, 3, 1, 23, 0, 0, 0, time.UTC)}, func(r Result) { got = r })
+	(&StaticMethod{MethodName: "block-all"}).Check(Request{At: epoch}, func(r Result) { got = r })
 	if got.Legitimate {
-		t.Fatal("schedule allowed a 23:00 command")
-	}
-	sched.Check(Request{At: time.Date(2023, 3, 1, 9, 0, 0, 0, time.UTC)}, func(r Result) { got = r })
-	if !got.Legitimate {
-		t.Fatal("schedule blocked a 09:00 command")
+		t.Fatal("static block returned allow")
 	}
 }
 

@@ -23,7 +23,7 @@ type Request struct {
 // Result is the module's verdict.
 type Result struct {
 	Legitimate bool
-	Reason     string
+	Reason     Reason
 	At         time.Time // simulated completion time
 
 	// PathDead marks a verdict produced without evidence because the
@@ -33,6 +33,46 @@ type Result struct {
 	// the guard's DegradedPolicy decides whether held traffic is
 	// released or blocked anyway.
 	PathDead bool
+}
+
+// Reason names why a method reached its verdict. The numbers behind
+// an RSSI verdict (device, RSSI, threshold, reply counts, failed
+// sends) are attributes of the same command's decision trace events
+// (rssi_reply, query_timeout, corrupt_reply, path_dead).
+type Reason uint8
+
+// The verdict reasons. The zero value is a verdict whose method gave
+// no reason, such as the wire plane's DecisionFunc.
+const (
+	ReasonUnspecified    Reason = iota
+	ReasonPassed                // a device replied above its threshold, on the speaker's floor
+	ReasonNoneNear              // every device replied, none passed (corrupt replies included)
+	ReasonPartialTimeout        // the query timed out after some devices replied
+	ReasonNoReply               // the query timed out with no reply at all (PathDead)
+	ReasonPathDead              // every push send failed (PathDead)
+	ReasonPushError             // the push request was refused before any send
+	ReasonNoDevices             // no device is registered with the method
+	ReasonStatic                // StaticMethod's fixed verdict
+)
+
+var reasonNames = [...]string{
+	ReasonUnspecified:    "unspecified",
+	ReasonPassed:         "passed",
+	ReasonNoneNear:       "none_near",
+	ReasonPartialTimeout: "partial_timeout",
+	ReasonNoReply:        "no_reply",
+	ReasonPathDead:       "path_dead",
+	ReasonPushError:      "push_error",
+	ReasonNoDevices:      "no_devices",
+	ReasonStatic:         "static",
+}
+
+// String returns the reason's trace attribute value.
+func (r Reason) String() string {
+	if int(r) < len(reasonNames) {
+		return reasonNames[r]
+	}
+	return "invalid"
 }
 
 // Method checks the legitimacy of a voice command. Implementations
@@ -45,7 +85,7 @@ type Method interface {
 
 // StaticMethod is a trivial Method returning a fixed verdict — the
 // package's second implementation, demonstrating the extensible
-// framework (and useful as a test stub).
+// framework (vgreplay's verdict, and a test stub).
 type StaticMethod struct {
 	MethodName string
 	Allow      bool
@@ -58,31 +98,5 @@ func (m *StaticMethod) Name() string { return m.MethodName }
 
 // Check immediately reports the fixed verdict.
 func (m *StaticMethod) Check(req Request, done func(Result)) {
-	done(Result{Legitimate: m.Allow, Reason: "static policy", At: req.At})
-}
-
-// ScheduleMethod allows commands only inside configured daily hours —
-// a simple example of plugging a non-RSSI signal into the framework
-// (the paper's "other approaches ... can be easily integrated").
-type ScheduleMethod struct {
-	// StartHour and EndHour bound the allowed window in the request
-	// timestamp's location, half-open [StartHour, EndHour).
-	StartHour, EndHour int
-}
-
-var _ Method = (*ScheduleMethod)(nil)
-
-// Name returns the method name.
-func (m *ScheduleMethod) Name() string { return "schedule" }
-
-// Check allows the command when the request time falls inside the
-// configured window.
-func (m *ScheduleMethod) Check(req Request, done func(Result)) {
-	h := req.At.Hour()
-	ok := h >= m.StartHour && h < m.EndHour
-	reason := "inside allowed hours"
-	if !ok {
-		reason = "outside allowed hours"
-	}
-	done(Result{Legitimate: ok, Reason: reason, At: req.At})
+	done(Result{Legitimate: m.Allow, Reason: ReasonStatic, At: req.At})
 }

@@ -126,7 +126,6 @@ type rssiQuery struct {
 	devices []DeviceConfig // the query's snapshot of m.Devices
 	replied []bool         // per device; a repeated ID uses its last slot
 	replies int            // distinct devices replied
-	corrupt int
 	decided bool
 
 	timeoutEv *simtime.Event
@@ -159,11 +158,7 @@ func (m *RSSIMethod) newQuery() *rssiQuery {
 func (m *RSSIMethod) Check(req Request, done func(Result)) {
 	mRSSIQueries.Inc()
 	if len(m.Devices) == 0 {
-		done(Result{
-			Legitimate: false,
-			Reason:     "no registered devices",
-			At:         req.At,
-		})
+		done(Result{Reason: ReasonNoDevices, At: req.At})
 		return
 	}
 	q := m.newQuery()
@@ -175,7 +170,7 @@ func (m *RSSIMethod) Check(req Request, done func(Result)) {
 	q.devices = append(q.devices[:0], m.Devices...)
 	q.replied = slices.Grow(q.replied[:0], len(q.devices))[:len(q.devices)]
 	clear(q.replied)
-	q.replies, q.corrupt, q.decided = 0, 0, false
+	q.replies, q.decided = 0, false
 	m.ids = m.ids[:0]
 	for _, d := range q.devices {
 		m.ids = append(m.ids, d.ID)
@@ -194,12 +189,9 @@ func (m *RSSIMethod) Check(req Request, done func(Result)) {
 		Tag:     q.gen,
 	})
 	if err != nil {
-		// No send went out, so no callback has touched q.
-		q.finish(Result{
-			Legitimate: false,
-			Reason:     fmt.Sprintf("push error: %v", err),
-			At:         m.Clock.Now(),
-		})
+		// No send went out, so no callback has touched q. The push
+		// layer's unknown_device event names the device.
+		q.finish(Result{Reason: ReasonPushError, At: m.Clock.Now()})
 	}
 }
 
@@ -257,14 +249,10 @@ func (q *rssiQuery) expire() {
 	// was reachable at all, so the verdict carries no evidence and
 	// the guard's degraded policy applies.
 	if q.replies == 0 {
-		q.finish(Result{Reason: "query timeout: no device reachable", At: now, PathDead: true})
+		q.finish(Result{Reason: ReasonNoReply, At: now, PathDead: true})
 		return
 	}
-	q.finish(Result{
-		Legitimate: false,
-		Reason:     fmt.Sprintf("query timeout with partial replies (%d/%d)", q.replies, len(q.devices)),
-		At:         now,
-	})
+	q.finish(Result{Reason: ReasonPartialTimeout, At: now})
 }
 
 // reply counts one device's reply toward the verdict.
@@ -302,12 +290,11 @@ func (q *rssiQuery) reply(r push.Reply) {
 		// A garbled reading may vote nobody legitimate and must
 		// not touch the floor tracker — but the device did answer,
 		// so it still counts toward the reply tally.
-		q.corrupt++
 		mCorruptReplies.Inc()
 		tr.Record(trace.Event(cmd, trace.StageDecision, "corrupt_reply", r.At,
 			trace.String("device", r.DeviceID)))
 		if q.replies == len(q.devices) {
-			q.finish(noPassResult(r.At, q.replies, q.corrupt))
+			q.finish(Result{Reason: ReasonNoneNear, At: r.At})
 		}
 		return
 	}
@@ -340,15 +327,11 @@ func (q *rssiQuery) reply(r push.Reply) {
 		trace.Float("threshold", d.Threshold),
 		trace.Bool("pass", pass)))
 	if pass {
-		q.finish(Result{
-			Legitimate: true,
-			Reason:     fmt.Sprintf("device %s RSSI %.1f above threshold %.1f", r.DeviceID, r.Reading.RSSI, d.Threshold),
-			At:         r.At,
-		})
+		q.finish(Result{Legitimate: true, Reason: ReasonPassed, At: r.At})
 		return
 	}
 	if q.replies == len(q.devices) {
-		q.finish(noPassResult(r.At, q.replies, q.corrupt))
+		q.finish(Result{Reason: ReasonNoneNear, At: r.At})
 	}
 }
 
@@ -364,22 +347,7 @@ func (q *rssiQuery) sent(out push.Outcome) {
 	q.tr.Record(trace.Event(q.req.Command, trace.StageDecision, "path_dead", at,
 		trace.Int("failed_sends", out.Failed),
 		trace.Int("devices", out.Requested)))
-	q.finish(Result{
-		Legitimate: false,
-		Reason:     fmt.Sprintf("push path dead: all %d sends failed", out.Failed),
-		At:         at,
-		PathDead:   true,
-	})
-}
-
-// noPassResult is the verdict once every queried device has replied
-// and none passed.
-func noPassResult(at time.Time, replies, corrupt int) Result {
-	reason := "no device near the speaker"
-	if corrupt > 0 {
-		reason = fmt.Sprintf("no device near the speaker (%d/%d replies corrupted)", corrupt, replies)
-	}
-	return Result{Legitimate: false, Reason: reason, At: at}
+	q.finish(Result{Reason: ReasonPathDead, At: at, PathDead: true})
 }
 
 // CalibrationInterval is the walk-the-room app's sampling period.

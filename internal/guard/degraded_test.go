@@ -20,7 +20,7 @@ func (pathDeadMethod) Name() string { return "path-dead-stub" }
 func (pathDeadMethod) Check(req decision.Request, done func(decision.Result)) {
 	done(decision.Result{
 		Legitimate: false,
-		Reason:     "push path dead: all sends failed",
+		Reason:     decision.ReasonPathDead,
 		At:         req.At,
 		PathDead:   true,
 	})

@@ -20,7 +20,7 @@ type allowMethod struct{ clock *simtime.Sim }
 func (allowMethod) Name() string { return "always-allow" }
 
 func (m allowMethod) Check(req decision.Request, done func(decision.Result)) {
-	done(decision.Result{Legitimate: true, Reason: "owner home", At: m.clock.Now()})
+	done(decision.Result{Legitimate: true, Reason: decision.ReasonStatic, At: m.clock.Now()})
 }
 
 // ExampleGuard_OnEvent correlates the guard's event callback with the

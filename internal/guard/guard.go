@@ -578,17 +578,11 @@ func (ep *episode) verdict(r decision.Result) {
 		g.tracer().Record(trace.Event(ep.id, g.Stage, "degraded_verdict", r.At,
 			trace.String("policy", g.Degraded.String()),
 			trace.Bool("released", released),
-			trace.String("reason", r.Reason)))
+			trace.String("reason", r.Reason.String())))
 	}
-	outcome := trace.String(trace.AttrOutcome, trace.OutcomeDrop)
+	outcome := trace.OutcomeDrop
 	if released {
-		outcome = trace.String(trace.AttrOutcome, trace.OutcomeRelease)
-	}
-	var attrs []trace.Attr
-	if r.Reason == "" { // the live plane's verdicts carry no reason
-		attrs = []trace.Attr{outcome}
-	} else {
-		attrs = []trace.Attr{outcome, trace.String("reason", r.Reason)}
+		outcome = trace.OutcomeRelease
 	}
 	g.tracer().Record(trace.Span{
 		Command: ep.id,
@@ -596,7 +590,10 @@ func (ep *episode) verdict(r decision.Result) {
 		Name:    g.method.Name(),
 		Start:   ep.queryStart,
 		End:     r.At,
-		Attrs:   attrs,
+		Attrs: []trace.Attr{
+			trace.String(trace.AttrOutcome, outcome),
+			trace.String("reason", r.Reason.String()),
+		},
 	})
 	g.resolveHold(ep, released)
 	g.record(Event{

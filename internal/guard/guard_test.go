@@ -152,7 +152,7 @@ func TestResponseSpikesReleasedWithoutQuery(t *testing.T) {
 			if !e.Released {
 				t.Fatal("non-command spike not released")
 			}
-			if e.Verdict.Reason != "" {
+			if e.Verdict.Reason != decision.ReasonUnspecified {
 				t.Fatal("non-command spike went through a decision query")
 			}
 		}

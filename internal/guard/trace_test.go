@@ -28,7 +28,7 @@ func (m *slowMethod) Name() string { return "slow-test" }
 func (m *slowMethod) Check(req decision.Request, done func(decision.Result)) {
 	m.checks++
 	m.clock.After(m.delay, func() {
-		done(decision.Result{Legitimate: m.allow, Reason: "slow", At: m.clock.Now()})
+		done(decision.Result{Legitimate: m.allow, Reason: decision.ReasonStatic, At: m.clock.Now()})
 	})
 }
 

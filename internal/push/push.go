@@ -35,7 +35,6 @@ const (
 	metricPushOffline  = "push_offline_devices_total"
 	metricPushRetries  = "push_retries_total"
 	metricPushFailures = "push_send_failures_total"
-	metricPushStale    = "push_stale_replies_total"
 	metricPushDupes    = "push_duplicate_replies_total"
 	metricPushCorrupt  = "push_corrupt_replies_total"
 
@@ -53,7 +52,6 @@ var (
 	mPushOffline  = metrics.NewCounter(metricPushOffline)
 	mPushRetries  = metrics.NewCounter(metricPushRetries)
 	mPushFailures = metrics.NewCounter(metricPushFailures)
-	mPushStale    = metrics.NewCounter(metricPushStale)
 	mPushDupes    = metrics.NewCounter(metricPushDupes)
 	mPushCorrupt  = metrics.NewCounter(metricPushCorrupt)
 	mLatencyVec   = metrics.NewHistogramVec(MetricLatency)
@@ -73,9 +71,9 @@ const (
 	replyMaxSec = 0.12
 )
 
-// Retry policy defaults: an observably failed send (drop, broker
-// outage) is re-pushed after RetryBase << attempt, at most MaxRetries
-// times, before the target counts as unreachable.
+// Retry policy: an observably failed send (drop, broker outage) is
+// re-pushed after DefaultRetryBase << attempt, at most
+// DefaultMaxRetries times, before the target counts as unreachable.
 const (
 	DefaultMaxRetries = 3
 	DefaultRetryBase  = 400 * time.Millisecond
@@ -145,13 +143,11 @@ type Outcome struct {
 type Broker struct {
 	clock *simtime.Sim
 
-	mu         sync.Mutex
-	src        *rng.Source
-	devices    map[string]*Device
-	plan       *faults.Plan
-	tracer     *trace.Tracer
-	maxRetries int
-	retryBase  time.Duration
+	mu      sync.Mutex
+	src     *rng.Source
+	devices map[string]*Device
+	plan    *faults.Plan
+	targets []*Device // the request being sent; read only under mu
 
 	// lvRoundTrip is the resolved labeled round-trip child, unlabeled
 	// until SetLabels re-resolves it; delivery-path updates stay
@@ -159,15 +155,13 @@ type Broker struct {
 	lvRoundTrip *metrics.Histogram
 }
 
-// NewBroker returns a broker on the simulated clock with the default
-// retry policy and a clean (fault-free) channel.
+// NewBroker returns a broker on the simulated clock with a clean
+// (fault-free) channel.
 func NewBroker(clock *simtime.Sim, src *rng.Source) *Broker {
 	return &Broker{
 		clock:       clock,
 		src:         src,
 		devices:     make(map[string]*Device),
-		maxRetries:  DefaultMaxRetries,
-		retryBase:   DefaultRetryBase,
 		lvRoundTrip: mLatencyVec.With(metrics.Labels{}),
 	}
 }
@@ -189,34 +183,9 @@ func (b *Broker) SetFaults(p *faults.Plan) {
 	b.plan = p
 }
 
-// SetRetry configures the re-push policy: at most maxRetries
-// re-sends per target, the i-th delayed by base << i. maxRetries 0
-// disables retries; base <= 0 keeps the default.
-func (b *Broker) SetRetry(maxRetries int, base time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	if base <= 0 {
-		base = DefaultRetryBase
-	}
-	b.maxRetries = maxRetries
-	b.retryBase = base
-}
-
-// SetTracer directs the broker's push-stage events to t (nil uses
-// trace.Default).
-func (b *Broker) SetTracer(t *trace.Tracer) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tracer = t
-}
-
-// Register adds a device. Registering an existing ID replaces it —
-// VoiceGuard's device list is owner-managed (§IV-C) — and any replies
-// still in flight for the replaced registration are dropped as stale
-// at delivery time.
+// Register adds a device. An ID is registered once: the owner's
+// device list is fixed for the broker's life, so every reply comes
+// from the registration its push was sent to.
 func (b *Broker) Register(d *Device) error {
 	if d == nil || d.ID == "" {
 		return fmt.Errorf("push: device must have an ID")
@@ -226,37 +195,11 @@ func (b *Broker) Register(d *Device) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if _, ok := b.devices[d.ID]; ok {
+		return fmt.Errorf("push: device %q is already registered", d.ID)
+	}
 	b.devices[d.ID] = d
 	return nil
-}
-
-// Unregister removes a device. In-flight pushes to it are abandoned:
-// their replies are dropped at delivery time, so a removed device can
-// never vote on a verdict issued while it was being removed.
-func (b *Broker) Unregister(id string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.devices, id)
-}
-
-// Devices returns the registered device IDs.
-func (b *Broker) Devices() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.devices))
-	for id := range b.devices {
-		out = append(out, id)
-	}
-	return out
-}
-
-// RequestRSSI pushes a measurement request to each named device
-// simultaneously (the multi-user group push of §IV-C). Each device's
-// reply is delivered via the callback at its own simulated arrival
-// time. Unknown device IDs are reported as an error before any push
-// is sent.
-func (b *Broker) RequestRSSI(ids []string, adv ble.Advertiser, deliver func(Reply)) error {
-	return b.RequestWith(ids, adv, deliver, RequestOpts{})
 }
 
 // group is one group push: what every send, wake and reply of the
@@ -274,57 +217,74 @@ type group struct {
 	done      func(Outcome)
 }
 
-// resolveLocked records one target's send resolution and, once the
-// last target resolves, returns the completion callback to invoke
-// after the broker mutex is released (nil otherwise). Callbacks must
-// never run under b.mu: a Done handler typically re-enters the guard,
-// which may start the next queued query and re-lock the broker.
-func (g *group) resolveLocked(accepted bool) func() {
+// resolveLocked records one target's send resolution. Once the last
+// target resolves it returns the completion callback and its outcome,
+// to invoke after the broker mutex is released (nil otherwise).
+// Callbacks must never run under b.mu: a Done handler typically
+// re-enters the guard, which may start the next queued query and
+// re-lock the broker.
+func (g *group) resolveLocked(accepted bool) (func(Outcome), Outcome) {
 	if accepted {
 		g.outcome.Accepted++
 	} else {
 		g.outcome.Failed++
 	}
 	g.remaining--
-	if g.remaining > 0 || g.done == nil {
-		return nil
+	if g.remaining > 0 {
+		return nil, Outcome{}
 	}
-	done, out := g.done, g.outcome
-	return func() { done(out) }
+	return g.done, g.outcome
 }
 
-// RequestWith is RequestRSSI with per-query options: a command ID for
-// trace events and a send-phase completion callback. See RequestOpts.
+// unknownDeviceError is RequestWith's error for an ID no device is
+// registered under. It is formatted only when read, so a refused
+// request allocates no message.
+type unknownDeviceError string
+
+func (e unknownDeviceError) Error() string {
+	return fmt.Sprintf("push: unknown device %q", string(e))
+}
+
+// RequestWith pushes a measurement request to each named device
+// simultaneously (the multi-user group push of §IV-C). Each device's
+// reply is delivered via deliver at its own simulated arrival time.
+// Unknown device IDs are reported as an error before any push is
+// sent. See RequestOpts for the per-query options.
 func (b *Broker) RequestWith(ids []string, adv ble.Advertiser, deliver func(Reply), opts RequestOpts) error {
 	b.mu.Lock()
-	targets := make([]*Device, 0, len(ids))
+	b.targets = b.targets[:0]
 	for _, id := range ids {
 		d, ok := b.devices[id]
 		if !ok {
+			trace.Default.Record(trace.Event(opts.Command, trace.StagePush, "unknown_device", b.clock.Now(),
+				trace.String("device", id)))
 			b.mu.Unlock()
-			return fmt.Errorf("push: unknown device %q", id)
+			return unknownDeviceError(id)
 		}
-		targets = append(targets, d)
+		b.targets = append(b.targets, d)
 	}
-	now := b.clock.Now()
 	g := &group{
-		adv: adv, deliver: deliver, cmd: opts.Command, reqStart: now, tag: opts.Tag,
-		remaining: len(targets), done: opts.Done,
-		outcome: Outcome{Requested: len(targets), Tag: opts.Tag},
+		adv: adv, deliver: deliver, cmd: opts.Command, reqStart: b.clock.Now(), tag: opts.Tag,
+		remaining: len(b.targets), done: opts.Done,
+		outcome: Outcome{Requested: len(b.targets), Tag: opts.Tag},
 	}
-	var after []func()
-	for _, d := range targets {
-		if fn := b.sendLocked(g, d, 0); fn != nil {
-			after = append(after, fn)
+	// A request completes once: with no targets at once, otherwise
+	// when the send that resolves last returns its callback.
+	var (
+		done func(Outcome)
+		out  Outcome
+	)
+	if len(b.targets) == 0 {
+		done, out = g.done, g.outcome
+	}
+	for _, d := range b.targets {
+		if fn, o := b.sendLocked(g, d, 0); fn != nil {
+			done, out = fn, o
 		}
-	}
-	if len(targets) == 0 && opts.Done != nil {
-		done, out := opts.Done, g.outcome
-		after = append(after, func() { done(out) })
 	}
 	b.mu.Unlock()
-	for _, fn := range after {
-		fn()
+	if done != nil {
+		done(out)
 	}
 	return nil
 }
@@ -333,40 +293,33 @@ func (b *Broker) RequestWith(ids []string, adv ble.Advertiser, deliver func(Repl
 // An observable failure — broker outage or a dropped send — schedules
 // a backoff retry until the re-push cap; acceptance either black-holes
 // (offline device) or schedules the wake→scan→reply chain. Returns
-// the group-completion callback to run after unlocking, or nil.
-func (b *Broker) sendLocked(g *group, d *Device, attempt int) func() {
+// the group's completion callback and outcome to run after unlocking,
+// or nil.
+func (b *Broker) sendLocked(g *group, d *Device, attempt int) (func(Outcome), Outcome) {
 	now, cmd := b.clock.Now(), g.cmd
-	tr := trace.Or(b.tracer)
 	if b.plan.BrokerDown() || b.plan.DropPush() {
-		if attempt >= b.maxRetries {
+		if attempt >= DefaultMaxRetries {
 			mPushFailures.Inc()
-			tr.Record(trace.Event(cmd, trace.StagePush, "push_failed", now,
+			trace.Default.Record(trace.Event(cmd, trace.StagePush, "push_failed", now,
 				trace.String("device", d.ID),
 				trace.Int("attempts", attempt+1)))
 			return g.resolveLocked(false)
 		}
-		backoff := b.retryBase << attempt
+		backoff := DefaultRetryBase << attempt
 		mPushRetries.Inc()
-		tr.Record(trace.Event(cmd, trace.StagePush, "push_retry", now,
+		trace.Default.Record(trace.Event(cmd, trace.StagePush, "push_retry", now,
 			trace.String("device", d.ID),
 			trace.Int("attempt", attempt+1),
 			trace.Duration("backoff", backoff)))
 		b.clock.Schedule(now.Add(backoff), func() {
 			b.mu.Lock()
-			var fn func()
-			if cur, ok := b.devices[d.ID]; !ok || cur != d {
-				// The device was unregistered (or replaced) while the
-				// retry waited: abandon the re-push.
-				fn = g.resolveLocked(false)
-			} else {
-				fn = b.sendLocked(g, d, attempt+1)
-			}
+			done, out := b.sendLocked(g, d, attempt+1)
 			b.mu.Unlock()
-			if fn != nil {
-				fn()
+			if done != nil {
+				done(out)
 			}
 		})
-		return nil
+		return nil, Outcome{}
 	}
 	// The push service acknowledged the send.
 	mPushes.Inc()
@@ -381,19 +334,10 @@ func (b *Broker) sendLocked(g *group, d *Device, attempt int) func() {
 	return g.resolveLocked(true)
 }
 
-// wakeAndScan runs at the device's wake instant: re-checks the
-// registration, measures, and schedules the reply uplink (twice under
-// a duplicate fault).
+// wakeAndScan runs at the device's wake instant: measures, and
+// schedules the reply uplink (twice under a duplicate fault).
 func (b *Broker) wakeAndScan(g *group, d *Device) {
 	b.mu.Lock()
-	if cur, ok := b.devices[d.ID]; !ok || cur != d {
-		mPushStale.Inc()
-		tr := trace.Or(b.tracer)
-		b.mu.Unlock()
-		tr.Record(trace.Event(g.cmd, trace.StagePush, "stale_reply", b.clock.Now(),
-			trace.String("device", d.ID)))
-		return
-	}
 	reading := d.Scanner.Measure(g.adv, d.Position())
 	arriveAt := b.clock.Now().Add(reading.Duration).Add(b.uniform(replyMinSec, replyMaxSec))
 	corrupt := b.plan.CorruptReply()
@@ -410,31 +354,17 @@ func (b *Broker) wakeAndScan(g *group, d *Device) {
 	b.mu.Unlock()
 }
 
-// deliverReply hands one reply to the caller — unless the sending
-// registration is no longer current, in which case the reply is stale
-// and must be dropped: a device removed (or replaced) mid-flight may
-// not vote on the verdict.
+// deliverReply records one reply's round trip and hands it to the
+// caller.
 func (b *Broker) deliverReply(g *group, d *Device, reading ble.Reading, at time.Time, corrupt, dup bool) {
 	b.mu.Lock()
-	cur, ok := b.devices[d.ID]
-	stale := !ok || cur != d
-	tr := trace.Or(b.tracer)
-	if stale {
-		mPushStale.Inc()
-	} else {
-		b.lvRoundTrip.ObserveExemplar(at.Sub(g.reqStart), uint64(g.cmd))
-		if dup {
-			mPushDupes.Inc()
-		}
-		if corrupt {
-			mPushCorrupt.Inc()
-		}
-	}
+	b.lvRoundTrip.ObserveExemplar(at.Sub(g.reqStart), uint64(g.cmd))
 	b.mu.Unlock()
-	if stale {
-		tr.Record(trace.Event(g.cmd, trace.StagePush, "stale_reply", at,
-			trace.String("device", d.ID)))
-		return
+	if dup {
+		mPushDupes.Inc()
+	}
+	if corrupt {
+		mPushCorrupt.Inc()
 	}
 	g.deliver(Reply{DeviceID: d.ID, Reading: reading, At: at, Corrupt: corrupt, Tag: g.tag})
 }

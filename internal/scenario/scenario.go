@@ -249,6 +249,15 @@ func newRun(cfg Config) (*run, error) {
 	if len(cfg.Devices) == 0 {
 		return nil, fmt.Errorf("scenario: config needs at least one device")
 	}
+	// Every owner device is its own push registration and threshold,
+	// so an ID may appear once.
+	for i, d := range cfg.Devices {
+		for _, prev := range cfg.Devices[:i] {
+			if prev.ID == d.ID {
+				return nil, fmt.Errorf("scenario: device ID %q is repeated", d.ID)
+			}
+		}
+	}
 	spot, ok := cfg.Plan.Spot(cfg.Spot)
 	if !ok {
 		return nil, fmt.Errorf("scenario: plan %s has no spot %q", cfg.Plan.Name, cfg.Spot)

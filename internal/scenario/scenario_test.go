@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -31,6 +32,31 @@ func TestRunValidatesConfig(t *testing.T) {
 	}
 	if _, err := Run(Config{Plan: floorplan.House(), Spot: "Z", Devices: twoPhones()}); err == nil {
 		t.Fatal("unknown spot accepted")
+	}
+}
+
+// Two owner devices under one ID would share one push registration
+// and one threshold, so the first owner's phone would never be
+// queried; the run refuses the config instead.
+func TestRunRejectsRepeatedDeviceID(t *testing.T) {
+	cfg := Config{
+		Plan: floorplan.House(),
+		Spot: "A",
+		Devices: []DeviceSpec{
+			{ID: "pixel5", Hardware: radio.Pixel5},
+			{ID: "pixel5", Hardware: radio.Pixel4a},
+		},
+		Days: 1,
+	}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "repeated") {
+		t.Fatalf("Run on a repeated device ID: err = %v, want it refused as repeated", err)
+	}
+	if _, err := NewHome(cfg); err == nil || !strings.Contains(err.Error(), "repeated") {
+		t.Fatalf("NewHome on a repeated device ID: err = %v, want it refused as repeated", err)
+	}
+	cfg.Devices[1].ID = "pixel4a"
+	if _, err := NewHome(cfg); err != nil {
+		t.Fatalf("distinct IDs refused: %v", err)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestOneSeriesPerFact(t *testing.T) {
 		"guard_verdict_allow_total", "guard_verdict_block_total",
 		"guard_hold_seconds", "guard_degraded_verdicts_total",
 		"decision_roundtrip_seconds", "decision_path_dead_total",
-		"push_roundtrip_seconds",
+		"push_roundtrip_seconds", "push_stale_replies_total",
 		"proxy_releases_total", "proxy_drops_total",
 		"live_bursts_released_total", "live_bursts_dropped_total",
 		"live_verdicts", "live_noncommand_spikes_total",
