@@ -39,8 +39,6 @@ type config struct {
 	holdDeadline time.Duration
 	failClosed   bool
 	budgetBytes  int64
-	sessionHold  int
-	acceptShards int
 	dropFrac     float64
 	stallFrac    float64
 	stallWindow  time.Duration
@@ -63,8 +61,6 @@ func main() {
 	flag.DurationVar(&cfg.holdDeadline, "hold-deadline", 400*time.Millisecond, "transport hold deadline (0 disables)")
 	flag.BoolVar(&cfg.failClosed, "fail-closed", false, "resolve expired holds by dropping instead of releasing")
 	flag.Int64Var(&cfg.budgetBytes, "budget-bytes", 1<<20, "global hold-memory budget in bytes (0 = unlimited)")
-	flag.IntVar(&cfg.sessionHold, "session-hold-bytes", 0, "per-session hold cap in bytes (0 = transport default)")
-	flag.IntVar(&cfg.acceptShards, "accept-shards", 0, "concurrent accept loops (0 = transport default)")
 	flag.Float64Var(&cfg.dropFrac, "drop-frac", 0.15, "fraction of sessions with malicious (drop) verdicts")
 	flag.Float64Var(&cfg.stallFrac, "stall-frac", 0.25, "fraction of sessions whose decisions wedge")
 	flag.DurationVar(&cfg.stallWindow, "stall-window", 1500*time.Millisecond, "stall-flood phase duration (0 skips)")
@@ -133,25 +129,23 @@ func fdBudget(cfg config) (need, limit uint64, ok bool) {
 
 func run(cfg config) error {
 	out, err := wireload.Run(wireload.Config{
-		TCPSessions:      cfg.tcpSessions,
-		UDPSessions:      cfg.udpSessions,
-		IdleGap:          cfg.idleGap,
-		BurstEvery:       cfg.burstEvery,
-		BaselineBursts:   cfg.baseline,
-		MeasureBursts:    cfg.bursts,
-		DecisionMean:     cfg.decisionMean,
-		DecisionJitter:   cfg.decisionJit,
-		HoldDeadline:     cfg.holdDeadline,
-		FailClosed:       cfg.failClosed,
-		BudgetBytes:      cfg.budgetBytes,
-		SessionHoldBytes: cfg.sessionHold,
-		AcceptShards:     cfg.acceptShards,
-		DropFrac:         cfg.dropFrac,
-		StallFrac:        cfg.stallFrac,
-		StallWindow:      cfg.stallWindow,
-		FaultProfile:     cfg.fault,
-		Seed:             cfg.seed,
-		DialConcurrency:  cfg.dialConc,
+		TCPSessions:     cfg.tcpSessions,
+		UDPSessions:     cfg.udpSessions,
+		IdleGap:         cfg.idleGap,
+		BurstEvery:      cfg.burstEvery,
+		BaselineBursts:  cfg.baseline,
+		MeasureBursts:   cfg.bursts,
+		DecisionMean:    cfg.decisionMean,
+		DecisionJitter:  cfg.decisionJit,
+		HoldDeadline:    cfg.holdDeadline,
+		FailClosed:      cfg.failClosed,
+		BudgetBytes:     cfg.budgetBytes,
+		DropFrac:        cfg.dropFrac,
+		StallFrac:       cfg.stallFrac,
+		StallWindow:     cfg.stallWindow,
+		FaultProfile:    cfg.fault,
+		Seed:            cfg.seed,
+		DialConcurrency: cfg.dialConc,
 	})
 	if err != nil {
 		return err

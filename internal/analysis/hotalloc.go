@@ -47,7 +47,7 @@ var hotFuncs = map[string]map[string]bool{
 		"Feed": true, "feedEcho": true, "feedGHM": true, "tryDecide": true,
 	},
 	"voiceguard/internal/fleet": {
-		"shardFor": true, "step": true, "runRound": true,
+		"step": true, "RunRound": true,
 	},
 	"voiceguard/internal/trace": {
 		"Record": true, "Put": true,

@@ -33,22 +33,23 @@ func NewAdvertiser(pos floorplan.Position) Advertiser {
 // Reading is one completed RSSI measurement.
 type Reading struct {
 	RSSI     float64       // average over the collected packets
-	Samples  []float64     // per-packet RSSI
 	Duration time.Duration // scan time from start to final packet
 }
 
+// packets is how many advertisements one measurement averages.
+const packets = 3
+
 // Scanner measures an advertiser's RSSI from a given position.
 type Scanner struct {
-	Model   *radio.Model
-	Device  radio.Device
-	Packets int // packets averaged per measurement (default 3)
+	Model  *radio.Model
+	Device radio.Device
 
 	src *rng.Source
 }
 
 // NewScanner returns a scanner for the device on the given model.
 func NewScanner(model *radio.Model, dev radio.Device, src *rng.Source) *Scanner {
-	return &Scanner{Model: model, Device: dev, Packets: 3, src: src}
+	return &Scanner{Model: model, Device: dev, src: src}
 }
 
 // Measure scans for the advertiser from position at and returns the
@@ -56,15 +57,11 @@ func NewScanner(model *radio.Model, dev radio.Device, src *rng.Source) *Scanner 
 // wait for the first advertisement, then one interval per additional
 // packet, plus a small processing overhead.
 func (s *Scanner) Measure(adv Advertiser, at floorplan.Position) Reading {
-	packets := s.Packets
-	if packets < 1 {
-		packets = 1
-	}
 	// The phone does not move between packets of one scan, so the
 	// link mean is computed once for the whole burst (bit-identical
 	// to per-packet sampling — see radio.SampleRepeat).
-	samples := make([]float64, packets)
-	s.Model.SampleRepeat(adv.Pos, at, s.Device, s.src, samples)
+	var samples [packets]float64
+	s.Model.SampleRepeat(adv.Pos, at, s.Device, s.src, samples[:])
 	var sum float64
 	for _, v := range samples {
 		sum += v
@@ -75,34 +72,19 @@ func (s *Scanner) Measure(adv Advertiser, at floorplan.Position) Reading {
 	processing := time.Duration(s.src.Uniform(20, 60)) * time.Millisecond
 
 	return Reading{
-		RSSI:     sum / float64(packets),
-		Samples:  samples,
+		RSSI:     sum / packets,
 		Duration: firstWait + rest + processing,
 	}
 }
 
-// Quick returns a single-packet RSSI sample with no duration
-// accounting, for high-rate trace recording (the 0.2 s trace sampling
-// of the floor-level experiments reads the most recent advertisement
-// rather than starting a fresh multi-packet scan).
-func (s *Scanner) Quick(adv Advertiser, at floorplan.Position) float64 {
-	return s.Model.Sample(adv.Pos, at, s.Device, s.src)
-}
-
-// QuickTrace fills out with one Quick sample per position in a single
-// batched pass through the radio model (len(out) must equal
-// len(positions)). Value-identical to sequential Quick calls; used by
-// trace recording and the calibration walk, where one event samples a
-// whole movement path.
-func (s *Scanner) QuickTrace(adv Advertiser, positions []floorplan.Position, out []float64) {
-	s.Model.SampleBatch(adv.Pos, positions, s.Device, s.src, out)
-}
-
-// QuickFromMeans fills out with one Quick sample per precomputed
-// deterministic link mean (see radio.MeanBatch). Bit-identical to
-// QuickTrace over the positions the means were computed from: trace
-// recording memoizes the means of a recurring path and draws only the
-// per-recording noise here.
+// QuickFromMeans fills out with one single-packet RSSI sample per
+// precomputed deterministic link mean (see radio.MeanBatch), with no
+// duration accounting: the 0.2 s trace sampling of the floor-level
+// experiments reads the most recent advertisement rather than
+// starting a fresh multi-packet scan. Bit-identical to
+// radio.SampleBatch over the positions the means were computed from:
+// trace recording memoizes the means of a recurring path and draws
+// only the per-recording noise here.
 func (s *Scanner) QuickFromMeans(means []float64, out []float64) {
 	s.Model.SampleFromMeans(means, s.Device, s.src, out)
 }

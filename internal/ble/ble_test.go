@@ -19,23 +19,34 @@ func setup(t *testing.T) (*Scanner, Advertiser, floorplan.Position) {
 	return sc, NewAdvertiser(spot.Pos), floorplan.Position{Floor: 0, At: geom.Point{X: 4, Y: 3}}
 }
 
+// reference replays what Measure draws from a scanner seeded like
+// setup's: packets noise draws of one link, then the first-wait and
+// processing draws.
+func reference(sc *Scanner, adv Advertiser, at floorplan.Position) (samples [packets]float64, firstWait, processing time.Duration) {
+	src := rng.New(42)
+	sc.Model.SampleRepeat(adv.Pos, at, sc.Device, src, samples[:])
+	firstWait = time.Duration(src.Uniform(0, float64(adv.Interval)))
+	processing = time.Duration(src.Uniform(20, 60)) * time.Millisecond
+	return samples, firstWait, processing
+}
+
 func TestMeasureCollectsConfiguredPackets(t *testing.T) {
 	sc, adv, at := setup(t)
-	r := sc.Measure(adv, at)
-	if len(r.Samples) != 3 {
-		t.Fatalf("samples = %d, want 3", len(r.Samples))
+	_, firstWait, processing := reference(sc, adv, at)
+	if got, want := sc.Measure(adv, at).Duration, firstWait+2*adv.Interval+processing; got != want {
+		t.Fatalf("duration = %v, want %v (three packets, two intervals apart)", got, want)
 	}
 }
 
 func TestMeasureAveragesSamples(t *testing.T) {
 	sc, adv, at := setup(t)
-	r := sc.Measure(adv, at)
+	samples, _, _ := reference(sc, adv, at)
 	var sum float64
-	for _, s := range r.Samples {
+	for _, s := range samples {
 		sum += s
 	}
-	if want := sum / float64(len(r.Samples)); r.RSSI != want {
-		t.Fatalf("RSSI = %v, want mean of samples %v", r.RSSI, want)
+	if got, want := sc.Measure(adv, at).RSSI, sum/float64(len(samples)); got != want {
+		t.Fatalf("RSSI = %v, want mean of samples %v", got, want)
 	}
 }
 
@@ -66,27 +77,22 @@ func TestMeasureDurationVaries(t *testing.T) {
 	}
 }
 
-func TestSinglePacketScanner(t *testing.T) {
-	sc, adv, at := setup(t)
-	sc.Packets = 0 // clamped to 1
-	r := sc.Measure(adv, at)
-	if len(r.Samples) != 1 {
-		t.Fatalf("samples = %d, want 1", len(r.Samples))
-	}
-	if r.Duration >= adv.Interval+60*time.Millisecond {
-		t.Fatalf("single-packet duration %v too long", r.Duration)
-	}
-}
-
 func TestQuickReflectsDistance(t *testing.T) {
 	sc, adv, _ := setup(t)
-	near := floorplan.Position{Floor: 0, At: geom.Point{X: 2.5, Y: 2.25}}
-	far := floorplan.Position{Floor: 0, At: geom.Point{X: 11, Y: 9}}
-	var nearSum, farSum float64
 	const n = 200
+	positions := make([]floorplan.Position, 2*n)
 	for i := 0; i < n; i++ {
-		nearSum += sc.Quick(adv, near)
-		farSum += sc.Quick(adv, far)
+		positions[i] = floorplan.Position{Floor: 0, At: geom.Point{X: 2.5, Y: 2.25}}
+		positions[n+i] = floorplan.Position{Floor: 0, At: geom.Point{X: 11, Y: 9}}
+	}
+	means := make([]float64, len(positions))
+	sc.Model.MeanBatch(adv.Pos, positions, means)
+	out := make([]float64, len(positions))
+	sc.QuickFromMeans(means, out)
+	var nearSum, farSum float64
+	for i := 0; i < n; i++ {
+		nearSum += out[i]
+		farSum += out[n+i]
 	}
 	if nearSum/n <= farSum/n {
 		t.Fatalf("near average %.2f not above far average %.2f", nearSum/n, farSum/n)

@@ -28,8 +28,8 @@ func withWorkers(t *testing.T, n int, fn func()) {
 	fn()
 }
 
-func newTestManager(shards int) *Manager {
-	return NewWithRegistry(shards, metrics.NewRegistry())
+func newTestManager(tasks int) *Manager {
+	return NewWithRegistry(tasks, metrics.NewRegistry())
 }
 
 func TestNewTenantValidates(t *testing.T) {
@@ -50,30 +50,20 @@ func TestNewTenantValidates(t *testing.T) {
 
 func TestRegisterSemantics(t *testing.T) {
 	m := newTestManager(4)
-	tn := NewTenant("a", &stubHome{days: 3})
-	if err := m.Register(tn); err != nil {
+	first, dup := &stubHome{days: 3}, &stubHome{days: 1}
+	if err := m.Register(NewTenant("a", first)); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := m.Register(NewTenant("a", &stubHome{days: 1})); err == nil {
+	if err := m.Register(NewTenant("a", dup)); err == nil {
 		t.Fatal("duplicate Register succeeded")
 	}
 	if err := m.Register(nil); err == nil {
 		t.Fatal("nil Register succeeded")
 	}
-	if got := m.Get("a"); got != tn {
-		t.Fatalf("Get = %v, want the registered tenant", got)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
-	}
-	if !m.Unregister("a") {
-		t.Fatal("Unregister known id = false")
-	}
-	if m.Unregister("a") {
-		t.Fatal("Unregister unknown id = true")
-	}
-	if m.Get("a") != nil || m.Len() != 0 {
-		t.Fatal("tenant still visible after Unregister")
+	m.RunAll()
+	if len(first.sequence()) != 3 || len(dup.sequence()) != 0 {
+		t.Fatalf("first ran %v, rejected duplicate ran %v; want 3 days and none",
+			first.sequence(), dup.sequence())
 	}
 }
 
@@ -114,13 +104,13 @@ func TestRunAllLockstep(t *testing.T) {
 }
 
 // TestShardAndWorkerCountInvariance drives identical tenant sets
-// through every (shards, workers) combination and requires the same
+// through every (tasks, workers) combination and requires the same
 // day sequences — scheduling layout must be unobservable.
 func TestShardAndWorkerCountInvariance(t *testing.T) {
-	run := func(shards, workers int) [][]int {
+	run := func(tasks, workers int) [][]int {
 		var seqs [][]int
 		withWorkers(t, workers, func() {
-			m := newTestManager(shards)
+			m := newTestManager(tasks)
 			stubs := make([]*stubHome, 33)
 			for i := range stubs {
 				stubs[i] = &stubHome{days: 2 + i%3}
@@ -136,12 +126,12 @@ func TestShardAndWorkerCountInvariance(t *testing.T) {
 		return seqs
 	}
 	want := run(1, 1)
-	for _, c := range []struct{ shards, workers int }{{1, 8}, {16, 1}, {16, 8}, {5, 3}} {
-		got := run(c.shards, c.workers)
+	for _, c := range []struct{ tasks, workers int }{{1, 8}, {16, 1}, {16, 8}, {5, 3}, {64, 4}} {
+		got := run(c.tasks, c.workers)
 		for i := range want {
 			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-				t.Fatalf("shards=%d workers=%d: stub %d ran %v, want %v",
-					c.shards, c.workers, i, got[i], want[i])
+				t.Fatalf("tasks=%d workers=%d: stub %d ran %v, want %v",
+					c.tasks, c.workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -180,21 +170,17 @@ func TestMetrics(t *testing.T) {
 		}
 	}
 	m.RunAll()
-	m.Unregister("h0")
 	snap := reg.Snapshot()
 	want := map[string]int64{
-		MetricTenants:      2,
-		MetricHomeDays:     6,
-		MetricRegistered:   3,
-		MetricUnregistered: 1,
-		MetricRounds:       2,
+		MetricHomeDays: 6,
+		MetricRounds:   2,
 	}
 	got := map[string]int64{}
 	for _, c := range snap.Counters {
 		got[c.Name] = c.Value
 	}
-	for _, g := range snap.Gauges {
-		got[g.Name] = g.Value
+	if len(got) != len(want) || len(snap.Gauges) != 0 {
+		t.Errorf("fleet registered counters %v and %d gauges, want only %v", got, len(snap.Gauges), want)
 	}
 	for name, v := range want {
 		if got[name] != v {
@@ -203,39 +189,30 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurn exercises Register/Unregister/Get/Len/Tenants
-// concurrently with a running fleet — the go test -race gate for
-// mid-run tenant registration and teardown.
+// TestConcurrentChurn registers tenants while the fleet runs — the go
+// test -race gate for mid-run registration. Every tenant registered
+// before the final drain must run all of its days, in order.
 func TestConcurrentChurn(t *testing.T) {
 	withWorkers(t, 4, func() {
 		m := newTestManager(8)
+		var homes []*stubHome
 		for i := 0; i < 16; i++ {
-			if err := m.Register(NewTenant(fmt.Sprintf("base-%d", i), &stubHome{days: 6})); err != nil {
+			h := &stubHome{days: 6}
+			homes = append(homes, h)
+			if err := m.Register(NewTenant(fmt.Sprintf("base-%d", i), h)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		late := make([]*stubHome, 200)
 		var wg sync.WaitGroup
-		wg.Add(2)
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := fmt.Sprintf("churn-%d", i)
-				if err := m.Register(NewTenant(id, &stubHome{days: 1})); err != nil {
+			for i := range late {
+				late[i] = &stubHome{days: 1 + i%3}
+				if err := m.Register(NewTenant(fmt.Sprintf("late-%d", i), late[i])); err != nil {
 					t.Error(err)
 					return
-				}
-				if i%2 == 0 {
-					m.Unregister(id)
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				m.Len()
-				m.Get("base-3")
-				for _, tn := range m.Tenants() {
-					_ = tn.DaysRun()
 				}
 			}
 		}()
@@ -243,10 +220,45 @@ func TestConcurrentChurn(t *testing.T) {
 		wg.Wait()
 		// Tenants registered after the final round still need draining.
 		m.RunAll()
-		for _, tn := range m.Tenants() {
-			if !tn.Done() {
-				t.Errorf("tenant %s finished %d/%d days", tn.ID(), tn.DaysRun(), tn.Days())
+		for i, h := range append(homes, late...) {
+			got := h.sequence()
+			if len(got) != h.days {
+				t.Fatalf("home %d ran %v, want %d days", i, got, h.days)
 			}
+			for d, day := range got {
+				if day != d {
+					t.Fatalf("home %d day sequence %v out of order", i, got)
+				}
+			}
+		}
+	})
+}
+
+// countHome counts the days it ran without allocating.
+type countHome struct{ days, ran int }
+
+func (c *countHome) Days() int  { return c.days }
+func (c *countHome) RunDay(int) { c.ran++ }
+
+// TestRoundAllocationsIndependentOfTenants pins a round's dispatch
+// cost: what RunRound allocates must not grow with the tenant count.
+func TestRoundAllocationsIndependentOfTenants(t *testing.T) {
+	withWorkers(t, 1, func() {
+		perRound := func(tenants int) float64 {
+			m := newTestManager(16)
+			for i := 0; i < tenants; i++ {
+				if err := m.Register(NewTenant(fmt.Sprintf("home-%d", i), &countHome{days: 1000})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return testing.AllocsPerRun(100, func() {
+				if m.RunRound() != tenants {
+					t.Fatal("a round left a tenant unstepped")
+				}
+			})
+		}
+		if few, many := perRound(4), perRound(64); few != many {
+			t.Fatalf("a round allocates %.0f times for 4 tenants but %.0f for 64", few, many)
 		}
 	})
 }

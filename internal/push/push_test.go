@@ -176,10 +176,10 @@ func TestRegisterValidation(t *testing.T) {
 
 // cleanRequestAllocs pins what a clean one-device request allocates,
 // from send to reply: its group, the wake and reply closures, the
-// clock's two events, and two in the phone's scan (ble.Measure and
-// its keyed noise draw). The target list lives in the broker and the
-// completion in the group.
-const cleanRequestAllocs = 7
+// clock's two events, and the keyed noise draw of the phone's scan
+// (ble.Measure sums its packets on the stack). The target list lives
+// in the broker and the completion in the group.
+const cleanRequestAllocs = 6
 
 func TestCleanRequestAllocations(t *testing.T) {
 	f := setup(t)

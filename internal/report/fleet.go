@@ -10,16 +10,15 @@ import (
 	"voiceguard/internal/scenario"
 )
 
-// FleetTable renders a multi-tenant fleet run: aggregate protection
-// quality, fleet-wide decision latency, throughput in homes/sec, and
-// the worst homes by verification p99 so a thousand-home table stays
-// readable. elapsed is the wall time the caller measured around
-// scenario.Fleet (the scenario package itself is wall-clock free).
+// FleetTable renders a fleet run: aggregate protection quality,
+// fleet-wide decision latency, throughput in homes/sec, and the worst
+// homes by verification p99 so a thousand-home table stays readable.
+// elapsed is the wall time the caller measured around scenario.Fleet
+// (the scenario package itself is wall-clock free).
 func FleetTable(out *scenario.FleetOutcome, elapsed time.Duration) string {
 	cfg := out.Config
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fleet engine: %d heterogeneous homes x %d days, %d shards\n\n",
-		cfg.Homes, cfg.Days, cfg.Shards)
+	fmt.Fprintf(&b, "Fleet engine: %d heterogeneous homes x %d days\n\n", cfg.Homes, cfg.Days)
 	fmt.Fprintf(&b, "aggregate: accuracy %.2f%%  precision %.2f%%  recall %.2f%%  (%d commands, %d degraded verdicts)\n",
 		100*out.Confusion.Accuracy(), 100*out.Confusion.Precision(), 100*out.Confusion.Recall(),
 		out.Commands, out.Degraded)

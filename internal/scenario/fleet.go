@@ -146,11 +146,6 @@ type FleetConfig struct {
 	Homes int // number of homes (default 64)
 	Days  int // days per home (default 2)
 
-	// Shards is the fleet manager's shard count (default 16).
-	// Outcomes are invariant in it — the shard-count invariance test
-	// pins 1 vs N bit-identical.
-	Shards int
-
 	// Plans is the shared floorplan set; nil entries are filled with
 	// fresh testbeds. Pass the same FleetPlans to a sequential
 	// comparison run so both paths share plan pointers (and therefore
@@ -167,9 +162,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	}
 	if c.Days == 0 {
 		c.Days = 2
-	}
-	if c.Shards == 0 {
-		c.Shards = 16
 	}
 	c.Plans = c.Plans.withDefaults()
 	return c
@@ -196,11 +188,16 @@ type FleetOutcome struct {
 	DecisionP99 time.Duration
 }
 
-// Fleet simulates cfg.Homes heterogeneous homes on the multi-tenant
-// fleet engine: homes are built in parallel, registered as tenants
-// with a sharded fleet.Manager, and advanced in day-lockstep rounds
-// across the worker pool. Same seed → bit-identical per-home outcomes
-// regardless of worker count or shard count.
+// fleetTasks is the number of tasks a fleet round fans out over.
+// Outcomes do not depend on it; the fleet package's invariance test
+// varies it.
+const fleetTasks = 16
+
+// Fleet simulates cfg.Homes heterogeneous homes on the fleet engine:
+// homes are built in parallel, registered as tenants with a
+// fleet.Manager, and advanced in day-lockstep rounds across the worker
+// pool. Same seed → bit-identical per-home outcomes regardless of
+// worker count.
 //
 // Fleet does no timing of its own (the scenario package is wall-clock
 // free); callers measure elapsed time around it to derive homes/sec.
@@ -212,7 +209,7 @@ func Fleet(cfg FleetConfig) (*FleetOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := fleet.New(cfg.Shards)
+	m := fleet.New(fleetTasks)
 	for _, h := range homes {
 		if err := m.Register(fleet.NewTenant(h.ID(), h)); err != nil {
 			return nil, err

@@ -66,25 +66,6 @@ func TestFleetWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestFleetShardInvariance pins 1 vs 16 shards bit-identical.
-func TestFleetShardInvariance(t *testing.T) {
-	base := fleetTestConfig()
-	one, sixteen := base, base
-	one.Shards = 1
-	sixteen.Shards = 16
-	a, err := Fleet(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fleet(sixteen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Homes, b.Homes) {
-		t.Fatal("fleet outcomes differ between 1 and 16 shards")
-	}
-}
-
 // TestFleetHomeConfigPure verifies FleetHomeConfig is a pure function
 // and that the promised heterogeneity shows up.
 func TestFleetHomeConfigPure(t *testing.T) {

@@ -7,7 +7,7 @@ import "fmt"
 // bindings, simulated clock, RNG tree, and fault plan — behind a
 // handle that advances one simulated day at a time.
 //
-// A Home is the unit the multi-tenant fleet engine (internal/fleet)
+// A Home is the unit the fleet engine (internal/fleet)
 // registers as a tenant: NewHome performs the whole expensive setup
 // (device calibration walks, floor-classifier training, guard wiring)
 // without executing the day loop, and RunDay advances exactly one day
@@ -25,7 +25,7 @@ type Home struct {
 }
 
 // NewHome builds the home's full simulation state (owners calibrated,
-// guard wired, sensors installed) without running any day.
+// guard wired) without running any day.
 func NewHome(cfg Config) (*Home, error) {
 	r, err := newRun(cfg)
 	if err != nil {

@@ -23,7 +23,6 @@ import (
 	"voiceguard/internal/radio"
 	"voiceguard/internal/recognize"
 	"voiceguard/internal/rng"
-	"voiceguard/internal/sensor"
 	"voiceguard/internal/simtime"
 	"voiceguard/internal/stats"
 	"voiceguard/internal/trafficgen"
@@ -210,7 +209,6 @@ type run struct {
 	echo   *trafficgen.Echo
 	ghm    *trafficgen.GHM
 	inv    trafficgen.Invocation // the command being issued, refilled per command
-	motion *sensor.Motion
 	corp   corpus.Corpus
 
 	cmdLocs      []int
@@ -240,7 +238,7 @@ func Run(cfg Config) (*Outcome, error) {
 }
 
 // newRun builds a fully initialised experiment (owners calibrated,
-// guard wired, sensors installed) without executing the day loop.
+// guard wired) without executing the day loop.
 func newRun(cfg Config) (*run, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Plan == nil {
@@ -305,7 +303,6 @@ func newRun(cfg Config) (*run, error) {
 	if err := r.setupGuard(); err != nil {
 		return nil, err
 	}
-	r.setupMotion()
 	return r, nil
 }
 
@@ -536,15 +533,6 @@ func (r *run) setupGuard() error {
 	return nil
 }
 
-// setupMotion installs the stairway motion sensor on multi-floor
-// plans.
-func (r *run) setupMotion() {
-	if r.cfg.Plan.Stairs == nil {
-		return
-	}
-	r.motion = sensor.NewMotion(r.cfg.Plan.Stairs.Bottom(), 1.5)
-}
-
 // feed advances the clock and delivers packets to the guard.
 func (r *run) feed(packets []pcap.Packet) {
 	for i := range packets {
@@ -628,11 +616,12 @@ func (r *run) nearestLocTo(pos floorplan.Position) int {
 	return best
 }
 
-// moveOwner relocates an owner to a location, walking the stairs (and
-// triggering the motion sensor) when the floor changes.
+// moveOwner relocates an owner to a location, walking the stairs when
+// the floor changes. On a plan with stairs every floor change passes
+// the stairway motion sensor, so it is a §V-B2 activation.
 func (r *run) moveOwner(o *owner, locID int, src *rng.Source) {
 	dest := r.locPos(locID)
-	if dest.Floor != o.pos.Floor && r.motion != nil {
+	if dest.Floor != o.pos.Floor && r.cfg.Plan.Stairs != nil {
 		routeName := "up"
 		var wantClass decision.TraceClass = decision.TraceUp
 		if dest.Floor < o.pos.Floor {
@@ -649,9 +638,6 @@ func (r *run) moveOwner(o *owner, locID int, src *rng.Source) {
 // the others wander in place — and each tracker updates from its own
 // trace.
 func (r *run) stairEvent(climber *owner, route floorplan.Route, wantClass decision.TraceClass, src *rng.Source) {
-	if r.motion == nil {
-		return
-	}
 	r.outcome.TraceEvents++
 	for _, o := range r.owners {
 		if o.tracker == nil {

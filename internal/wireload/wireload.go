@@ -62,11 +62,9 @@ type Config struct {
 	HoldDeadline   time.Duration // transport hold deadline (0 disables)
 	FailClosed     bool          // deadline action drop instead of release
 
-	BudgetBytes      int64   // global hold budget (0 = unlimited)
-	SessionHoldBytes int     // per-session hold cap (0 = transport default)
-	AcceptShards     int     // accept-loop shards (0 = transport default)
-	DropFrac         float64 // fraction of sessions with malicious verdicts
-	StallFrac        float64 // fraction of sessions whose decisions wedge
+	BudgetBytes int64   // global hold budget (0 = unlimited)
+	DropFrac    float64 // fraction of sessions with malicious verdicts
+	StallFrac   float64 // fraction of sessions whose decisions wedge
 
 	StallWindow time.Duration // duration of the stall-flood phase (0 skips)
 
@@ -396,12 +394,6 @@ func (h *harness) liveOpts(budget *proxy.HoldBudget) []voiceguard.LiveOption {
 	}
 	if budget != nil {
 		opts = append(opts, voiceguard.WithHoldBudget(budget))
-	}
-	if h.cfg.SessionHoldBytes > 0 {
-		opts = append(opts, voiceguard.WithSessionHoldBytes(h.cfg.SessionHoldBytes))
-	}
-	if h.cfg.AcceptShards > 0 {
-		opts = append(opts, voiceguard.WithAcceptShards(h.cfg.AcceptShards))
 	}
 	return opts
 }

@@ -89,24 +89,6 @@ func WithHoldBudget(b *proxy.HoldBudget) LiveOption {
 	return func(o *liveOptions) { o.transport = append(o.transport, proxy.WithHoldBudget(b)) }
 }
 
-// WithSessionHoldBytes bounds the bytes one session may buffer during
-// a single hold (the per-session cap under the global budget). n <= 0
-// keeps the transport default.
-func WithSessionHoldBytes(n int) LiveOption {
-	return func(o *liveOptions) {
-		if n > 0 {
-			o.transport = append(o.transport, proxy.WithMaxHoldBytes(n))
-		}
-	}
-}
-
-// WithAcceptShards runs n concurrent accept loops, so session setup
-// is not serialized behind one upstream dial at a time. n <= 0 picks
-// the transport default.
-func WithAcceptShards(n int) LiveOption {
-	return func(o *liveOptions) { o.transport = append(o.transport, proxy.WithAcceptShards(n)) }
-}
-
 // The wire plane sits inline on a single speaker-to-cloud path, so
 // the endpoints of the packets it builds for the recognizer are fixed
 // by construction.

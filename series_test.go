@@ -6,16 +6,20 @@ import (
 
 	"voiceguard/internal/decision"
 	"voiceguard/internal/emul"
+	"voiceguard/internal/fleet"
 	"voiceguard/internal/guard"
 	"voiceguard/internal/metrics"
 	"voiceguard/internal/proxy"
 	"voiceguard/internal/push"
+	"voiceguard/internal/scenario"
 )
 
 // Each fact the pipeline counts has exactly one series. A simulated
-// run and one held wire command exercise every fact below; none of the
-// retired flat twins may be registered, and each fact they used to
-// count must show in the labeled family that records it.
+// run, a one-home fleet and one held wire command exercise every fact
+// below; none of the retired flat twins (nor the fleet's tenant
+// gauges, which a fleet without unregistration could only grow) may
+// be registered, and each fact they used to count must show in the
+// labeled family that records it.
 func TestOneSeriesPerFact(t *testing.T) {
 	before := metrics.Default.Snapshot()
 	if _, err := RunExperiment(ExperimentConfig{
@@ -26,6 +30,9 @@ func TestOneSeriesPerFact(t *testing.T) {
 		Days:    1,
 		Seed:    1,
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scenario.Fleet(scenario.FleetConfig{Homes: 1, Days: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,6 +57,7 @@ func TestOneSeriesPerFact(t *testing.T) {
 		"proxy_releases_total", "proxy_drops_total",
 		"live_bursts_released_total", "live_bursts_dropped_total",
 		"live_verdicts", "live_noncommand_spikes_total",
+		"fleet_tenants", "fleet_tenants_registered_total", "fleet_tenants_unregistered_total",
 	}
 	registered := make(map[string]bool)
 	for _, c := range snap.Counters {
@@ -75,6 +83,14 @@ func TestOneSeriesPerFact(t *testing.T) {
 		}
 		return n
 	}
+	total := func(name string) (n int64) {
+		for _, c := range snap.Counters {
+			if c.Name == name {
+				n += c.Value
+			}
+		}
+		return n
+	}
 	observed := func(name string) (n uint64) {
 		for _, h := range snap.Histograms {
 			if h.Name == name {
@@ -93,6 +109,8 @@ func TestOneSeriesPerFact(t *testing.T) {
 		{guard.MetricHoldLatency, int64(observed(guard.MetricHoldLatency))},
 		{decision.MetricLatency, int64(observed(decision.MetricLatency))},
 		{push.MetricLatency, int64(observed(push.MetricLatency))},
+		{fleet.MetricHomeDays, total(fleet.MetricHomeDays)},
+		{fleet.MetricRounds, total(fleet.MetricRounds)},
 	} {
 		if fact.n == 0 {
 			t.Errorf("%s recorded nothing", fact.series)
