@@ -45,7 +45,6 @@ func main() {
 		invocations = flag.Int("invocations", 134, "invocations for the recognition study")
 		queries     = flag.Int("queries", 100, "invocations per delay study")
 		wireTCP     = flag.Int("wire-tcp", 96, "TCP sessions for the wire-plane load experiment")
-		wireUDP     = flag.Int("wire-udp", 32, "UDP sessions for the wire-plane load experiment")
 		csvDir      = flag.String("csv", "", "also write figure data as CSV files into this directory")
 		logLevel    = flag.String("log-level", "off", "structured log level: off|debug|info|warn|error")
 		logFormat   = flag.String("log-format", "text", "structured log format: text|json")
@@ -86,7 +85,7 @@ func main() {
 		}
 	}
 	csvInto = *csvDir
-	if err := run(*exp, *seed, *days, *invocations, *queries, *homes, *wireTCP, *wireUDP, *fault); err != nil {
+	if err := run(*exp, *seed, *days, *invocations, *queries, *homes, *wireTCP, *fault); err != nil {
 		fmt.Fprintln(os.Stderr, "vgbench:", err)
 		os.Exit(1)
 	}
@@ -242,7 +241,7 @@ var experimentOrder = []string{
 	"wire",
 }
 
-func run(exp string, seed int64, days, invocations, queries, homes, wireTCP, wireUDP int, fault string) error {
+func run(exp string, seed int64, days, invocations, queries, homes, wireTCP int, fault string) error {
 	experiments := map[string]func() error{
 		"table1": func() error { return table1(invocations, seed) },
 		"table2": func() error {
@@ -266,7 +265,7 @@ func run(exp string, seed int64, days, invocations, queries, homes, wireTCP, wir
 		"faults":      func() error { return faultStudy(days, seed, fault) },
 		"homeday":     func() error { return homeDayThroughput(days, seed) },
 		"fleet":       func() error { return fleetThroughput(homes, days, seed) },
-		"wire":        func() error { return wireLoad(wireTCP, wireUDP, seed) },
+		"wire":        func() error { return wireLoad(wireTCP, seed) },
 	}
 
 	if exp == "all" {
@@ -552,17 +551,15 @@ func fleetThroughput(homes, days int, seed int64) error {
 
 // wireLoad is the wire-plane load experiment: a scaled-down vgload
 // run (Echo sessions through a real StartLiveGuard into the cloud
-// emulator, GHM-profile UDP through a real UDPForwarder, stall floods
-// against a deliberately small global budget) sized to finish in
-// seconds so it can ride the bench gate. The structural outcomes —
-// budget enforced, backpressure observed, every held command
-// resolved — are recorded as exact-match pct_* metrics, and a broken
-// invariant (wireload.Outcome.Check) fails the experiment; setup rate
-// and latency ride the banded fields.
-func wireLoad(tcp, udp int, seed int64) error {
+// emulator, stall floods against a deliberately small global budget)
+// sized to finish in seconds so it can ride the bench gate. The
+// structural outcomes — budget enforced, backpressure observed, every
+// held command resolved — are recorded as exact-match pct_* metrics,
+// and a broken invariant (wireload.Outcome.Check) fails the
+// experiment; setup rate and latency ride the banded fields.
+func wireLoad(tcp int, seed int64) error {
 	out, err := wireload.Run(wireload.Config{
 		TCPSessions:     tcp,
-		UDPSessions:     udp,
 		IdleGap:         40 * time.Millisecond,
 		BurstEvery:      150 * time.Millisecond,
 		BaselineBursts:  3,

@@ -16,7 +16,7 @@ func TestRunEveryExperiment(t *testing.T) {
 	} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
-			if err := run(exp, 1 /* seed */, 1 /* day */, 30 /* invocations */, 15 /* queries */, 6 /* homes */, 16 /* wireTCP */, 0 /* wireUDP */, "drop20" /* fault */); err != nil {
+			if err := run(exp, 1 /* seed */, 1 /* day */, 30 /* invocations */, 15 /* queries */, 6 /* homes */, 16 /* wireTCP */, "drop20" /* fault */); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -28,7 +28,7 @@ func TestRunFig4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket holds")
 	}
-	if err := run("fig4", 1, 1, 10, 5, 6, 16, 0, "all"); err != nil {
+	if err := run("fig4", 1, 1, 10, 5, 6, 16, "all"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -39,13 +39,13 @@ func TestRunWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket load harness")
 	}
-	if err := run("wire", 1, 1, 10, 5, 6, 24, 8, "all"); err != nil {
+	if err := run("wire", 1, 1, 10, 5, 6, 24, "all"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("fig99", 1, 1, 10, 5, 6, 16, 0, "all"); err == nil {
+	if err := run("fig99", 1, 1, 10, 5, 6, 16, "all"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -54,7 +54,7 @@ func TestRunWithCSVOutput(t *testing.T) {
 	dir := t.TempDir()
 	csvInto = dir
 	defer func() { csvInto = "" }()
-	if err := run("fig10", 1, 1, 10, 5, 6, 16, 0, "all"); err != nil {
+	if err := run("fig10", 1, 1, 10, 5, 6, 16, "all"); err != nil {
 		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "fig10_case*.csv"))

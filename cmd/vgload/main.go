@@ -1,7 +1,6 @@
 // Command vgload is the wire-plane load generator: it drives N
-// thousand concurrent emulated speaker sessions — Echo sessions
-// through a real StartLiveGuard into the cloud emulator, plus the
-// Google Home Mini UDP profile through a UDPForwarder — with mixed
+// thousand concurrent emulated Echo sessions through a real
+// StartLiveGuard into the cloud emulator, with mixed
 // hold/release/drop verdicts, a configurable decision-latency
 // distribution, hold deadlines, and fault profiles, and reports
 // session setup rate, p99 added latency against a no-guard baseline,
@@ -10,7 +9,7 @@
 //
 // Usage:
 //
-//	vgload -tcp-sessions 3000 -udp-sessions 2000 -budget-bytes 1048576
+//	vgload -tcp-sessions 3000 -budget-bytes 1048576
 //	vgload -tcp-sessions 64 -fault delay-spike -json wire.json
 package main
 
@@ -29,7 +28,6 @@ import (
 // config carries the parsed command-line flags through run.
 type config struct {
 	tcpSessions  int
-	udpSessions  int
 	idleGap      time.Duration
 	burstEvery   time.Duration
 	baseline     int
@@ -51,7 +49,6 @@ type config struct {
 func main() {
 	var cfg config
 	flag.IntVar(&cfg.tcpSessions, "tcp-sessions", 256, "concurrent Echo speaker sessions through the guard")
-	flag.IntVar(&cfg.udpSessions, "udp-sessions", 0, "concurrent UDP (GHM-profile) speaker sockets through the forwarder")
 	flag.DurationVar(&cfg.idleGap, "idle-gap", 50*time.Millisecond, "spike separator gap")
 	flag.DurationVar(&cfg.burstEvery, "burst-every", 150*time.Millisecond, "pause between a session's commands")
 	flag.IntVar(&cfg.baseline, "baseline-bursts", 3, "per-session no-guard baseline commands (0 skips the baseline)")
@@ -95,42 +92,39 @@ func faultNames() string {
 func validate(cfg config) error {
 	if err := cliutil.FirstError(
 		cliutil.OneOf("fault", cfg.fault, append([]string{"none"}, faults.ProfileNames()...)...),
+		cliutil.Positive("tcp-sessions", cfg.tcpSessions),
 		cliutil.Positive("measure-bursts", cfg.bursts),
 		cliutil.Positive("dial-concurrency", cfg.dialConc),
 	); err != nil {
 		return err
-	}
-	if cfg.tcpSessions <= 0 && cfg.udpSessions <= 0 {
-		return fmt.Errorf("at least one of -tcp-sessions or -udp-sessions must be positive")
 	}
 	if cfg.dropFrac < 0 || cfg.dropFrac > 1 || cfg.stallFrac < 0 || cfg.stallFrac > 1 ||
 		cfg.dropFrac+cfg.stallFrac > 1 {
 		return fmt.Errorf("-drop-frac and -stall-frac must be in [0,1] and sum to at most 1")
 	}
 	if need, limit, ok := fdBudget(cfg); ok && need > limit {
-		return fmt.Errorf("session mix needs ~%d file descriptors but the soft limit is %d; "+
-			"raise it (ulimit -n) or shift sessions to UDP (2 FDs each vs 4 for TCP)", need, limit)
+		return fmt.Errorf("-tcp-sessions needs ~%d file descriptors but the soft limit is %d; "+
+			"raise it (ulimit -n) or run fewer sessions", need, limit)
 	}
 	return nil
 }
 
 // fdBudget estimates the run's descriptor demand: an Echo session
 // costs four (speaker conn, the guard's two sides, the cloud
-// emulator's conn), a UDP session two (speaker socket, forwarder peer
-// socket), plus slack for listeners, baseline churn, and the runtime.
+// emulator's conn), plus slack for listeners, baseline churn, and the
+// runtime.
 func fdBudget(cfg config) (need, limit uint64, ok bool) {
 	limit, ok = fdSoftLimit()
 	if !ok {
 		return 0, 0, false
 	}
-	need = 4*uint64(cfg.tcpSessions) + 2*uint64(cfg.udpSessions) + 256
+	need = 4*uint64(cfg.tcpSessions) + 256
 	return need, limit, true
 }
 
 func run(cfg config) error {
 	out, err := wireload.Run(wireload.Config{
 		TCPSessions:     cfg.tcpSessions,
-		UDPSessions:     cfg.udpSessions,
 		IdleGap:         cfg.idleGap,
 		BurstEvery:      cfg.burstEvery,
 		BaselineBursts:  cfg.baseline,

@@ -28,7 +28,7 @@ func TestValidate(t *testing.T) {
 		mutate func(*config)
 	}{
 		{"bad fault", func(c *config) { c.fault = "gremlins" }},
-		{"no sessions", func(c *config) { c.tcpSessions = 0; c.udpSessions = 0 }},
+		{"no sessions", func(c *config) { c.tcpSessions = 0 }},
 		{"negative drop frac", func(c *config) { c.dropFrac = -0.1 }},
 		{"fracs exceed one", func(c *config) { c.dropFrac = 0.6; c.stallFrac = 0.6 }},
 		{"zero bursts", func(c *config) { c.bursts = 0 }},
@@ -47,12 +47,12 @@ func TestValidate(t *testing.T) {
 
 func TestFDBudget(t *testing.T) {
 	cfg := base()
-	cfg.tcpSessions, cfg.udpSessions = 3000, 2000
+	cfg.tcpSessions = 3000
 	need, _, ok := fdBudget(cfg)
 	if !ok {
 		t.Skip("no rlimit on this platform")
 	}
-	if want := uint64(4*3000 + 2*2000 + 256); need != want {
+	if want := uint64(4*3000 + 256); need != want {
 		t.Fatalf("fd need = %d, want %d", need, want)
 	}
 }

@@ -78,12 +78,6 @@ type Stairs struct {
 	Path        []Position
 }
 
-// Bottom returns the first waypoint of the stairs.
-func (s *Stairs) Bottom() Position { return s.Path[0] }
-
-// Top returns the last waypoint of the stairs.
-func (s *Stairs) Top() Position { return s.Path[len(s.Path)-1] }
-
 // Route is a named walking route: an ordered list of waypoints.
 // Routes are straight-line walks between consecutive waypoints.
 type Route struct {

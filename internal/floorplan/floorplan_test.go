@@ -163,8 +163,11 @@ func TestHouseStairs(t *testing.T) {
 	if s == nil {
 		t.Fatal("house has no stairs")
 	}
-	if s.Bottom().Floor != 0 || s.Top().Floor != 1 {
-		t.Fatalf("stairs run %d->%d, want 0->1", s.Bottom().Floor, s.Top().Floor)
+	if s.BottomFloor != 0 || s.TopFloor != 1 {
+		t.Fatalf("stairs run %d->%d, want 0->1", s.BottomFloor, s.TopFloor)
+	}
+	if first, last := s.Path[0].Floor, s.Path[len(s.Path)-1].Floor; first != s.BottomFloor || last != s.TopFloor {
+		t.Fatalf("stairs path runs %d->%d, want %d->%d", first, last, s.BottomFloor, s.TopFloor)
 	}
 }
 

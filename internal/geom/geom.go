@@ -54,9 +54,6 @@ func Seg(ax, ay, bx, by float64) Segment {
 // Length returns the segment's length.
 func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 
-// Midpoint returns the segment's midpoint.
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
-
 // cross returns the z-component of (b-a) × (c-a).
 func cross(a, b, c Point) float64 {
 	return (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)

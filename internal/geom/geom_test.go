@@ -204,9 +204,6 @@ func TestSegmentHelpers(t *testing.T) {
 	if s.Length() != 10 {
 		t.Fatalf("Length = %v, want 10", s.Length())
 	}
-	if mp := s.Midpoint(); mp != (Point{X: 3, Y: 4}) {
-		t.Fatalf("Midpoint = %v", mp)
-	}
 }
 
 func TestPointArithmetic(t *testing.T) {

@@ -100,13 +100,6 @@ type Packet struct {
 	Payload []byte
 }
 
-// FlowKey identifies the packet's unidirectional flow as a printable
-// string. Hot paths that key maps by flow should use Flow instead —
-// FlowKey formats on every call.
-func (p Packet) FlowKey() string {
-	return fmt.Sprintf("%s:%d>%s:%d/%s", p.SrcIP, p.SrcPort, p.DstIP, p.DstPort, p.Proto)
-}
-
 // FlowID identifies a unidirectional flow as a comparable value, so
 // per-flow state can be keyed without formatting a string per packet.
 type FlowID struct {
@@ -120,54 +113,6 @@ type FlowID struct {
 // Flow returns the packet's unidirectional flow identity.
 func (p Packet) Flow() FlowID {
 	return FlowID{SrcIP: p.SrcIP, SrcPort: p.SrcPort, DstIP: p.DstIP, DstPort: p.DstPort, Proto: p.Proto}
-}
-
-// Src returns the packet's source endpoint as "ip:port".
-func (p Packet) Src() string { return fmt.Sprintf("%s:%d", p.SrcIP, p.SrcPort) }
-
-// Dst returns the packet's destination endpoint as "ip:port".
-func (p Packet) Dst() string { return fmt.Sprintf("%s:%d", p.DstIP, p.DstPort) }
-
-// Capture is an append-only packet log with simple filtering, playing
-// the role Wireshark plays in the paper's methodology.
-type Capture struct {
-	packets []Packet
-}
-
-// Add appends a packet to the capture.
-func (c *Capture) Add(p Packet) { c.packets = append(c.packets, p) }
-
-// Len returns the number of captured packets.
-func (c *Capture) Len() int { return len(c.packets) }
-
-// Packets returns a copy of all captured packets in capture order.
-func (c *Capture) Packets() []Packet {
-	return append([]Packet(nil), c.packets...)
-}
-
-// Filter returns the packets matching keep, in capture order.
-func (c *Capture) Filter(keep func(Packet) bool) []Packet {
-	var out []Packet
-	for _, p := range c.packets {
-		if keep(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// FromHost returns packets originating at the given IP — the paper
-// only analyses traffic originating from the smart speaker.
-func (c *Capture) FromHost(ip IPv4) []Packet {
-	return c.Filter(func(p Packet) bool { return p.SrcIP == ip })
-}
-
-// Between returns packets exchanged between the two IPs, either
-// direction.
-func (c *Capture) Between(a, b IPv4) []Packet {
-	return c.Filter(func(p Packet) bool {
-		return (p.SrcIP == a && p.DstIP == b) || (p.SrcIP == b && p.DstIP == a)
-	})
 }
 
 // byTime implements a typed stable sort over packets, avoiding the

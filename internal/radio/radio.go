@@ -77,7 +77,7 @@ var (
 // A Model is safe for concurrent use: it is immutable after
 // construction and derives every shadow value from its seed, so one
 // model can back many parallel trials. The rng.Source arguments of
-// Sample/SampleN/AverageAt are NOT safe to share — each concurrent
+// Sample/AverageAt are NOT safe to share — each concurrent
 // caller must bring its own split stream.
 type Model struct {
 	plan   *floorplan.Plan
@@ -195,15 +195,6 @@ func (m *Model) Sample(tx, rx floorplan.Position, dev Device, src *rng.Source) f
 	v += src.Uniform(-p.OrientSpread, p.OrientSpread)
 	v += src.Normal(0, p.NoiseSigma*dev.NoiseScale)
 	return v
-}
-
-// SampleN draws n measurements for the link.
-func (m *Model) SampleN(tx, rx floorplan.Position, dev Device, src *rng.Source, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = m.Sample(tx, rx, dev, src)
-	}
-	return out
 }
 
 // AverageAt reproduces the paper's per-location measurement protocol:

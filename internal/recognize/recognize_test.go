@@ -492,7 +492,7 @@ func TestBackgroundTrafficNeverFromSpeaker(t *testing.T) {
 	}
 	for _, p := range bg {
 		if p.SrcIP == trafficgen.EchoAddr || p.SrcIP == trafficgen.GHMAddr {
-			t.Fatalf("background packet claims a speaker IP: %v", p.Src())
+			t.Fatalf("background packet claims a speaker IP: %v", p.SrcIP)
 		}
 	}
 }

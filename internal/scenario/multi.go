@@ -12,8 +12,8 @@ import (
 )
 
 // MultiOutcome is the result of a multi-speaker protection run: one
-// confusion matrix per protected speaker, plus the shared capture
-// statistics.
+// confusion matrix per protected speaker, plus the number of commands
+// issued across both.
 type MultiOutcome struct {
 	PerSpeaker map[string]stats.Confusion // keyed by spot name
 	Commands   int
@@ -28,12 +28,15 @@ func (m *MultiOutcome) Overall() stats.Confusion {
 	return c
 }
 
-// RunMulti reproduces the paper's multi-speaker deployment (§V): an
-// Echo Dot at spot A and a Google Home Mini at spot B in the same
-// home, one set of owners, one guard process routing each speaker's
-// traffic to its own recognizer and decision state by source IP.
-// Commands alternate between the speakers; a command is legitimate
-// when an owner is in the commanding speaker's own legitimate area.
+// RunMulti models the routing half of the paper's multi-speaker
+// deployment (§V): an Echo Dot at spot A and a Google Home Mini at
+// spot B, each its own single-speaker run, with one guard.Router
+// demultiplexing both runs' packet feeds to each speaker's guard by
+// source IP. The two runs share nothing else: each has its own
+// simulated clock, owners, thresholds and seed (the GHM run's is
+// cfg.Seed+5000). Commands alternate between the speakers; a command
+// is legitimate when one of that run's owners is in its speaker's
+// legitimate area.
 func RunMulti(cfg Config) (*MultiOutcome, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Plan == nil {
@@ -60,13 +63,12 @@ func RunMulti(cfg Config) (*MultiOutcome, error) {
 // B, fully initialised, without executing their day loops.
 func newMultiRuns(cfg Config) (echoRun, ghmRun *run, err error) {
 	// Two independent single-speaker runs share nothing; the
-	// multi-speaker property under test is the *routing*: one merged
-	// packet stream must reach the right recognizer. Build both runs'
-	// guards against one simulated clock and one owner population by
-	// running spot A's infrastructure and attaching a second guard.
-	// Setup (calibration walks, classifier training) is the expensive
-	// part and the two runs take distinct seeds, so they initialise on
-	// the worker pool.
+	// multi-speaker property under test is the *routing*: both packet
+	// feeds must reach the right recognizer through one router. Each
+	// run is a plain newRun with its own simulated clock, owners,
+	// thresholds and seed. Setup (calibration walks, classifier
+	// training) is the expensive part and the two runs are
+	// independent, so they initialise on the worker pool.
 	ghmCfg := cfg
 	ghmCfg.Seed = cfg.Seed + 5000
 	setups := []struct {

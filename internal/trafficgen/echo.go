@@ -76,12 +76,6 @@ func NewEcho(src *rng.Source) *Echo {
 // AVSAddr returns the current AVS server address.
 func (e *Echo) AVSAddr() netip.Addr { return netip.AddrFrom4(e.avsAddr) }
 
-// ConnectSignature returns the signature the speaker currently emits
-// when establishing AVS connections.
-func (e *Echo) ConnectSignature() []int {
-	return append([]int(nil), e.signature...)
-}
-
 // SetConnectSignature replaces the AVS connect signature — modelling a
 // firmware update that changes the packet-level fingerprint (the
 // paper's §VII "potential changes of traffic signature").

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -189,43 +188,29 @@ func (inv Invocation) CommandSpike() LabeledSpike {
 	return LabeledSpike{}
 }
 
-// recordSmall and recordBig intern the zero-bodied TLS records the
-// generators emit, keyed by record type and wire length. The
-// generators emit at most a few thousand (type, length) pairs,
-// millions of times over a simulated week; every emission of a pair is
-// byte-identical, so one shared slice serves them all. Consumers
-// (ParseRecords copies bodies; IsAppData reads headers in place) never
-// mutate packet payloads.
+// recordSmall interns the zero-bodied TLS records the generators
+// emit, keyed by record type and wire length. The generators emit at
+// most a few thousand (type, length) pairs, millions of times over a
+// simulated week; every emission of a pair is byte-identical, so one
+// shared slice serves them all. Consumers (ParseRecords copies bodies;
+// IsAppData reads headers in place) never mutate packet payloads.
 //
-// Every generator length fits the fixed table, so the common case is
-// one atomic pointer load; the map is a fallback for out-of-range
-// lengths from external callers (SetConnectSignature).
+// Every generator length fits the table, so an emission is one atomic
+// pointer load; a record of recordCacheMax bytes or more is encoded
+// fresh on every call.
 const recordCacheMax = 2048
 
 // recordHeaderLen is the TLS record header: type, version, length.
 const recordHeaderLen = 5
 
-var (
-	recordSmall [4][recordCacheMax]atomic.Pointer[[]byte] // [type - ChangeCipherSpec][wire length]
-	recordBig   sync.Map                                  // recordKey -> []byte
-)
-
-type recordKey struct {
-	typ     pcap.RecordType
-	wireLen int
-}
+var recordSmall [4][recordCacheMax]atomic.Pointer[[]byte] // [type - ChangeCipherSpec][wire length]
 
 // mustRecord returns a TLS 1.2 record of the given type whose body is
 // wireLen-5 zero bytes. The returned slice is shared and must not be
 // mutated.
 func mustRecord(typ pcap.RecordType, wireLen int) []byte {
 	if wireLen >= recordCacheMax {
-		key := recordKey{typ, wireLen}
-		if b, ok := recordBig.Load(key); ok {
-			return b.([]byte)
-		}
-		b, _ := recordBig.LoadOrStore(key, zeroRecord(typ, wireLen))
-		return b.([]byte)
+		return zeroRecord(typ, wireLen)
 	}
 	slot := &recordSmall[typ-pcap.RecordChangeCipherSpec][wireLen]
 	if p := slot.Load(); p != nil {

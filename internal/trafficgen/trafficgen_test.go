@@ -321,10 +321,10 @@ func TestGHMSometimesSkipsDNS(t *testing.T) {
 func TestGHMCommandPacketsShareOneFlow(t *testing.T) {
 	g := NewGHM(rng.New(13))
 	inv := g.Invocation(t0)
-	key := inv.Spikes[0].Packets[0].FlowKey()
+	key := inv.Spikes[0].Packets[0].Flow()
 	for _, p := range inv.Spikes[0].Packets {
-		if p.FlowKey() != key {
-			t.Fatalf("command packets span flows: %s vs %s", p.FlowKey(), key)
+		if p.Flow() != key {
+			t.Fatalf("command packets span flows: %+v vs %+v", p.Flow(), key)
 		}
 	}
 }
@@ -406,4 +406,34 @@ func containsWithin(lengths []int, v, limit int) bool {
 		}
 	}
 	return false
+}
+
+// TestMustRecordPastTheTable asks for a record longer than the intern
+// table holds: it must still be one well-formed, zero-bodied record of
+// exactly the asked wire length.
+func TestMustRecordPastTheTable(t *testing.T) {
+	const wireLen = 4096
+	b := mustRecord(pcap.RecordApplicationData, wireLen)
+	if len(b) != wireLen {
+		t.Fatalf("wire length %d, want %d", len(b), wireLen)
+	}
+	records, err := pcap.ParseRecords(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1 {
+		t.Fatalf("%d records, want 1", len(records))
+	}
+	r := records[0]
+	if r.Type != pcap.RecordApplicationData || r.Version != pcap.TLS12Version {
+		t.Fatalf("record type %d version %#x, want application data, TLS 1.2", r.Type, r.Version)
+	}
+	if len(r.Payload) != wireLen-recordHeaderLen {
+		t.Fatalf("body %d bytes, want %d", len(r.Payload), wireLen-recordHeaderLen)
+	}
+	for i, c := range r.Payload {
+		if c != 0 {
+			t.Fatalf("body byte %d = %#x, want 0", i, c)
+		}
+	}
 }

@@ -1,9 +1,8 @@
 // Package wireload is the wire-plane load harness: it drives
-// thousands of concurrent emulated speaker sessions — Echo sessions
-// (emul.SpeakerClient) through a real StartLiveGuard into the cloud
-// emulator, and the Google Home Mini UDP profile through a real
-// UDPForwarder — with mixed hold/release/drop verdicts, a
-// configurable decision-latency distribution, hold deadlines, and
+// thousands of concurrent emulated Echo sessions (emul.SpeakerClient)
+// through a real StartLiveGuard into the cloud emulator, with mixed
+// hold/release/drop verdicts, a configurable decision-latency
+// distribution, hold deadlines, and
 // internal/faults profiles, and measures what the ROADMAP asks every
 // wire-plane claim to carry: session setup rate, per-command p99
 // added latency against a no-guard baseline, and the hold-memory
@@ -21,8 +20,8 @@
 //     verdict-drop reconnects;
 //  4. stall — stall-class sessions flood commands whose decisions
 //     wedge, pushing held bytes against the global budget until the
-//     transport backpressure (TCP pump stalls, UDP shedding) is
-//     observable in the metrics.
+//     transport backpressure (read-pump stalls) is observable in the
+//     metrics.
 package wireload
 
 import (
@@ -49,7 +48,6 @@ import (
 // Config parameterises one load run.
 type Config struct {
 	TCPSessions int // concurrent Echo speaker sessions through the guard
-	UDPSessions int // concurrent UDP (GHM-profile) speaker sockets
 
 	IdleGap    time.Duration // spike separator the guard uses
 	BurstEvery time.Duration // pause between a session's commands (> IdleGap)
@@ -100,7 +98,6 @@ func (c Config) withDefaults() Config {
 // Outcome is one run's measurements.
 type Outcome struct {
 	TCPSessions int
-	UDPSessions int
 	// Legit, Drop and Stall count the TCP sessions of each verdict
 	// class.
 	Legit, Drop, Stall int
@@ -109,7 +106,7 @@ type Outcome struct {
 	PeakConcurrent int // max simultaneous transport sessions observed
 
 	SetupSeconds   float64 // ramp wall-clock
-	SessionsPerSec float64 // (TCP+UDP sessions) / SetupSeconds
+	SessionsPerSec float64 // guarded sessions set up / SetupSeconds
 
 	BaselineP50Ms float64
 	BaselineP99Ms float64
@@ -128,26 +125,25 @@ type Outcome struct {
 	HoldBytesPeak   int64 // peak of the TCP hold-queue gauge
 	BudgetUsedPeak  int64 // peak bytes charged against the global budget
 	BudgetMax       int64 // configured ceiling (0 = unlimited)
-	BudgetWaits     int64 // TCP pump stalls on an exhausted budget
-	UDPShed         int   // UDP datagrams shed on an exhausted budget
+	BudgetWaits     int64 // read-pump stalls on an exhausted budget
 	HeapPeakBytes   int64 // peak live heap during the run (internal/obs)
 	WithinBudget    bool  // BudgetUsedPeak never exceeded BudgetMax
-	Backpressured   bool  // budget pressure was observed (waits or shed)
+	Backpressured   bool  // budget pressure was observed (BudgetWaits > 0)
 	TrackedLeftover int   // live-plane per-session state left after close
 }
 
 // Text renders the outcome as a human-readable report.
 func (o Outcome) Text() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "wire-plane load: %d TCP (%d legit, %d drop, %d stall) + %d UDP sessions, peak concurrent %d\n",
-		o.TCPSessions, o.Legit, o.Drop, o.Stall, o.UDPSessions, o.PeakConcurrent)
+	fmt.Fprintf(&b, "wire-plane load: %d TCP sessions (%d legit, %d drop, %d stall), peak concurrent %d\n",
+		o.TCPSessions, o.Legit, o.Drop, o.Stall, o.PeakConcurrent)
 	fmt.Fprintf(&b, "  setup        %.2fs (%.0f sessions/sec)\n", o.SetupSeconds, o.SessionsPerSec)
 	fmt.Fprintf(&b, "  latency      baseline p50/p99 %.2f/%.2f ms, guarded %.2f/%.2f ms, added p99 %.2f ms\n",
 		o.BaselineP50Ms, o.BaselineP99Ms, o.ProxiedP50Ms, o.ProxiedP99Ms, o.AddedP99Ms)
 	fmt.Fprintf(&b, "  commands     held %d, released %d, dropped %d, reconnects %d\n",
 		o.BurstsHeld, o.BurstsReleased, o.BurstsDropped, o.Reconnects)
-	fmt.Fprintf(&b, "  hold memory  queue peak %d B, budget peak %d/%d B, waits %d, udp shed %d\n",
-		o.HoldBytesPeak, o.BudgetUsedPeak, o.BudgetMax, o.BudgetWaits, o.UDPShed)
+	fmt.Fprintf(&b, "  hold memory  queue peak %d B, budget peak %d/%d B, waits %d\n",
+		o.HoldBytesPeak, o.BudgetUsedPeak, o.BudgetMax, o.BudgetWaits)
 	fmt.Fprintf(&b, "  heap peak    %d B\n", o.HeapPeakBytes)
 	fmt.Fprintf(&b, "  within budget %v, backpressure observed %v, leftover session state %d\n",
 		o.WithinBudget, o.Backpressured, o.TrackedLeftover)
@@ -165,7 +161,7 @@ func (o Outcome) Check() error {
 	if o.SessionsPerSec <= 0 {
 		fail("no session was set up")
 	}
-	if o.TCPSessions > 0 && o.BurstsHeld == 0 {
+	if o.BurstsHeld == 0 {
 		fail("no command was held")
 	}
 	if resolved := o.BurstsReleased + o.BurstsDropped; resolved != o.BurstsHeld {
@@ -178,7 +174,7 @@ func (o Outcome) Check() error {
 		fail("%d sessions' state left after close", o.TrackedLeftover)
 	}
 	if o.Stall > 0 && o.StallWindow > 0 && o.BudgetMax > 0 && !o.Backpressured {
-		fail("stall flood produced no backpressure (waits %d, shed %d)", o.BudgetWaits, o.UDPShed)
+		fail("stall flood produced no backpressure (waits %d)", o.BudgetWaits)
 	}
 	if o.Legit > 0 && o.BurstsReleased == 0 {
 		fail("no legit command was released")
@@ -271,7 +267,6 @@ func Run(cfg Config) (Outcome, error) {
 	}
 	out := Outcome{
 		TCPSessions: cfg.TCPSessions,
-		UDPSessions: cfg.UDPSessions,
 		StallWindow: cfg.StallWindow,
 		BudgetMax:   cfg.BudgetBytes,
 	}
@@ -308,21 +303,9 @@ func Run(cfg Config) (Outcome, error) {
 
 	// Ramp: every session dials in.
 	rampStart := time.Now()
-	var udp *udpLoad
-	setup := 0
-	if cfg.UDPSessions > 0 {
-		if udp, setup, err = h.startUDP(budget, cfg.UDPSessions); err != nil {
-			_ = g.Close()
-			return out, err
-		}
-	}
-	sampled := h.startSampler(&out, budget, func() int {
-		if udp == nil {
-			return g.TrackedSessions()
-		}
-		return g.TrackedSessions() + udp.fwd.ActivePeers()
-	})
+	sampled := h.startSampler(&out, budget, g)
 	clients := h.dialAll(g.Addr(), classes)
+	setup := 0
 	for _, sp := range clients {
 		if sp != nil {
 			setup++
@@ -372,9 +355,6 @@ func Run(cfg Config) (Outcome, error) {
 		}
 	}
 	wg.Wait()
-	if udp != nil {
-		out.UDPShed = udp.close()
-	}
 	closeErr := g.Close()
 	sampled()
 
@@ -402,7 +382,7 @@ func (h *harness) liveOpts(budget *proxy.HoldBudget) []voiceguard.LiveOption {
 // use, live heap, concurrent sessions) every 20 ms until the run
 // stops; the returned wait blocks until it has. Until then only its
 // goroutine writes those fields.
-func (h *harness) startSampler(out *Outcome, budget *proxy.HoldBudget, conc func() int) (wait func()) {
+func (h *harness) startSampler(out *Outcome, budget *proxy.HoldBudget, g *voiceguard.LiveGuard) (wait func()) {
 	rt, heap := obs.NewRuntime(metrics.Default), metrics.Default.Gauge(obs.MetricHeapBytes)
 	done := make(chan struct{})
 	go func() {
@@ -416,7 +396,7 @@ func (h *harness) startSampler(out *Outcome, budget *proxy.HoldBudget, conc func
 				out.BudgetUsedPeak = max(out.BudgetUsedPeak, budget.Used())
 			}
 			out.HeapPeakBytes = max(out.HeapPeakBytes, heap.Value())
-			out.PeakConcurrent = max(out.PeakConcurrent, conc())
+			out.PeakConcurrent = max(out.PeakConcurrent, g.TrackedSessions())
 			select {
 			case <-tick.C:
 			case <-h.stop:
@@ -449,7 +429,7 @@ func (h *harness) fillMeasurements(out *Outcome, g *voiceguard.LiveGuard, budget
 		out.BudgetWaits = budget.Waits()
 	}
 	out.WithinBudget = out.BudgetMax <= 0 || out.BudgetUsedPeak <= out.BudgetMax
-	out.Backpressured = out.BudgetWaits > 0 || out.UDPShed > 0
+	out.Backpressured = out.BudgetWaits > 0
 
 	out.BaselineP50Ms = percentileMs(baseline, 0.50)
 	out.BaselineP99Ms = percentileMs(baseline, 0.99)

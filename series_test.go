@@ -17,8 +17,9 @@ import (
 // Each fact the pipeline counts has exactly one series. A simulated
 // run, a one-home fleet and one held wire command exercise every fact
 // below; none of the retired flat twins (nor the fleet's tenant
-// gauges, which a fleet without unregistration could only grow) may
-// be registered, and each fact they used to count must show in the
+// gauges, which a fleet without unregistration could only grow, nor
+// the series of the deleted guard-less UDP forwarder) may be
+// registered, and each fact they used to count must show in the
 // labeled family that records it.
 func TestOneSeriesPerFact(t *testing.T) {
 	before := metrics.Default.Snapshot()
@@ -58,6 +59,9 @@ func TestOneSeriesPerFact(t *testing.T) {
 		"live_bursts_released_total", "live_bursts_dropped_total",
 		"live_verdicts", "live_noncommand_spikes_total",
 		"fleet_tenants", "fleet_tenants_registered_total", "fleet_tenants_unregistered_total",
+		"proxy_udp_datagrams_forwarded_total", "proxy_udp_datagrams_held_total",
+		"proxy_udp_datagrams_dropped_total", "proxy_udp_hold_queue_datagrams",
+		"proxy_udp_budget_shed_total", "proxy_udp_hold_queue_bytes", "proxy_udp_peers_active",
 	}
 	registered := make(map[string]bool)
 	for _, c := range snap.Counters {
